@@ -39,7 +39,9 @@ from .quadrature import (
     QuadratureRule1D, RegionQuadrature, gauss_legendre, map_rule,
     region_quadrature,
 )
-from .kernels import disk_kernel, fixedm_kernel, sinc_kernel, sqrt_kernel
+from .kernels import (
+    DiskBandKernel, disk_kernel, fixedm_kernel, sinc_kernel, sqrt_kernel,
+)
 from .fredholm import (
     NystromSolution, eigennormalized_samples, nystrom_eigs, nystrom_extend,
 )
@@ -51,8 +53,8 @@ from .diskanalytic import (
 )
 from .planeslep import (
     GridField, GridSpec, SlepianBasis, evaluate_g, evaluate_h, periodogram,
-    read_grid, read_grid_text, shannon_2d, solve_region_disk, weighted_sumsq,
-    write_grid, write_grid_text,
+    read_grid, read_grid_text, region_mask, shannon_2d, solve_region_disk,
+    weighted_sumsq, write_grid, write_grid_text,
 )
 from .gridprojector import (
     GridBasis, OperatorProblem, build_problem, solve, weighted_periodogram_sum,

@@ -28,7 +28,7 @@ from .geometry import (
 )
 from .gridprojector import build_problem, solve, weighted_periodogram_sum
 from .planeslep import (
-    GridField, GridSpec, evaluate_g, evaluate_h, periodogram,
+    GridField, GridSpec, evaluate_g, evaluate_h, periodogram, region_mask,
     solve_region_disk, weighted_sumsq, write_grid,
 )
 from .pswf1d import solve_1d
@@ -251,12 +251,14 @@ def _cmd_region(args):
         grid = GridSpec(x0=cx - 0.5 * (nx - 1) * args.grid,
                         y0=cy - 0.5 * (ny - 1) * args.grid,
                         dx=args.grid, dy=args.grid, nx=nx, ny=ny)
+        inside = region_mask(region, grid)
         for i in range(len(basis.eigenvalues)):
             g = evaluate_g(basis, i, grid)
-            h = evaluate_h(basis, i, grid)
+            h = evaluate_h(basis, i, grid, g=g, inside=inside)
             write_grid(g, os.path.join(args.out, f"g_{i:03d}.bin"), name=f"g_{i:03d}")
             write_grid(h, os.path.join(args.out, f"h_{i:03d}.bin"), name=f"h_{i:03d}")
-        pg = periodogram(evaluate_h(basis, 0, grid))
+            if i == 0:
+                pg = periodogram(h)
         write_grid(pg, os.path.join(args.out, "pgram_000.bin"), name="pgram_000")
         ss = weighted_sumsq(basis, grid, len(basis.eigenvalues))
         write_grid(ss, os.path.join(args.out, "sumsq.bin"), name="sumsq")

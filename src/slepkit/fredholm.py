@@ -1,8 +1,9 @@
 """Generic Nystrom solver for symmetric Fredholm eigenproblems.
 
 Discretize on a positive quadrature rule, symmetrize with sqrt-weight
-similarity, solve densely, and extend eigenfunctions off the nodes through
-the kernel.
+similarity, solve, and extend eigenfunctions off the nodes through the
+kernel.  Kernels with a `features` factor (kernel = A A^T, A of width 2q) are
+solved and extended through A without forming the n x n kernel matrix.
 """
 
 from dataclasses import dataclass, field
@@ -11,6 +12,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ExtensionError, NumericalError
+
+# kernel or factor entries evaluated at once when extending to many points
+EXTEND_CHUNK = 2097152
+# smallest kept eigenvalue, relative to the largest, solved through the factor
+FACTOR_FLOOR = 1e-8
 
 
 @dataclass
@@ -21,8 +27,43 @@ class NystromSolution:
     weights: np.ndarray
     kernel: object            # callable kernel(points_a, points_b)
     kernel_tag: str = ""
-    trace: float = 0.0        # sum of all discrete eigenvalues
-    extra: dict = field(default_factory=dict)
+    trace: float = 0.0        # sum_i w_i kernel(x_i, x_i), the full discrete trace
+    extra: dict = field(default_factory=dict)   # how the spectrum was computed
+
+    def kernel_apply(self, rows, x):
+        """sum_j w_j kernel(x, x_j) rows[a, j] at points x, shape (m, len(rows)).
+
+        `x` is (m,) for a 1D rule and (m, 2) for a planar one.  A factored
+        kernel goes through A(x) (A(nodes)^T W rows^T) on a k-rule sized to the
+        largest query-to-node distance, as long as that rule is no wider than
+        the node count; otherwise, and for plain kernels, through the kernel.
+        """
+        kernel, nodes = self.kernel, self.nodes
+        wr = (self.weights * np.atleast_2d(rows)).T            # (n, r)
+        x = np.asarray(x, dtype=float)
+        if hasattr(kernel, "features"):
+            origin = np.mean(nodes, axis=0)
+            span = _radius(x, origin) + _radius(nodes, origin)
+            if kernel.rank(span) <= len(nodes):
+                coef = kernel.features(nodes, origin, span).T @ wr
+                return _chunked(lambda p: kernel.features(p, origin, span) @ coef, x, coef.shape)
+        return _chunked(lambda p: kernel(p[:, None], nodes[None]) @ wr, x, wr.shape)
+
+
+def _radius(points, origin):
+    """Largest distance from origin over (m, 2) points, 0 for none."""
+    return float(np.max(np.hypot(*(points - origin).T), initial=0.0))
+
+
+def _chunked(block, x, shape):
+    """block(x[lo:hi]) stacked; block multiplies a (points, width) matrix by one
+    of `shape` (width, columns), so chunks hold at most EXTEND_CHUNK entries."""
+    width, n_out = shape
+    out = np.empty((len(x), n_out))
+    step = max(1, EXTEND_CHUNK // max(1, width))
+    for lo in range(0, len(x), step):
+        out[lo:lo + step] = block(x[lo:lo + step])
+    return out
 
 
 def _as_rule(rule):
@@ -59,13 +100,70 @@ def _fix_signs(samples, nodes, weights):
     return samples
 
 
+def _eigh(mat, **kwargs):
+    try:
+        return scipy.linalg.eigh(mat, **kwargs)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(f"dense symmetric eigensolve failed: {exc}") from exc
+
+
+def _node_eigs(kernel, nodes, sw, count=None):
+    """Pairs (ascending) of sqrt(W) K sqrt(W) from the kernel matrix, and diag K.
+
+    All n pairs when count is None, else only the top `count`.
+    """
+    kmat = _kernel_matrix(kernel, nodes)
+    if not np.all(np.isfinite(kmat)):
+        raise NumericalError("kernel matrix has non-finite entries")
+    sym = kmat * sw[:, None] * sw[None, :]
+    sym = 0.5 * (sym + sym.T)
+    n = len(sw)
+    subset = None if count is None else [n - count, n - 1]
+    vals, vecs = _eigh(sym, subset_by_index=subset)
+    return vals, vecs, np.diagonal(kmat)
+
+
+def _factored_eigs(kernel, nodes, sw, count):
+    """Top `count` pairs (ascending) of B B^T, B = sqrt(W) A, and diag K.
+
+    The factor's Gram B^T B (2q x 2q) is diagonalized while it is no larger
+    than the node count and holds `count` pairs, and its eigenvectors map to
+    u = B v / sqrt(lambda).  That map loses orthogonality as 1e-17 / lambda,
+    so when the smallest pair kept falls below FACTOR_FLOOR times the largest,
+    or the factor is the wider side, the top pairs come from the n x n kernel
+    matrix instead, which is then the cheaper and exact Gram.
+    """
+    n = len(sw)
+    origin = np.mean(nodes, axis=0)
+    span = 2.0 * _radius(nodes, origin)
+    rank = kernel.rank(span)
+    extra = {"route": "factored", "rank": rank, "k_rule": kernel.rule_sizes(span),
+             "gram": "nodes"}
+    if count <= rank <= n:
+        b = sw[:, None] * kernel.features(nodes, origin, span)
+        if not np.all(np.isfinite(b)):
+            raise NumericalError("kernel factor has non-finite entries")
+        vals, v = _eigh(b.T @ b, subset_by_index=[rank - count, rank - 1])
+        if vals[0] >= FACTOR_FLOOR * vals[-1]:
+            extra["gram"] = "factor"
+            diag = np.asarray(kernel(nodes, nodes), dtype=float)
+            return vals, (b @ v) / np.sqrt(vals), diag, extra
+    return _node_eigs(kernel, nodes, sw, count) + (extra,)
+
+
 def nystrom_eigs(kernel, rule, count, kernel_tag=""):
     """Top `count` eigenpairs of the quadrature-discretized kernel operator.
 
-    Forms sqrt(W) K sqrt(W), diagonalizes, and maps eigenvectors back through
-    f = f~ / sqrt(w), which leaves them orthonormal in the weighted Gram.
-    Output is deterministic: eigenvalues descending, exact ties broken by the
-    index of the largest-magnitude node sample, signs fixed at the centroid.
+    Diagonalizes sqrt(W) K sqrt(W) and maps eigenvectors back through
+    f = f~ / sqrt(w), which leaves them orthonormal in the weighted Gram.  A
+    plain kernel gets a full dense eigh.  A kernel with `features` (planar
+    nodes only) is factored as sqrt(W) K sqrt(W) = B B^T, and only the top
+    `count` pairs of the smaller Gram are computed; `extra` records the
+    factor's width, its k-rule sizes and the side used ("factor" for B^T B,
+    "nodes" for the n x n kernel matrix).  The trace is
+    sum_i w_i kernel(x_i, x_i) either way.  Output is deterministic:
+    eigenvalues descending, exact ties broken by the index of the
+    largest-magnitude node sample, signs fixed at the centroid.
     """
     nodes, weights = _as_rule(rule)
     n = len(weights)
@@ -73,20 +171,15 @@ def nystrom_eigs(kernel, rule, count, kernel_tag=""):
         raise ValueError("all quadrature weights must be positive")
     if not 1 <= count <= n:
         raise ValueError("count must lie in [1, number of nodes]")
-    kmat = _kernel_matrix(kernel, nodes)
-    if not np.all(np.isfinite(kmat)):
-        raise NumericalError("kernel matrix has non-finite entries")
     sw = np.sqrt(weights)
-    sym = kmat * sw[:, None] * sw[None, :]
-    sym = 0.5 * (sym + sym.T)
-    try:
-        vals, vecs = scipy.linalg.eigh(sym)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"dense symmetric eigensolve failed: {exc}") from exc
-    order = np.argsort(-vals, kind="stable")
-    vals, vecs = vals[order], vecs[:, order]
-    samples = (vecs / sw[:, None]).T[:count].copy()
-    top = vals[:count].copy()
+    if hasattr(kernel, "features"):
+        vals, vecs, diag, extra = _factored_eigs(kernel, nodes, sw, count)
+    else:
+        vals, vecs, diag = _node_eigs(kernel, nodes, sw)
+        extra = {"route": "dense"}
+    order = np.argsort(-vals, kind="stable")[:count]
+    top = vals[order].copy()
+    samples = (vecs[:, order] / sw[:, None]).T.copy()
     # exact ties: earlier peak-sample index first
     i = 0
     while i < count - 1:
@@ -100,7 +193,7 @@ def nystrom_eigs(kernel, rule, count, kernel_tag=""):
     _fix_signs(samples, nodes, weights)
     return NystromSolution(
         eigenvalues=top, node_samples=samples, nodes=nodes, weights=weights,
-        kernel=kernel, kernel_tag=kernel_tag, trace=float(np.sum(vals)))
+        kernel=kernel, kernel_tag=kernel_tag, trace=float(weights @ diag), extra=extra)
 
 
 def eigennormalized_samples(solution):
@@ -123,17 +216,14 @@ def nystrom_extend(solution, index, x):
     lam = solution.eigenvalues[index]
     if lam <= 1e-12:
         raise ExtensionError(f"eigenvalue {lam!r} too small for stable extension")
-    nodes = solution.nodes
-    wf = solution.weights * solution.node_samples[index]
     pts = np.asarray(x, dtype=float)
-    if nodes.ndim == 1:
+    if solution.nodes.ndim == 1:
         scalar = pts.ndim == 0
+        shape = np.atleast_1d(pts).shape
         flat = np.atleast_1d(pts).ravel()
-        kxe = solution.kernel(flat[:, None], nodes[None, :])
-        out = kxe @ wf / lam
-        return float(out[0]) if scalar else out.reshape(np.atleast_1d(pts).shape)
-    scalar = pts.ndim == 1
-    flat = pts.reshape(-1, 2)
-    kxe = solution.kernel(flat[:, None, :], nodes[None, :, :])
-    out = kxe @ wf / lam
-    return float(out[0]) if scalar else out.reshape(pts.shape[:-1])
+    else:
+        scalar = pts.ndim == 1
+        shape = pts.shape[:-1]
+        flat = pts.reshape(-1, 2)
+    out = solution.kernel_apply(solution.node_samples[index], flat)[:, 0] / lam
+    return float(out[0]) if scalar else out.reshape(shape)

@@ -7,22 +7,25 @@ through a flat binary format with a text sidecar, or a headered text table.
 """
 
 from dataclasses import dataclass
-from functools import partial
 import os
+import warnings
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .fredholm import eigennormalized_samples, nystrom_eigs, nystrom_extend
 from .geometry import area, contains_many
-from .kernels import disk_kernel
+from .kernels import DiskBandKernel
 from .quadrature import region_quadrature
 
 __all__ = [
     "GridSpec", "GridField", "SlepianBasis", "shannon_2d", "solve_region_disk",
-    "evaluate_g", "evaluate_h", "periodogram", "weighted_sumsq",
+    "evaluate_g", "evaluate_h", "region_mask", "periodogram", "weighted_sumsq",
     "write_grid", "read_grid", "write_grid_text", "read_grid_text",
 ]
+
+# rounding slack on the top eigenvalue before it counts as exceeding 1
+LAMBDA_SLACK = 1e-12
 
 
 @dataclass
@@ -100,8 +103,13 @@ def solve_region_disk(region, k, n_quad=32, count=None):
     """Diagonalize the disk-bandlimit kernel over a region's quadrature.
 
     Keeps the top `count` eigenpairs (all nodes' worth when count is None).
-    The stored trace is the full quadrature trace of the kernel, which
-    estimates the Shannon number independently of the retained count.
+    The kernel is factored through a polar k-space rule sized from K times
+    the node spread D, so the cost grows linearly in the node count n (as
+    n (K D)^4 for the factor's Gram) rather than as n^3.  The
+    stored trace is the full quadrature trace of the kernel, which estimates
+    the Shannon number independently of the retained count.  A top eigenvalue
+    above 1 means the quadrature under-resolves the kernel; that is reported
+    as a RuntimeWarning naming n_quad.
     """
     k = float(k)
     if k <= 0:
@@ -110,8 +118,13 @@ def solve_region_disk(region, k, n_quad=32, count=None):
     n = len(rule.weights)
     if count is None:
         count = n
-    sol = nystrom_eigs(partial(disk_kernel, k), rule, count,
+    sol = nystrom_eigs(DiskBandKernel(k), rule, count,
                        kernel_tag=f"diskband(K={k})")
+    if sol.eigenvalues[0] > 1.0 + LAMBDA_SLACK:
+        warnings.warn(
+            f"top eigenvalue exceeds 1 by {sol.eigenvalues[0] - 1.0:.3g}: n_quad={n_quad} "
+            f"is too coarse for K={k!r} over this region; raise n_quad",
+            RuntimeWarning, stacklevel=2)
     return SlepianBasis(
         region=region, k=k, quadrature=rule,
         eigenvalues=sol.eigenvalues.copy(),
@@ -120,32 +133,29 @@ def solve_region_disk(region, k, n_quad=32, count=None):
         trace=sol.trace, normalization="whole-plane-unit", solution=sol)
 
 
-def _extend_unit(basis, index, points):
-    """Whole-plane-unit eigenfunction `index` at (m, 2) points."""
-    lam = basis.eigenvalues[index]
-    return np.sqrt(max(lam, 0.0)) * nystrom_extend(basis.solution, index, points)
-
-
 def evaluate_g(basis, index, grid):
-    """Bandlimited eigenfunction `index` sampled everywhere on a grid.
+    """Bandlimited eigenfunction `index` sampled everywhere on a grid."""
+    lam = basis.eigenvalues[index]
+    vals = np.sqrt(max(lam, 0.0)) * nystrom_extend(basis.solution, index, grid.points())
+    return GridField(grid, vals.reshape(grid.ny, grid.nx))
 
-    Chunks the kernel evaluation so large grids never materialize a full
-    points-by-nodes matrix at once.
+
+def evaluate_h(basis, index, grid, g=None, inside=None):
+    """The space-limited twin: equal to g inside the region, exactly 0 outside.
+
+    `g` (the evaluate_g field) and `inside` (the region mask on the grid,
+    shaped (ny, nx)) are computed here unless the caller already has them.
     """
-    pts = grid.points()
-    out = np.empty(len(pts))
-    step = max(1, 2097152 // max(1, len(basis.quadrature.weights)))
-    for lo in range(0, len(pts), step):
-        out[lo:lo + step] = _extend_unit(basis, index, pts[lo:lo + step])
-    return GridField(grid, out.reshape(grid.ny, grid.nx))
+    if g is None:
+        g = evaluate_g(basis, index, grid)
+    if inside is None:
+        inside = region_mask(basis.region, grid)
+    return GridField(grid, np.where(inside, g.values, 0.0))
 
 
-def evaluate_h(basis, index, grid):
-    """The space-limited twin: equal to g inside the region, exactly 0 outside."""
-    g = evaluate_g(basis, index, grid)
-    inside = contains_many(basis.region, grid.points()).reshape(grid.ny, grid.nx)
-    vals = np.where(inside, g.values, 0.0)
-    return GridField(grid, vals)
+def region_mask(region, grid):
+    """Boolean (ny, nx) mask of the grid points inside the region."""
+    return contains_many(region, grid.points()).reshape(grid.ny, grid.nx)
 
 
 def periodogram(field):
@@ -176,18 +186,10 @@ def weighted_sumsq(basis, grid, count):
     count = int(count)
     if not 1 <= count <= len(basis.eigenvalues):
         raise ValueError("count must lie in [1, number of eigenpairs]")
-    pts = grid.points()
     # region-orthonormal rows f give sum_j w_j k(x, x_j) f_aj = sqrt(lam_a) g_a,
     # so the plain squared sum of these extensions is the weighted sum wanted
-    coef = basis.quadrature.weights[None, :] * basis.solution.node_samples[:count]
-    out = np.zeros(len(pts))
-    step = max(1, 2097152 // max(1, len(basis.quadrature.weights)))
-    for lo in range(0, len(pts), step):
-        kmat = disk_kernel(basis.k, pts[lo:lo + step, None, :],
-                           basis.quadrature.nodes[None, :, :])
-        block = kmat @ coef.T          # rows: points, cols: sqrt(lam) g_a
-        out[lo:lo + step] = np.sum(block * block, axis=1)
-    return GridField(grid, out.reshape(grid.ny, grid.nx))
+    block = basis.solution.kernel_apply(basis.solution.node_samples[:count], grid.points())
+    return GridField(grid, np.sum(block * block, axis=1).reshape(grid.ny, grid.nx))
 
 
 def write_grid(field, path, name="field"):

@@ -169,6 +169,27 @@ class TestRegionCommand:
         assert np.all(h.values.ravel()[outside] == 0.0)
         assert np.any(g.values.ravel()[outside] != 0.0)
 
+    def test_grid_exports_repeat_and_h_is_masked_g(self, square_boundary, tmp_path):
+        from slepkit import periodogram, read_grid, read_region, region_mask
+        blobs = []
+        for sub in ("r1", "r2"):
+            out = tmp_path / sub
+            assert run_cli(["region", "--boundary", square_boundary,
+                            "--bandwidth", "2.5", "--nquad", "12", "--count", "3",
+                            "--grid", "0.4", "--out", str(out)]) == 0
+            blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert blobs[0] == blobs[1]
+        out = tmp_path / "r1"
+        g, _ = read_grid(out / "g_000.bin")
+        inside = region_mask(read_region(square_boundary), g.grid)
+        for i in range(3):
+            g, _ = read_grid(out / f"g_{i:03d}.bin")
+            h, _ = read_grid(out / f"h_{i:03d}.bin")
+            np.testing.assert_array_equal(h.values, np.where(inside, g.values, 0.0))
+            if i == 0:
+                pg, _ = read_grid(out / "pgram_000.bin")
+                np.testing.assert_array_equal(pg.values, periodogram(h).values)
+
     def test_malformed_boundary(self, tmp_path, capsys):
         bad = tmp_path / "bad.xy"
         bad.write_text("0.0,0.0\n1.0,0.0\nnope\n")

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from slepkit import (
-    ExtensionError, Region, eigennormalized_samples, gauss_legendre, map_rule,
-    nystrom_eigs, nystrom_extend, region_quadrature, sinc_kernel,
+    DiskBandKernel, ExtensionError, Region, disk_kernel,
+    eigennormalized_samples, gauss_legendre, map_rule, nystrom_eigs,
+    nystrom_extend, read_region, region_quadrature, sinc_kernel,
+    solve_region_disk,
 )
+from conftest import boundary_path
 
 
 def constant_kernel(x, xp):
@@ -110,7 +113,6 @@ class TestExtension:
             nystrom_extend(sol, 2, 0.5)
 
     def test_2d_extension_at_nodes(self):
-        from slepkit import disk_kernel
         disk = Region.disk((0.0, 0.0), 1.0)
         rule = region_quadrature(disk, 12)
         sol = nystrom_eigs(partial(disk_kernel, 3.0), rule, 3)
@@ -151,3 +153,75 @@ class TestValidation:
             weights = np.array([0.2, -0.1, 0.2, 0.2, 0.2])
         with pytest.raises(ValueError):
             nystrom_eigs(constant_kernel, FakeRule(), 1)
+
+
+def star_region():
+    theta = 2.0 * np.pi * np.arange(14) / 14
+    r = np.where(np.arange(14) % 2 == 0, 1.0, 0.6)
+    return Region.polygon(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+
+
+def exact_residual(sol, k):
+    """max ||sqrt(W) D sqrt(W) v - lambda v|| / ||v|| with D the exact disk kernel."""
+    nodes, w = sol.nodes, sol.weights
+    kmat = disk_kernel(k, nodes[:, None], nodes[None])
+    v = np.sqrt(w)[:, None] * sol.node_samples.T
+    r = np.sqrt(w)[:, None] * (kmat @ (np.sqrt(w)[:, None] * v)) - sol.eigenvalues * v
+    return np.max(np.linalg.norm(r, axis=0) / np.linalg.norm(v, axis=0))
+
+
+class TestFactoredKernel:
+    """The k-space factored solve against the dense Bessel-matrix oracle."""
+
+    @pytest.mark.parametrize("name, k, n_quad, count", [
+        ("disk", 2.0 * np.sqrt(20.0), 32, 40),
+        ("plateau", 0.0194, 24, 20),     # km-scale coordinates
+        ("star", 6.0, 24, 30),
+    ])
+    def test_matches_dense(self, name, k, n_quad, count):
+        region = {"disk": lambda: Region.disk((0.0, 0.0), 1.0),
+                  "plateau": lambda: read_region(boundary_path()),
+                  "star": star_region}[name]()
+        rule = region_quadrature(region, n_quad)
+        fact = nystrom_eigs(DiskBandKernel(k), rule, count)
+        dense = nystrom_eigs(partial(disk_kernel, k), rule, count)
+        assert fact.extra["route"] == "factored" and dense.extra == {"route": "dense"}
+        assert fact.extra["gram"] == "factor"
+        assert fact.extra["rank"] == 2 * np.prod(fact.extra["k_rule"]) < len(rule.weights)
+        np.testing.assert_allclose(fact.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-12)
+        assert fact.trace == pytest.approx(dense.trace, rel=1e-13)
+        assert exact_residual(fact, k) <= 1e-8
+        w = rule.weights
+        gram = fact.node_samples @ (w[:, None] * fact.node_samples.T)
+        np.testing.assert_allclose(gram, np.eye(count), atol=1e-10)
+
+    def test_deep_counts_use_the_node_side(self):
+        # a low bandlimit gives a narrow factor; pairs past its width, or so
+        # deep in the spectrum that u = B v / sqrt(lambda) would lose
+        # orthogonality, come from the n x n kernel matrix
+        k = 2.0
+        rule = region_quadrature(Region.disk((0.0, 0.0), 1.0), 20)
+        n = len(rule.weights)
+        rank = DiskBandKernel(k).rank(2.0 * np.max(np.hypot(*rule.nodes.T)))
+        dense = nystrom_eigs(partial(disk_kernel, k), rule, n)
+        for count, side in ((10, "factor"), (rank - 10, "nodes"), (rank + 10, "nodes"),
+                            (n, "nodes")):
+            fact = nystrom_eigs(DiskBandKernel(k), rule, count)
+            assert fact.extra["gram"] == side and fact.extra["rank"] == rank < n
+            np.testing.assert_allclose(fact.eigenvalues, dense.eigenvalues[:count],
+                                       rtol=0, atol=1e-12)
+            gram = fact.node_samples @ (rule.weights[:, None] * fact.node_samples.T)
+            np.testing.assert_allclose(gram, np.eye(count), atol=1e-9)
+            assert fact.trace == pytest.approx(dense.trace, rel=1e-13)
+        basis = solve_region_disk(Region.disk((0.0, 0.0), 1.0), k, n_quad=20, count=None)
+        assert basis.solution.extra["gram"] == "nodes"
+        np.testing.assert_allclose(basis.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-12)
+
+    def test_rank_beyond_node_count(self):
+        # a coarse rule under a high bandlimit: the node side is the smaller Gram
+        k = 2.0 * np.sqrt(42.0)
+        rule = region_quadrature(Region.disk((0.0, 0.0), 1.0), 16)
+        fact = nystrom_eigs(DiskBandKernel(k), rule, 10)
+        assert fact.extra["rank"] > len(rule.weights) and fact.extra["gram"] == "nodes"
+        dense = nystrom_eigs(partial(disk_kernel, k), rule, 10)
+        np.testing.assert_allclose(fact.eigenvalues, dense.eigenvalues, atol=1e-12)

@@ -5,8 +5,8 @@ import pytest
 from scipy.special import jv
 
 from slepkit import (
-    bessel_j, disk_kernel, fixedm_kernel, gauss_legendre, sinc_kernel,
-    sqrt_kernel,
+    DiskBandKernel, bessel_j, disk_kernel, fixedm_kernel, gauss_legendre,
+    sinc_kernel, sqrt_kernel,
 )
 
 J1_FIRST_ROOT = 3.8317059702075125  # first positive zero of J_1
@@ -26,6 +26,44 @@ class TestSincKernel:
 
     def test_even_in_separation(self):
         assert sinc_kernel(1.3, 0.2, 0.9) == sinc_kernel(1.3, 0.9, 0.2)
+
+
+class TestDiskBandKernel:
+    def test_call_is_disk_kernel(self):
+        rng = np.random.default_rng(3)
+        x, xp = rng.uniform(-2, 2, (40, 2)), rng.uniform(-2, 2, (40, 2))
+        got = DiskBandKernel(3.5)(x[:, None], xp[None])
+        np.testing.assert_array_equal(got, disk_kernel(3.5, x[:, None], xp[None]))
+
+    @pytest.mark.parametrize("z", [1.0, 4.0, 10.0, 25.0, 60.0, 100.0])
+    def test_features_reproduce_kernel_far_from_origin(self, z):
+        # km-scale coordinates, as on the packaged plateau outline: the phases
+        # are taken about the origin passed in, so precision is not lost
+        k = 0.0194
+        span = z / k
+        origin = np.array([4.1e5, -3.7e5])
+        rng = np.random.default_rng(int(z))
+        r = 0.5 * span * np.sqrt(rng.uniform(size=150))
+        t = rng.uniform(0.0, 2.0 * np.pi, 150)
+        pts = origin + np.column_stack([r * np.cos(t), r * np.sin(t)])
+        pts[:2] = origin + 0.5 * span * np.array([[1.0, 0.0], [-1.0, 0.0]])
+        kern = DiskBandKernel(k)
+        a = kern.features(pts, pts.mean(axis=0), span)
+        assert a.shape == (150, kern.rank(span))
+        want = disk_kernel(k, pts[:, None], pts[None])
+        err = np.max(np.abs(a @ a.T - want)) / (k * k / (4.0 * np.pi))
+        assert err < 1e-13
+
+    def test_rule_grows_with_span(self):
+        kern = DiskBandKernel(2.0)
+        sizes = [kern.rule_sizes(s) for s in (0.5, 5.0, 50.0)]
+        assert sizes[0] < sizes[1] < sizes[2]
+        assert kern.rank(5.0) == 2 * sizes[1][0] * sizes[1][1]
+        assert kern.rule_sizes(0.0) == (8, 1)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            DiskBandKernel(0.0)
 
 
 class TestDiskKernel:

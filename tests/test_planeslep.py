@@ -1,12 +1,15 @@
 """Arbitrary-region concentration on the plane plus grid export round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from slepkit import (
-    ConfigurationError, GridField, GridSpec, Region, area, evaluate_g,
-    evaluate_h, periodogram, read_grid, read_grid_text, shannon_2d,
-    solve_region_disk, weighted_sumsq, write_grid, write_grid_text,
+    ConfigurationError, GridField, GridSpec, Region, area, disk_kernel,
+    evaluate_g, evaluate_h, nystrom_extend, periodogram, read_grid,
+    read_grid_text, region_mask, scale_to_area, shannon_2d, solve_region_disk,
+    weighted_sumsq, write_grid, write_grid_text,
 )
 
 
@@ -75,6 +78,26 @@ class TestRegionSolve:
         with pytest.raises(ValueError):
             solve_region_disk(unit_disk, -2.0)
 
+    def test_coarse_quadrature_warns(self, plateau_region):
+        # N = 25 on the plateau outline at area 4 pi: 24 nodes per dimension
+        # under-resolve the kernel and push the top eigenvalue above 1
+        region = scale_to_area(plateau_region, 4.0 * np.pi)[0]
+        with pytest.warns(RuntimeWarning, match="n_quad=24 is too coarse"):
+            coarse = solve_region_disk(region, 5.0, n_quad=24, count=4)
+        assert coarse.eigenvalues[0] > 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fine = solve_region_disk(region, 5.0, n_quad=48, count=4)
+        assert fine.eigenvalues[0] <= 1.0
+
+    def test_records_factor(self, disk42_nystrom):
+        extra = disk42_nystrom.solution.extra
+        assert extra["route"] == "factored"
+        assert extra["rank"] == 2 * extra["k_rule"][0] * extra["k_rule"][1]
+        # 1024 nodes, a wider factor: the node-side Gram is the smaller one
+        assert extra["rank"] > len(disk42_nystrom.quadrature.weights)
+        assert extra["gram"] == "nodes"
+
 
 @pytest.fixture(scope="module")
 def small_basis(unit_disk):
@@ -111,6 +134,14 @@ class TestEvaluation:
                                   g0.values.shape)
         x, y = grid.x_axis()[ix], grid.y_axis()[iy]
         assert np.hypot(x, y) < 1.0
+
+    def test_h_from_given_g_and_mask(self, small_basis):
+        grid = GridSpec(x0=-1.5, y0=-1.5, dx=0.1, dy=0.1, nx=31, ny=31)
+        g = evaluate_g(small_basis, 2, grid)
+        inside = region_mask(small_basis.region, grid)
+        h = evaluate_h(small_basis, 2, grid, g=g, inside=inside)
+        np.testing.assert_array_equal(h.values, np.where(inside, g.values, 0.0))
+        np.testing.assert_array_equal(h.values, evaluate_h(small_basis, 2, grid).values)
 
     def test_h_zero_outside_and_energy_lambda(self, small_basis, unit_disk):
         grid = GridSpec(x0=-2.0, y0=-2.0, dx=0.02, dy=0.02, nx=201, ny=201)
@@ -268,3 +299,44 @@ class TestGridIO:
         path.write_text("# x y value\n1.0 2.0\n")
         with pytest.raises(ConfigurationError):
             read_grid_text(path)
+
+
+class TestExtensionRoutes:
+    """Extension through the k-space factor near the region, through the
+    exact kernel where the factor would be wider than the node count; the
+    points are those of the disk coverage acceptance test."""
+    NEAR = np.array([[0.0, 0.0], [0.3, 0.2], [-0.4, 0.35], [0.5, -0.3]])
+    FAR = np.array([[3.0, 0.0], [0.0, -3.2], [2.5, 2.5]])
+
+    @pytest.fixture(scope="class")
+    def basis(self, unit_disk):
+        return solve_region_disk(unit_disk, 2.0 * np.sqrt(42.0), n_quad=32, count=84)
+
+    @staticmethod
+    def exact_rows(basis, count, pts):
+        sol = basis.solution
+        kmat = disk_kernel(basis.k, pts[:, None], sol.nodes[None])
+        return kmat @ (sol.weights * sol.node_samples[:count]).T
+
+    @pytest.mark.parametrize("where, factored", [("NEAR", True), ("FAR", False)])
+    def test_branch_and_values(self, basis, monkeypatch, where, factored):
+        pts = getattr(self, where)
+        kernel = basis.solution.kernel
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return type(kernel).features(kernel, *args)
+
+        monkeypatch.setattr(kernel, "features", spy)
+        count = len(basis.eigenvalues)
+        want = self.exact_rows(basis, count, pts)
+        got = basis.solution.kernel_apply(basis.solution.node_samples[:count], pts)
+        assert bool(calls) == factored
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+        grid = GridSpec(x0=float(pts[0, 0]), y0=float(pts[0, 1]), dx=1, dy=1, nx=1, ny=1)
+        sumsq = weighted_sumsq(basis, grid, count).values[0, 0]
+        assert sumsq == pytest.approx(np.sum(want[0] ** 2), rel=1e-10)
+        f0 = nystrom_extend(basis.solution, 0, pts)
+        np.testing.assert_allclose(f0, want[:, 0] / basis.eigenvalues[0], rtol=0,
+                                   atol=1e-12 * np.max(np.abs(basis.solution.node_samples[0])))
