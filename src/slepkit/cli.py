@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .diskanalytic import assemble_disk_basis, phi_bessel, phi_space
+from .diskanalytic import _radial_profile, assemble_disk_basis
 from .errors import (
     DegenerateNormalizationError, ExtensionError, NumericalError, SlepkitError,
 )
@@ -206,22 +206,9 @@ def _cmd_disk(args):
     _emit(report, args.out)
     if args.out is not None:
         r = np.linspace(0.0, 2.0 * radius, 201)
-        xi = r / radius
-        for i, e in enumerate(basis.entries):
-            br = e.solution.branches[e.branch]
-            # radial profile of the basis function; the xi = 0 limit of
-            # phi/sqrt(xi) is 1 for m = 0 and 0 for every higher order
-            psi = np.empty_like(xi)
-            psi[0] = 1.0 if e.m == 0 else 0.0
-            rest = xi[1:]
-            ins = rest <= 1.0
-            vals = np.empty_like(rest)
-            vals[ins] = phi_space(e.solution, e.branch, rest[ins])
-            vals[~ins] = phi_bessel(e.solution, e.branch, rest[~ins])
-            psi[1:] = vals / np.sqrt(rest)
-            amp = np.sqrt(e.lam / (2.0 * np.pi * radius ** 2 * br.norm_sq))
+        for i in range(len(basis.entries)):
             _write_columns(os.path.join(args.out, f"radial_{i:03d}.txt"),
-                           "r value", [r, amp * psi])
+                           "r value", [r, _radial_profile(basis, i, r)])
     return 0
 
 
@@ -252,15 +239,16 @@ def _cmd_region(args):
                         y0=cy - 0.5 * (ny - 1) * args.grid,
                         dx=args.grid, dy=args.grid, nx=nx, ny=ny)
         inside = region_mask(region, grid)
-        for i in range(len(basis.eigenvalues)):
-            g = evaluate_g(basis, i, grid)
+        count = len(basis.eigenvalues)
+        gs = evaluate_g(basis, list(range(count)), grid)
+        for i, g in enumerate(gs):
             h = evaluate_h(basis, i, grid, g=g, inside=inside)
             write_grid(g, os.path.join(args.out, f"g_{i:03d}.bin"), name=f"g_{i:03d}")
             write_grid(h, os.path.join(args.out, f"h_{i:03d}.bin"), name=f"h_{i:03d}")
             if i == 0:
                 pg = periodogram(h)
         write_grid(pg, os.path.join(args.out, "pgram_000.bin"), name="pgram_000")
-        ss = weighted_sumsq(basis, grid, len(basis.eigenvalues))
+        ss = weighted_sumsq(basis, grid, count, g=gs)
         write_grid(ss, os.path.join(args.out, "sumsq.bin"), name="sumsq")
     return 0
 

@@ -131,6 +131,9 @@ def fixed_order_solution(m, c, n_branches=None, l_max=None, n_quad=96):
     Branches are retained while either route resolves lambda above 1e-16
     (capped at n_branches or 48) and are sorted by the authoritative lambda,
     which is the closed form when >= 1e-3 and the quadrature value below that.
+    A quadrature value counts toward retention only above the dense eigensolve's
+    noise floor, n_quad * eps times the largest one, so rounding in the kernel
+    cannot add or drop a branch.
     """
     cap = 48 if n_branches is None else int(n_branches)
     lm = default_l_max(c) if l_max is None else int(l_max)
@@ -146,11 +149,12 @@ def fixed_order_solution(m, c, n_branches=None, l_max=None, n_quad=96):
                                  (nodes, w_radial), n_quad,
                                  kernel_tag=f"fixed_m_scaled(m={m}, N2D={c * c / 4.0})")
     lam_q = quad.eigenvalues
+    noise = n_quad * np.finfo(float).eps * lam_q[0]
     branches = []
     for j, (chi, d) in enumerate(pairs):
         lq = float(lam_q[j]) if j < len(lam_q) else 0.0
         gamma, lf = gamma_lambda(d, m, c)
-        if len(branches) >= cap or max(lf, lq) <= 1e-16:
+        if len(branches) >= cap or max(lf, lq if lq > noise else 0.0) <= 1e-16:
             break
         lam = lf if lf >= 1e-3 else lq
         branches.append(FixedOrderBranch(
@@ -271,24 +275,33 @@ def evaluate_disk_entry(basis, index, points):
     unit whole-plane energy, so the in-disk energy equals lambda.
     """
     entry = basis.entries[index]
-    sol, j, m = entry.solution, entry.branch, entry.m
+    m = entry.m
     pts = np.asarray(points, dtype=float)
     x, y = pts[..., 0], pts[..., 1]
-    r = np.hypot(x, y)
+    radial = _radial_profile(basis, index, np.hypot(x, y))
+    if m == 0:
+        return radial
     theta = np.arctan2(y, x)
-    xi = r / basis.R
+    return radial * (np.sqrt(2.0) * (np.cos(m * theta) if entry.kind == "cos"
+                                     else np.sin(m * theta)))
+
+
+def _radial_profile(basis, index, r):
+    """Radial factor of basis function `index` at radii r, amplitude included.
+
+    The Jacobi series inside the disk, the Bessel series outside, divided by
+    sqrt(xi); at xi = 0 the limit is sum(d) = 1 for m = 0 and 0 above.
+    """
+    entry = basis.entries[index]
+    sol, j, m = entry.solution, entry.branch, entry.m
+    xi = np.asarray(r, dtype=float) / basis.R
     inside = xi <= 1.0
     radial = np.empty_like(xi)
     radial[inside] = phi_space(sol, j, xi[inside])
     if np.any(~inside):
         radial[~inside] = phi_bessel(sol, j, xi[~inside])
-    # psi = phi / sqrt(xi); at xi = 0 the limit is sum(d) = 1 for m = 0, else 0
     with np.errstate(divide="ignore", invalid="ignore"):
         psi = np.where(xi == 0.0, 1.0 if m == 0 else 0.0,
                        radial / np.sqrt(np.where(xi == 0.0, 1.0, xi)))
-    if m == 0:
-        ang = 1.0
-    else:
-        ang = np.sqrt(2.0) * (np.cos(m * theta) if entry.kind == "cos" else np.sin(m * theta))
     amp = np.sqrt(entry.lam / (2.0 * np.pi * basis.R ** 2 * sol.branches[j].norm_sq))
-    return amp * psi * ang
+    return amp * psi

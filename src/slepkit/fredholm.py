@@ -211,11 +211,14 @@ def nystrom_extend(solution, index, x):
     """Evaluate eigenfunction `index` anywhere via the Nystrom identity.
 
     f(x) = (1/lambda) sum_j w_j kernel(x, x_j) f(x_j).  Raises for eigenvalues
-    at or below 1e-12, where the division amplifies quadrature noise.
+    at or below 1e-12, where the division amplifies quadrature noise.  A
+    sequence of indices extends them all in one kernel pass; the result then
+    gains a leading axis over the indices.
     """
-    lam = solution.eigenvalues[index]
-    if lam <= 1e-12:
-        raise ExtensionError(f"eigenvalue {lam!r} too small for stable extension")
+    lam = np.atleast_1d(solution.eigenvalues[index])
+    low = lam <= 1e-12
+    if np.any(low):
+        raise ExtensionError(f"eigenvalue {lam[low][0]!r} too small for stable extension")
     pts = np.asarray(x, dtype=float)
     if solution.nodes.ndim == 1:
         scalar = pts.ndim == 0
@@ -225,5 +228,7 @@ def nystrom_extend(solution, index, x):
         scalar = pts.ndim == 1
         shape = pts.shape[:-1]
         flat = pts.reshape(-1, 2)
-    out = solution.kernel_apply(solution.node_samples[index], flat)[:, 0] / lam
-    return float(out[0]) if scalar else out.reshape(shape)
+    out = (solution.kernel_apply(solution.node_samples[index], flat) / lam).T
+    if np.ndim(index) == 0:
+        return float(out[0, 0]) if scalar else out[0].reshape(shape)
+    return out[:, 0] if scalar else out.reshape((len(lam),) + shape)

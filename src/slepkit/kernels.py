@@ -105,6 +105,12 @@ def fixedm_kernel(m, n2d, xi, xip):
 
     c = 2 sqrt(N2D); the p-integral is evaluated by Gauss-Legendre with
     ceil(4 sqrt(N2D)) + 32 nodes.  Symmetric in (xi, xi').
+
+    The rule makes the kernel a sum over the p-nodes of products
+    J_m(c p xi) J_m(c p xi'), so the Bessel factor is evaluated on each
+    argument's own points (xi.shape + (q,) values) and the q-sum is taken with
+    broadcasting: an (n, 1) x (1, n) outer call costs 2 n q Bessel values, not
+    2 n^2 q.
     """
     if n2d < 0:
         raise ValueError("Shannon number must be nonnegative")
@@ -112,14 +118,12 @@ def fixedm_kernel(m, n2d, xi, xip):
         raise ValueError("order must be a nonnegative integer")
     c = 2.0 * np.sqrt(n2d)
     rule = _p_rule(n2d)
-    a, b = np.broadcast_arrays(np.asarray(xi, dtype=float), np.asarray(xip, dtype=float))
-    shape = a.shape
-    af, bf = a.ravel(), b.ravel()
-    ja = _sp.jv(m, c * rule.nodes[:, None] * af[None, :])
-    jb = ja if bf is af or np.array_equal(af, bf) else _sp.jv(
-        m, c * rule.nodes[:, None] * bf[None, :])
-    vals = 4.0 * n2d * np.einsum("q,qi,qi->i", rule.weights * rule.nodes, ja, jb)
-    return vals.reshape(shape)[()]
+    a, b = np.asarray(xi, dtype=float), np.asarray(xip, dtype=float)
+    ja = _sp.jv(m, np.multiply.outer(a, c * rule.nodes))
+    jb = ja if b is a or (b.shape == a.shape and np.array_equal(a, b)) else _sp.jv(
+        m, np.multiply.outer(b, c * rule.nodes))
+    vals = 4.0 * n2d * np.einsum("...q,...q->...", ja * (rule.weights * rule.nodes), jb)
+    return vals[()]
 
 
 def sqrt_kernel(m, c, xi, xip):

@@ -6,6 +6,7 @@ grid, Fourier-analyzed, and summed into coverage maps.  Grid fields round-trip
 through a flat binary format with a text sidecar, or a headered text table.
 """
 
+from array import array
 from dataclasses import dataclass
 import os
 import warnings
@@ -134,10 +135,15 @@ def solve_region_disk(region, k, n_quad=32, count=None):
 
 
 def evaluate_g(basis, index, grid):
-    """Bandlimited eigenfunction `index` sampled everywhere on a grid."""
-    lam = basis.eigenvalues[index]
-    vals = np.sqrt(max(lam, 0.0)) * nystrom_extend(basis.solution, index, grid.points())
-    return GridField(grid, vals.reshape(grid.ny, grid.nx))
+    """Bandlimited eigenfunction `index` sampled everywhere on a grid.
+
+    A sequence of indices gives a list of fields, all extended in one pass.
+    """
+    scale = np.sqrt(np.clip(basis.eigenvalues[index], 0.0, None))
+    vals = scale[..., None] * nystrom_extend(basis.solution, index, grid.points())
+    if np.ndim(index) == 0:
+        return GridField(grid, vals.reshape(grid.ny, grid.nx))
+    return [GridField(grid, v.reshape(grid.ny, grid.nx)) for v in vals]
 
 
 def evaluate_h(basis, index, grid, g=None, inside=None):
@@ -177,15 +183,22 @@ def periodogram(field):
     return GridField(kgrid, np.abs(h) ** 2)
 
 
-def weighted_sumsq(basis, grid, count):
+def weighted_sumsq(basis, grid, count, g=None):
     """Eigenvalue-weighted sum of squares sum_a lambda_a g_a(x)^2 on a grid.
 
     Deep inside the region this plateaus near shannon / area; far outside it
-    collapses toward zero.
+    collapses toward zero.  `g` (the evaluate_g fields of indices 0..count-1)
+    is computed here unless the caller already has it.
     """
     count = int(count)
     if not 1 <= count <= len(basis.eigenvalues):
         raise ValueError("count must lie in [1, number of eigenpairs]")
+    if g is not None:
+        if len(g) != count:
+            raise ValueError(f"g holds {len(g)} fields, count is {count}")
+        lam = np.clip(basis.eigenvalues[:count], 0.0, None)
+        vals = np.stack([f.values for f in g])
+        return GridField(grid, np.tensordot(lam, vals * vals, axes=1))
     # region-orthonormal rows f give sum_j w_j k(x, x_j) f_aj = sqrt(lam_a) g_a,
     # so the plain squared sum of these extensions is the weighted sum wanted
     block = basis.solution.kernel_apply(basis.solution.node_samples[:count], grid.points())
@@ -251,30 +264,29 @@ def write_grid_text(field, path):
     if np.iscomplexobj(vals):
         raise ConfigurationError("text grid export is defined for real fields")
     g = field.grid
-    xs, ys = g.x_axis(), g.y_axis()
+    # every x and y is formatted once, and a row goes out in one write
+    xs = [repr(x) for x in g.x_axis().tolist()]
     with open(path, "w") as fh:
         fh.write("# x y value\n")
-        for iy in range(g.ny):
-            for ix in range(g.nx):
-                fh.write(f"{float(xs[ix])!r} {float(ys[iy])!r} "
-                         f"{float(vals[iy, ix])!r}\n")
+        for y, row in zip(g.y_axis().tolist(), vals.astype(float, copy=False).tolist()):
+            mid = f" {y!r} "
+            fh.write("".join(f"{x}{mid}{v!r}\n" for x, v in zip(xs, row)))
 
 
 def read_grid_text(path):
     """Read a '# x y value' table back into a GridField (row-major in y)."""
-    rows = []
+    flat = array("d")
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
             if len(parts) != 3:
                 raise ConfigurationError(f"{path}:{ln}: expected 'x y value'")
-            rows.append([float(p) for p in parts])
-    if not rows:
+            flat.extend(map(float, parts))
+    if not flat:
         raise ConfigurationError(f"{path}: no data rows")
-    arr = np.asarray(rows)
+    arr = np.frombuffer(flat, dtype=float).reshape(-1, 3)
     xs = np.unique(arr[:, 0])
     ys = np.unique(arr[:, 1])
     nx, ny = len(xs), len(ys)

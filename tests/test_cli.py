@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from slepkit import cli
+from slepkit import assemble_disk_basis, cli, evaluate_disk_entry
 from slepkit.cli import (
     RunReport, parse_report, read_report, render_report, write_report,
 )
@@ -131,6 +131,10 @@ class TestDiskCommand:
         p1 = np.loadtxt(out / "radial_001.txt")
         p2 = np.loadtxt(out / "radial_002.txt")
         np.testing.assert_allclose(p1, p2, atol=0)
+        # the m = 0 profile is the basis function itself along the x-axis
+        basis = assemble_disk_basis(2.0 * np.sqrt(3.0), 1.0, 5)
+        on_axis = np.column_stack([prof[:, 0], np.zeros(201)])
+        np.testing.assert_array_equal(prof[:, 1], evaluate_disk_entry(basis, 0, on_axis))
 
 
 class TestRegionCommand:
@@ -189,6 +193,23 @@ class TestRegionCommand:
             if i == 0:
                 pg, _ = read_grid(out / "pgram_000.bin")
                 np.testing.assert_array_equal(pg.values, periodogram(h).values)
+
+    def test_grid_export_extends_in_one_pass(self, square_boundary, tmp_path, monkeypatch):
+        from slepkit import NystromSolution, read_grid
+        sizes = []
+        apply = NystromSolution.kernel_apply
+
+        def counting(self, rows, x):
+            sizes.append(len(x))
+            return apply(self, rows, x)
+
+        monkeypatch.setattr(NystromSolution, "kernel_apply", counting)
+        out = tmp_path / "reg"
+        assert run_cli(["region", "--boundary", square_boundary,
+                        "--bandwidth", "2.5", "--nquad", "12", "--count", "3",
+                        "--grid", "0.4", "--out", str(out)]) == 0
+        grid = read_grid(out / "g_000.bin")[0].grid
+        assert sizes.count(grid.nx * grid.ny) == 1
 
     def test_malformed_boundary(self, tmp_path, capsys):
         bad = tmp_path / "bad.xy"

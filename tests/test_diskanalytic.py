@@ -9,6 +9,8 @@ from slepkit import (
     fixed_order_solution, gamma_lambda, gauss_legendre, map_rule, n2d_m,
     phi_bessel, phi_space, region_quadrature, sqrt_kernel,
 )
+from slepkit import diskanalytic
+from test_kernels import pairwise_fixedm_kernel
 
 
 class TestCoefficients:
@@ -93,6 +95,18 @@ class TestLambdaRoutes:
         b = fixed_order_solution(1, 6.0, n_quad=160)
         for x, y in zip(a.branches[:5], b.branches[:5]):
             assert x.lam_quad == pytest.approx(y.lam_quad, abs=1e-10)
+
+    def test_branch_retention_ignores_kernel_rounding(self, monkeypatch):
+        # the factored kernel and the pairwise reference differ in the last
+        # ulp; no order may gain or lose a branch, and shared branches agree
+        c = 2.0 * np.sqrt(42.0)
+        fast = [fixed_order_solution(m, c) for m in range(40)]
+        monkeypatch.setattr(diskanalytic, "fixedm_kernel", pairwise_fixedm_kernel)
+        for m, a in enumerate(fast):
+            b = fixed_order_solution(m, c)
+            assert len(a.branches) == len(b.branches), f"order {m}"
+            for x, y in zip(a.branches, b.branches):
+                assert x.lam == pytest.approx(y.lam, rel=0, abs=1e-15)
 
     def test_sqrt_kernel_oracle(self):
         # gammas are the eigenvalues of the square-root kernel; check

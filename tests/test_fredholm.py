@@ -112,6 +112,24 @@ class TestExtension:
         with pytest.raises(ExtensionError):
             nystrom_extend(sol, 2, 0.5)
 
+    @pytest.mark.parametrize("x", [0.25, np.linspace(-0.9, 0.9, 7)])
+    def test_many_indices_in_one_pass(self, x):
+        # TW = 4 keeps every lambda above 0.1, so the 1/lambda of the
+        # extension does not amplify the rounding of the two kernel passes
+        rule = map_rule(gauss_legendre(48), -1, 1)
+        sol = nystrom_eigs(partial(sinc_kernel, 4.0), rule, 4)
+        got = nystrom_extend(sol, [2, 0, 3], x)
+        assert np.shape(got) == (3,) + np.shape(x)
+        for row, i in zip(got, (2, 0, 3)):
+            want = nystrom_extend(sol, i, x)
+            np.testing.assert_allclose(row, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+    def test_tiny_eigenvalue_refused_among_many(self):
+        rule = map_rule(gauss_legendre(24), 0, 1)
+        sol = nystrom_eigs(constant_kernel, rule, 3)
+        with pytest.raises(ExtensionError):
+            nystrom_extend(sol, [0, 2], 0.5)
+
     def test_2d_extension_at_nodes(self):
         disk = Region.disk((0.0, 0.0), 1.0)
         rule = region_quadrature(disk, 12)

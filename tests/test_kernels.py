@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import jv
 
 from slepkit import (
     DiskBandKernel, bessel_j, disk_kernel, fixedm_kernel, gauss_legendre,
-    sinc_kernel, sqrt_kernel,
+    map_rule, sinc_kernel, sqrt_kernel,
 )
 
 J1_FIRST_ROOT = 3.8317059702075125  # first positive zero of J_1
@@ -112,7 +113,52 @@ class TestDiskKernel:
         assert got == pytest.approx(want, rel=0.01)
 
 
+def pairwise_fixedm_kernel(m, n2d, xi, xip):
+    """Reference: the p-rule sum evaluated pair by pair on the broadcast
+    arguments, 2 x pairs x q Bessel values."""
+    c = 2.0 * np.sqrt(n2d)
+    rule = map_rule(gauss_legendre(int(np.ceil(4.0 * np.sqrt(n2d))) + 32), 0.0, 1.0)
+    a, b = np.broadcast_arrays(np.asarray(xi, dtype=float), np.asarray(xip, dtype=float))
+    ja = jv(m, c * rule.nodes[:, None] * a.ravel()[None, :])
+    jb = jv(m, c * rule.nodes[:, None] * b.ravel()[None, :])
+    vals = 4.0 * n2d * np.einsum("q,qi,qi->i", rule.weights * rule.nodes, ja, jb)
+    return vals.reshape(a.shape)[()]
+
+
 class TestFixedOrderKernel:
+    XI = np.linspace(0.0, 1.0, 13)
+
+    @pytest.mark.parametrize("m", [0, 1, 5, 12])
+    @pytest.mark.parametrize("n2d", [3.5, 42.0])
+    @pytest.mark.parametrize("args", [
+        (0.3, 0.8),                                     # scalars
+        (XI, XI),                                       # equal 1D arrays
+        (XI[:, None], XI[None, :]),                     # outer
+        (XI[:4, None, None], np.array([[0.1, 0.5, 0.9]])),  # mixed broadcast
+    ], ids=["scalars", "equal", "outer", "mixed"])
+    def test_matches_pairwise_formula(self, m, n2d, args):
+        want = pairwise_fixedm_kernel(m, n2d, *args)
+        got = fixedm_kernel(m, n2d, *args)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+    def test_bessel_values_per_point(self, monkeypatch):
+        # an n x n outer call evaluates the Bessel factor on each side's n
+        # points only: at most 2 n q values for the q-node p-rule
+        n2d, n = 42.0, 96
+        q = int(np.ceil(4.0 * np.sqrt(n2d))) + 32
+        seen = []
+
+        def counting_jv(*args):
+            out = jv(*args)
+            seen.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(scipy.special, "jv", counting_jv)
+        xi = map_rule(gauss_legendre(n), 0.0, 1.0).nodes
+        fixedm_kernel(3, n2d, xi[:, None], xi[None, :])
+        assert 0 < sum(seen) <= 2 * n * q
+
     def test_against_dense_quadrature_oracle(self):
         # brute-force the p-integral with a large independent rule
         n2d = 6.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slepkit import (
-    ConfigurationError, GridField, GridSpec, Region, area, disk_kernel,
+    ConfigurationError, ExtensionError, GridField, GridSpec, Region, area, disk_kernel,
     evaluate_g, evaluate_h, nystrom_extend, periodogram, read_grid,
     read_grid_text, region_mask, scale_to_area, shannon_2d, solve_region_disk,
     weighted_sumsq, write_grid, write_grid_text,
@@ -143,6 +143,24 @@ class TestEvaluation:
         np.testing.assert_array_equal(h.values, np.where(inside, g.values, 0.0))
         np.testing.assert_array_equal(h.values, evaluate_h(small_basis, 2, grid).values)
 
+    def test_g_of_many_indices(self, small_basis):
+        grid = GridSpec(x0=-1.7, y0=-1.3, dx=0.11, dy=0.13, nx=29, ny=23)
+        many = evaluate_g(small_basis, [0, 5, 11], grid)
+        for i, g in zip((0, 5, 11), many):
+            want = evaluate_g(small_basis, i, grid).values
+            assert g.grid == grid
+            np.testing.assert_allclose(g.values, want, rtol=0,
+                                       atol=1e-14 * np.max(np.abs(want)))
+
+    def test_g_of_many_indices_refuses_tiny_lambda(self, unit_disk):
+        basis = solve_region_disk(unit_disk, 2.0, n_quad=12, count=40)
+        tiny = int(np.argmax(basis.eigenvalues <= 1e-12))
+        assert basis.eigenvalues[tiny] <= 1e-12
+        grid = GridSpec(x0=0, y0=0, dx=0.1, dy=0.1, nx=3, ny=2)
+        for index in ([0, tiny], [tiny, 0]):
+            with pytest.raises(ExtensionError):
+                evaluate_g(basis, index, grid)
+
     def test_h_zero_outside_and_energy_lambda(self, small_basis, unit_disk):
         grid = GridSpec(x0=-2.0, y0=-2.0, dx=0.02, dy=0.02, nx=201, ny=201)
         h0 = evaluate_h(small_basis, 0, grid)
@@ -237,6 +255,15 @@ class TestWeightedSumsq:
         with pytest.raises(ValueError):
             weighted_sumsq(basis10, grid, 999)
 
+    def test_from_given_g(self, basis10):
+        grid = GridSpec(x0=-1.9, y0=-1.4, dx=0.21, dy=0.17, nx=19, ny=17)
+        g = evaluate_g(basis10, list(range(20)), grid)
+        want = weighted_sumsq(basis10, grid, 20).values
+        got = weighted_sumsq(basis10, grid, 20, g=g).values
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        with pytest.raises(ValueError):
+            weighted_sumsq(basis10, grid, 19, g=g)
+
 
 class TestGridIO:
     @pytest.fixture()
@@ -297,8 +324,25 @@ class TestGridIO:
     def test_malformed_text_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# x y value\n1.0 2.0\n")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"bad\.txt:2:"):
             read_grid_text(path)
+        path.write_text("# x y value\n\n")
+        with pytest.raises(ConfigurationError, match="no data rows"):
+            read_grid_text(path)
+
+    def test_text_bytes_match_per_cell_format(self, tmp_path):
+        rng = np.random.default_rng(5)
+        grid = GridSpec(x0=-1.2345678901, y0=0.1 + 0.2, dx=0.1 / 3, dy=np.pi / 97,
+                        nx=13, ny=9)
+        vals = rng.standard_normal((9, 13)) * 10.0 ** rng.integers(-20, 20, (9, 13))
+        vals[0, 0], vals[1, 2] = 0.0, -0.0
+        path = tmp_path / "f.txt"
+        write_grid_text(GridField(grid, vals), path)
+        xs, ys = grid.x_axis(), grid.y_axis()
+        want = "# x y value\n" + "".join(
+            f"{float(xs[ix])!r} {float(ys[iy])!r} {float(vals[iy, ix])!r}\n"
+            for iy in range(grid.ny) for ix in range(grid.nx))
+        assert path.read_bytes() == want.encode()
 
 
 class TestExtensionRoutes:
