@@ -31,8 +31,8 @@ print(f"rayleigh quotient of a random in-region field: {q:.4f}")
 print()
 
 basis = solve(problem, 4, seed=0)
-print("  a    lambda_a     max |imag residual|")
-for i, (lam, res) in enumerate(zip(basis.eigenvalues, basis.imag_residuals)):
+print("  a    lambda_a     max |A f - lambda f|")
+for i, (lam, res) in enumerate(zip(basis.eigenvalues, basis.residuals)):
     print(f"  {i}    {lam:.6f}    {res:.1e}")
 print()
 

@@ -9,19 +9,24 @@ spectral domains.
 
 import os as _os
 
+
+def _parse_threads(text):
+    """A SLEPKIT_THREADS value as an integer >= 1, or None if it is not one."""
+    try:
+        n = int(text)
+    except ValueError:
+        return None
+    return n if n >= 1 else None
+
+
 # Thread-count plumbing must run before numpy first loads its BLAS, which is
 # why it sits above every other import.  Invalid values are ignored here and
 # rejected with a usage error by the command-line front end.
-_threads = _os.environ.get("SLEPKIT_THREADS")
+_threads = _parse_threads(_os.environ.get("SLEPKIT_THREADS", ""))
 if _threads is not None:
-    try:
-        _n = int(_threads)
-    except ValueError:
-        _n = 0
-    if _n >= 1:
-        for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            _os.environ[_var] = str(_n)
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        _os.environ[_var] = str(_threads)
 
 __version__ = "0.1.0"
 

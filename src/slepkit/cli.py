@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _parse_threads
 from .diskanalytic import _radial_profile, assemble_disk_basis
 from .errors import (
     DegenerateNormalizationError, ExtensionError, NumericalError, SlepkitError,
@@ -28,7 +28,7 @@ from .geometry import (
 )
 from .gridprojector import build_problem, solve, weighted_periodogram_sum
 from .planeslep import (
-    GridField, GridSpec, evaluate_g, evaluate_h, periodogram, region_mask,
+    GridField, _centered_grid, evaluate_g, evaluate_h, periodogram, region_mask,
     solve_region_disk, weighted_sumsq, write_grid,
 )
 from .pswf1d import solve_1d
@@ -230,14 +230,7 @@ def _cmd_region(args):
     if args.out is not None and args.grid is not None:
         if args.grid <= 0:
             raise UsageError("--grid spacing must be positive")
-        xmin, xmax, ymin, ymax = region.bounding_box()
-        cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
-        wx, wy = 2.0 * (xmax - xmin), 2.0 * (ymax - ymin)
-        nx = max(2, int(np.floor(wx / args.grid + 1e-9)) + 1)
-        ny = max(2, int(np.floor(wy / args.grid + 1e-9)) + 1)
-        grid = GridSpec(x0=cx - 0.5 * (nx - 1) * args.grid,
-                        y0=cy - 0.5 * (ny - 1) * args.grid,
-                        dx=args.grid, dy=args.grid, nx=nx, ny=ny)
+        grid = _centered_grid(region, 2.0, args.grid)
         inside = region_mask(region, grid)
         count = len(basis.eigenvalues)
         gs = evaluate_g(basis, list(range(count)), grid)
@@ -280,7 +273,7 @@ def _cmd_grid(args):
     nx, ny = problem.grid.nx, problem.grid.ny
     n_spatial = int(np.sum(problem.spatial_mask))
     n_spectral = int(np.sum(problem.spectral_mask))
-    meta = [{"imag_residual": float(r)} for r in basis.imag_residuals]
+    meta = [{"residual": float(r)} for r in basis.residuals]
     report = RunReport(
         command="grid",
         parameters={"boundary": args.boundary,
@@ -362,15 +355,10 @@ def _build_parser():
 
 def main(argv=None):
     threads = os.environ.get("SLEPKIT_THREADS")
-    if threads is not None:
-        try:
-            ok = int(threads) >= 1
-        except ValueError:
-            ok = False
-        if not ok:
-            print(f"slepkit: SLEPKIT_THREADS must be an integer >= 1, "
-                  f"got {threads!r}", file=sys.stderr)
-            return 2
+    if threads is not None and _parse_threads(threads) is None:
+        print(f"slepkit: SLEPKIT_THREADS must be an integer >= 1, "
+              f"got {threads!r}", file=sys.stderr)
+        return 2
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -12,8 +12,9 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .errors import ConfigurationError, NumericalError
+from .fredholm import _fix_signs
 from .geometry import Region, contains_many
-from .planeslep import GridField, GridSpec, periodogram
+from .planeslep import GridField, GridSpec, _centered_grid, periodogram
 
 __all__ = [
     "OperatorProblem", "GridBasis", "build_problem", "apply", "solve",
@@ -26,15 +27,13 @@ class OperatorProblem:
     """A composed projection operator discretized on an embedding grid.
 
     spectral_mask is stored in unshifted FFT index order so it multiplies the
-    raw transform directly; it is Hermitian-symmetric by construction (equal
-    to its point reflection through k = 0).  mode selects which composition
-    apply() realizes: "space" masks in space, transforms, masks in wavenumber,
-    transforms back, and masks in space again; "spectral" is the mirror image.
+    raw transform directly.  It must be Hermitian-symmetric (equal to its point
+    reflection through k = 0): that makes P F* L F P real-symmetric, so apply()
+    realizes it exactly with real FFTs on the half plane kx >= 0.
     """
     grid: GridSpec
     spatial_mask: np.ndarray   # bool (ny, nx)
     spectral_mask: np.ndarray  # bool (ny, nx), FFT order
-    mode: str = "space"
 
     def __post_init__(self):
         shape = (self.grid.ny, self.grid.nx)
@@ -42,8 +41,6 @@ class OperatorProblem:
         self.spectral_mask = np.asarray(self.spectral_mask, dtype=bool)
         if self.spatial_mask.shape != shape or self.spectral_mask.shape != shape:
             raise ConfigurationError("masks must match the grid shape")
-        if self.mode not in ("space", "spectral"):
-            raise ConfigurationError("mode must be 'space' or 'spectral'")
         if not self.spatial_mask.any():
             raise ConfigurationError("spatial mask is empty; enlarge the grid")
         if not self.spectral_mask.any():
@@ -56,17 +53,15 @@ class OperatorProblem:
 class GridBasis:
     """Eigenpairs of a composed projection operator, grid-sampled.
 
-    fields hold real parts only, unit grid-l2 norm, exactly zero outside the
-    operator's support mask.  imag_residuals record the relative imaginary
-    content each real field discards: in space mode that of one full
-    complex-arithmetic application (rounding level, since the operator is
-    real-symmetric there); in spectral mode that of the phase-fixed complex
-    eigenvector itself, which is genuinely nonzero for asymmetric regions.
+    fields have unit grid-l2 norm and are exactly zero outside the spatial
+    mask; their signs follow the Nystrom rule (positive at the support cell
+    nearest the support centroid).  residuals hold max|A f - lambda f| of each
+    field.
     """
     problem: OperatorProblem
     eigenvalues: np.ndarray        # real, descending
     fields: np.ndarray             # (count, ny, nx)
-    imag_residuals: np.ndarray
+    residuals: np.ndarray
     seed: int
 
 
@@ -76,13 +71,7 @@ def _reflect(mask):
     return np.roll(np.roll(r, 1, axis=0), 1, axis=1)
 
 
-def _centered_axis(center, extent, spacing):
-    n = int(np.floor(extent / spacing + 1e-9)) + 1
-    n = max(n, 2)
-    return center - 0.5 * (n - 1) * spacing, n
-
-
-def build_problem(region, domain, grid_spacing, embed_factor=3.0, mode="space"):
+def build_problem(region, domain, grid_spacing, embed_factor=3.0):
     """Rasterize a region and a spectral domain onto one computation grid.
 
     The grid spans the region's bounding box scaled by embed_factor about its
@@ -96,12 +85,8 @@ def build_problem(region, domain, grid_spacing, embed_factor=3.0, mode="space"):
         raise ConfigurationError("grid spacing must be positive")
     if embed_factor < 1:
         raise ConfigurationError("embed factor must be at least 1")
-    xmin, xmax, ymin, ymax = region.bounding_box()
-    cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
-    x0, nx = _centered_axis(cx, embed_factor * (xmax - xmin), grid_spacing)
-    y0, ny = _centered_axis(cy, embed_factor * (ymax - ymin), grid_spacing)
-    grid = GridSpec(x0=float(x0), y0=float(y0), dx=grid_spacing,
-                    dy=grid_spacing, nx=nx, ny=ny)
+    grid = _centered_grid(region, embed_factor, grid_spacing)
+    nx, ny = grid.nx, grid.ny
 
     spatial = contains_many(region, grid.points()).reshape(ny, nx)
     if not spatial.any():
@@ -114,7 +99,7 @@ def build_problem(region, domain, grid_spacing, embed_factor=3.0, mode="space"):
     if not spectral.any():
         raise ConfigurationError("no wavenumber cell falls inside the domain")
     return OperatorProblem(grid=grid, spatial_mask=spatial,
-                           spectral_mask=spectral, mode=mode)
+                           spectral_mask=spectral)
 
 
 def _rasterize_spectral(domain, kx, ky):
@@ -137,77 +122,70 @@ def _rasterize_spectral(domain, kx, ky):
     raise ConfigurationError(f"unknown spectral domain kind {domain.kind!r}")
 
 
-def _apply_complex(problem, field):
-    """One composed application in complex arithmetic."""
-    p, l = problem.spatial_mask, problem.spectral_mask
-    if problem.mode == "space":
-        v = np.where(p, field, 0.0)
-        v = np.fft.fft2(v, norm="ortho")
-        v = np.where(l, v, 0.0)
-        v = np.fft.ifft2(v, norm="ortho")
-        return np.where(p, v, 0.0)
-    v = np.where(l, field, 0.0)
-    v = np.fft.ifft2(v, norm="ortho")
-    v = np.where(p, v, 0.0)
-    v = np.fft.fft2(v, norm="ortho")
-    return np.where(l, v, 0.0)
+def _support_operator(problem):
+    """The flat indices of the support cells and P F* L F P acting on them.
+
+    The operator maps the values at the support cells (row-major) to the
+    values of its output there; everywhere else the output is zero.
+    """
+    ny, nx = problem.grid.ny, problem.grid.nx
+    cells = np.flatnonzero(problem.spatial_mask)
+    band = problem.spectral_mask[:, :nx // 2 + 1]
+
+    def op(v):
+        full = np.zeros(ny * nx)
+        full[cells] = v
+        spec = np.fft.rfft2(full.reshape(ny, nx), norm="ortho")
+        spec *= band
+        return np.fft.irfft2(spec, s=(ny, nx), norm="ortho").ravel()[cells]
+
+    return cells, op
 
 
 def apply(problem, field):
-    """Apply the composed operator to one field.
-
-    In space mode the Hermitian symmetry of the spectral mask makes the
-    operator real-symmetric, so a real input yields a real output up to
-    rounding and the rounding-level imaginary part is discarded; complex
-    inputs, and spectral mode always, stay complex.
-    """
+    """Apply the composed operator P F* L F P to one real field."""
     field = np.asarray(field)
-    if field.shape != (problem.grid.ny, problem.grid.nx):
+    if np.iscomplexobj(field):
         raise ConfigurationError(
-            f"field shape {field.shape} does not match the grid "
-            f"({problem.grid.ny}, {problem.grid.nx})")
-    out = _apply_complex(problem, field)
-    if np.iscomplexobj(field) or problem.mode == "spectral":
-        return out
-    return out.real
+            "the operator is real; apply it to the real and imaginary parts")
+    shape = (problem.grid.ny, problem.grid.nx)
+    if field.shape != shape:
+        raise ConfigurationError(
+            f"field shape {field.shape} does not match the grid {shape}")
+    cells, op = _support_operator(problem)
+    out = np.zeros(field.size)
+    out[cells] = op(field.ravel()[cells])
+    return out.reshape(shape)
 
 
 def solve(problem, count, seed=0, tol=1e-10, maxiter=None):
     """Top `count` eigenpairs of the composed operator, matrix-free.
 
-    A Lanczos-type iteration sees only apply(); the start vector is drawn from
-    `seed` and masked, making the run deterministic.  Eigenvalues land in
-    [0, 1] up to solver slack because both projections are orthogonal.
+    A Lanczos-type iteration runs on vectors over the support cells only; the
+    start vector is drawn from `seed` over the whole grid and gathered there,
+    making the run deterministic.  Eigenvalues land in [0, 1] up to solver
+    slack because both projections are orthogonal.
     """
     count = int(count)
     if count < 1:
         raise ConfigurationError("count must be at least 1")
     ny, nx = problem.grid.ny, problem.grid.nx
-    n = nx * ny
+    cells, matvec = _support_operator(problem)
+    n = len(cells)
     if count > n - 2:
-        raise ConfigurationError(f"count {count} too large for a {ny}x{nx} grid")
+        raise ConfigurationError(
+            f"count {count} too large for {n} cells inside the region")
     if maxiter is None:
-        maxiter = int(10 * count * np.sqrt(n)) + 100
+        maxiter = int(10 * count * np.sqrt(nx * ny)) + 100
 
-    spectral = problem.mode == "spectral"
-    start_mask = problem.spectral_mask if spectral else problem.spatial_mask
-    dtype = complex if spectral else float
-
-    def matvec(v):
-        out = _apply_complex(problem, v.reshape(ny, nx)).ravel()
-        return out if spectral else out.real
-
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=dtype)
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
     rng = np.random.RandomState(int(seed))
-    v0 = rng.standard_normal(n).astype(dtype)
-    if spectral:
-        v0 += 1j * rng.standard_normal(n)
-    v0 *= start_mask.ravel()
+    v0 = rng.standard_normal(nx * ny)[cells]
     v0 /= np.linalg.norm(v0)
     # the spectrum clusters at 1 with a cluster roughly as wide as the
     # discrete Shannon number; the Krylov subspace must span it to converge
-    shannon = (problem.spatial_mask.sum() * problem.spectral_mask.sum()) / n
-    rank_cap = int(min(problem.spatial_mask.sum(), problem.spectral_mask.sum()))
+    shannon = (n * problem.spectral_mask.sum()) / (nx * ny)
+    rank_cap = int(min(n, problem.spectral_mask.sum()))
     ncv = max(2 * count + 1, 20, int(np.ceil(shannon)) + count + 10)
     ncv = min(ncv, rank_cap + count, n - 1)
     ncv = max(ncv, count + 2)
@@ -220,37 +198,15 @@ def solve(problem, count, seed=0, tol=1e-10, maxiter=None):
             f"{len(exc.eigenvalues)} of {count} pairs converged") from exc
 
     order = np.argsort(-vals, kind="stable")
-    vals, vecs = vals[order], vecs[:, order]
-    fields = np.empty((count, ny, nx))
-    resid = np.empty(count)
-    for i in range(count):
-        f = vecs[:, i].reshape(ny, nx)
-        f = np.where(start_mask, f, 0.0)  # enforce exact zeros off-support
-        nrm = np.linalg.norm(f)
-        if nrm == 0:
-            raise NumericalError(f"eigenfield {i} vanished after masking")
-        f = f / nrm
-        peak = np.unravel_index(int(np.argmax(np.abs(f))), f.shape)
-        if spectral:
-            # rotate the global phase so the peak entry is real positive,
-            # then keep the real part and record what that discards
-            phase = f[peak] / abs(f[peak])
-            f = f / phase
-            resid[i] = float(np.max(np.abs(f.imag))) / float(np.max(np.abs(f)))
-            f = f.real
-            nrm = np.linalg.norm(f)
-            if nrm == 0:
-                raise NumericalError(f"eigenfield {i} has no real content")
-            f = f / nrm
-        else:
-            if f[peak] < 0:
-                f = -f
-            z = _apply_complex(problem, f)
-            scale = float(np.max(np.abs(z)))
-            resid[i] = float(np.max(np.abs(z.imag))) / scale if scale > 0 else 0.0
-        fields[i] = f
-    return GridBasis(problem=problem, eigenvalues=vals.real, fields=fields,
-                     imag_residuals=resid, seed=int(seed))
+    vals, samples = vals[order], vecs[:, order].T
+    _fix_signs(samples, problem.grid.points()[cells], np.ones(n))
+    resid = np.array([np.max(np.abs(matvec(v) - lam * v))
+                      for lam, v in zip(vals, samples)])
+    fields = np.zeros((count, ny * nx))
+    fields[:, cells] = samples
+    return GridBasis(problem=problem, eigenvalues=vals,
+                     fields=fields.reshape(count, ny, nx), residuals=resid,
+                     seed=int(seed))
 
 
 def weighted_periodogram_sum(basis, count):

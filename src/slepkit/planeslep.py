@@ -60,6 +60,22 @@ class GridSpec:
         return np.column_stack([xx.ravel(), yy.ravel()])
 
 
+def _centered_grid(region, factor, spacing):
+    """The grid at `spacing` over the region's bounding box scaled by `factor`.
+
+    The box is scaled about its center and each axis gets the most points that
+    fit in the scaled extent (at least two), placed symmetrically about it.
+    """
+    xmin, xmax, ymin, ymax = region.bounding_box()
+
+    def axis(lo, hi):
+        n = max(2, int(np.floor(factor * (hi - lo) / spacing + 1e-9)) + 1)
+        return 0.5 * (lo + hi) - 0.5 * (n - 1) * spacing, n
+
+    (x0, nx), (y0, ny) = axis(xmin, xmax), axis(ymin, ymax)
+    return GridSpec(x0=x0, y0=y0, dx=spacing, dy=spacing, nx=nx, ny=ny)
+
+
 @dataclass
 class GridField:
     """Values sampled on a GridSpec; values[iy, ix] sits at (x0+ix*dx, y0+iy*dy)."""
@@ -292,8 +308,9 @@ def read_grid_text(path):
     nx, ny = len(xs), len(ys)
     if nx * ny != len(arr):
         raise ConfigurationError(f"{path}: rows do not form a complete grid")
-    dx = float(xs[1] - xs[0]) if nx > 1 else 1.0
-    dy = float(ys[1] - ys[0]) if ny > 1 else 1.0
+    # the span over the point count spreads the axis rounding evenly
+    dx = float(xs[-1] - xs[0]) / (nx - 1) if nx > 1 else 1.0
+    dy = float(ys[-1] - ys[0]) / (ny - 1) if ny > 1 else 1.0
     spec = GridSpec(x0=float(xs[0]), y0=float(ys[0]), dx=dx, dy=dy, nx=nx, ny=ny)
     vals = arr[:, 2].reshape(ny, nx)
     return GridField(spec, vals)

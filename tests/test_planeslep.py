@@ -308,6 +308,19 @@ class TestGridIO:
             [field.grid.x0, field.grid.y0, field.grid.dx, field.grid.dy],
             rtol=0, atol=0)
 
+    def test_text_spacing_from_axis_span(self, tmp_path):
+        # dx and dy are not binary fractions; the read-back axes must not
+        # accumulate the rounding of one printed step over the whole axis
+        grid = GridSpec(x0=-7.0, y0=3.3, dx=0.1 / 3, dy=np.pi / 97,
+                        nx=417, ny=386)
+        path = tmp_path / "f.txt"
+        write_grid_text(GridField(grid, np.zeros((386, 417))), path)
+        back = read_grid_text(path).grid
+        for want, got in ((grid.x_axis(), back.x_axis()),
+                          (grid.y_axis(), back.y_axis())):
+            ulp = np.spacing(np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= 2 * ulp
+
     def test_text_header_line(self, field, tmp_path):
         path = tmp_path / "f.txt"
         write_grid_text(field, path)
