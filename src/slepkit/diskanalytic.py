@@ -8,6 +8,7 @@ kernel (authoritative for small lambda); both are kept.
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -19,6 +20,9 @@ from . import fredholm, quadrature
 from .errors import DegenerateNormalizationError, ExtensionError, NumericalError
 from .kernels import fixedm_kernel
 from .specialfn import _jacobi_sequence
+
+# angular orders assemble_disk_basis visits at most when max_order is not given
+MAX_ORDER = 300
 
 
 @dataclass
@@ -133,15 +137,23 @@ def fixed_order_solution(m, c, n_branches=None, l_max=None, n_quad=96):
     which is the closed form when >= 1e-3 and the quadrature value below that.
     A quadrature value counts toward retention only above the dense eigensolve's
     noise floor, n_quad * eps times the largest one, so rounding in the kernel
-    cannot add or drop a branch.
+    cannot add or drop a branch.  Without an explicit l_max the series grows
+    by 40 terms up to four times; if the coefficient tail is still above 1e-12
+    a RuntimeWarning says so.
     """
     cap = 48 if n_branches is None else int(n_branches)
     lm = default_l_max(c) if l_max is None else int(l_max)
-    for _ in range(5):
+    for grow in range(5):
         pairs = coeff_tridiagonal(m, c, lm)
         probe = [d for _, d in pairs[:min(cap, len(pairs))]]
         worst = max(abs(d[-1]) / np.max(np.abs(d)) for d in probe)
         if worst < 1e-12 or l_max is not None:
+            break
+        if grow == 4:
+            warnings.warn(
+                f"order m={m} at c={c!r}: series coefficients decayed only to "
+                f"{worst:.3g} of their peak at l_max={lm}; pass a larger l_max",
+                RuntimeWarning, stacklevel=2)
             break
         lm += 40
     nodes, w_plain, w_radial = _radial_rule(n_quad)
@@ -233,13 +245,14 @@ def assemble_disk_basis(K, R, count, max_order=None):
     Shannon number drops below 1e-3 and the best eigenvalue below 1e-6; emits
     cos/sin doublets for m > 0 and ranks everything by lambda descending
     (cos before sin, then smaller m on exact ties).  max_order caps the
-    angular orders visited when given.
+    angular orders visited when given; without it the search stops at
+    MAX_ORDER with a RuntimeWarning if the stop rule was never met.
     """
     if K <= 0 or R <= 0:
         raise ValueError("bandlimit and radius must be positive")
     if count < 1:
         raise ValueError("count must be positive")
-    m_cap = 300 if max_order is None else int(max_order)
+    m_cap = MAX_ORDER if max_order is None else int(max_order)
     if m_cap < 0:
         raise ValueError("max_order must be non-negative")
     c = K * R
@@ -258,6 +271,12 @@ def assemble_disk_basis(K, R, count, max_order=None):
         if n2d_m(m, n2d) < 1e-3 and top < 1e-6 and len(entries) >= count:
             break
         m += 1
+    if m > m_cap and max_order is None:
+        warnings.warn(
+            f"K={K!r}, R={R!r} (c={c!r}): stopped at order m={m_cap} without "
+            f"meeting the stop rule (per-order Shannon number < 1e-3, top "
+            f"eigenvalue < 1e-6, {count} entries); pass max_order",
+            RuntimeWarning, stacklevel=2)
     entries.sort(key=lambda e: (-e.lam, e.m, 0 if e.kind == "cos" else 1, e.branch))
     if len(entries) < count:
         raise ValueError(f"only {len(entries)} basis entries resolvable, need {count}")

@@ -128,7 +128,12 @@ def contains(region, point):
 
 
 def contains_many(region, points):
-    """Vectorized boundary-inclusive membership; points is (m, 2)."""
+    """Vectorized boundary-inclusive membership; points is (m, 2).
+
+    For polygons the edge loop runs only on the points inside the vertex
+    bounding box widened by the boundary tolerance; every other point is
+    outside and off the boundary.
+    """
     pts = np.asarray(points, dtype=float)
     px, py = pts[:, 0], pts[:, 1]
     if region.kind == "disk":
@@ -138,8 +143,13 @@ def contains_many(region, points):
     n = len(v)
     scale = np.max(np.abs(v)) + 1.0
     tol = 1e-12 * scale
-    inside = np.zeros(len(pts), dtype=bool)
-    onb = np.zeros(len(pts), dtype=bool)
+    xmin, xmax, ymin, ymax = region.bounding_box()
+    near = np.flatnonzero((px >= xmin - tol) & (px <= xmax + tol) &
+                          (py >= ymin - tol) & (py <= ymax + tol))
+    result = np.zeros(len(pts), dtype=bool)
+    px, py = px[near], py[near]
+    inside = np.zeros(len(near), dtype=bool)
+    onb = np.zeros(len(near), dtype=bool)
     x0, y0 = v[-1]
     for i in range(n):
         x1, y1 = v[i]
@@ -153,11 +163,10 @@ def contains_many(region, points):
         cond = (y0 > py) != (y1 > py)
         if np.any(cond):
             xin = x0 + (py[cond] - y0) * ex / ey
-            flip = np.zeros(len(pts), dtype=bool)
-            flip[cond] = px[cond] < xin
-            inside ^= flip
+            inside[cond] ^= px[cond] < xin
         x0, y0 = x1, y1
-    return inside | onb
+    result[near] = inside | onb
+    return result
 
 
 def y_extents(region, x):

@@ -4,9 +4,13 @@ Everything lives on a discrete grid: the spatial indicator and the spectral
 indicator become projection matrices, the unitary FFT moves between the two,
 and the composed operator is diagonalized matrix-free with a Lanczos-type
 iteration.  Any region shape and any Hermitian-symmetric wavenumber set work.
+Each apply transforms only the grid rows that hold support cells and only the
+half-plane wavenumber columns that hold band cells (a pruned FFT): the skipped
+transforms have all-zero input or unread output, so the result is the full
+real 2D FFT composition to the last bit.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg
@@ -56,13 +60,16 @@ class GridBasis:
     fields have unit grid-l2 norm and are exactly zero outside the spatial
     mask; their signs follow the Nystrom rule (positive at the support cell
     nearest the support centroid).  residuals hold max|A f - lambda f| of each
-    field.
+    field.  extra records how the spectrum was computed: the Krylov subspace
+    size `ncv`, the operator applies made by the eigensolver (`matvecs`), and
+    the pruned transform sizes (`rows` along x, `columns` along y).
     """
     problem: OperatorProblem
     eigenvalues: np.ndarray        # real, descending
     fields: np.ndarray             # (count, ny, nx)
     residuals: np.ndarray
     seed: int
+    extra: dict = field(default_factory=dict)
 
 
 def _reflect(mask):
@@ -126,20 +133,37 @@ def _support_operator(problem):
     """The flat indices of the support cells and P F* L F P acting on them.
 
     The operator maps the values at the support cells (row-major) to the
-    values of its output there; everywhere else the output is zero.
+    values of its output there; everywhere else the output is zero.  It runs
+    the 1D passes of rfft2/irfft2 (norm="ortho") pruned to where they matter:
+    rfft along x on the support rows only, then fft, the band mask and ifft
+    along y on the half-plane columns holding band cells only, then irfft
+    along x back on the support rows.  Every skipped row is zero on input and
+    unread on output, and every skipped column is zero after the mask, so the
+    output equals the full-grid composition bit for bit.  Also returns the
+    pruned sizes (support rows, band columns).
     """
     ny, nx = problem.grid.ny, problem.grid.nx
     cells = np.flatnonzero(problem.spatial_mask)
-    band = problem.spectral_mask[:, :nx // 2 + 1]
+    rows = np.flatnonzero(problem.spatial_mask.any(axis=1))
+    local = np.flatnonzero(problem.spatial_mask[rows])
+    half = problem.spectral_mask[:, :nx // 2 + 1]
+    cols = np.flatnonzero(half.any(axis=0))
+    band = half[:, cols]
 
     def op(v):
-        full = np.zeros(ny * nx)
-        full[cells] = v
-        spec = np.fft.rfft2(full.reshape(ny, nx), norm="ortho")
+        block = np.zeros(len(rows) * nx)
+        block[local] = v
+        spec = np.zeros((ny, len(cols)), dtype=complex)
+        spec[rows] = np.fft.rfft(block.reshape(len(rows), nx), axis=1,
+                                 norm="ortho")[:, cols]
+        spec = np.fft.fft(spec, axis=0, norm="ortho")
         spec *= band
-        return np.fft.irfft2(spec, s=(ny, nx), norm="ortho").ravel()[cells]
+        spec = np.fft.ifft(spec, axis=0, norm="ortho")
+        out = np.zeros((len(rows), nx // 2 + 1), dtype=complex)
+        out[:, cols] = spec[rows]
+        return np.fft.irfft(out, n=nx, axis=1, norm="ortho").ravel()[local]
 
-    return cells, op
+    return cells, op, (len(rows), len(cols))
 
 
 def apply(problem, field):
@@ -152,7 +176,7 @@ def apply(problem, field):
     if field.shape != shape:
         raise ConfigurationError(
             f"field shape {field.shape} does not match the grid {shape}")
-    cells, op = _support_operator(problem)
+    cells, op, _ = _support_operator(problem)
     out = np.zeros(field.size)
     out[cells] = op(field.ravel()[cells])
     return out.reshape(shape)
@@ -170,7 +194,7 @@ def solve(problem, count, seed=0, tol=1e-10, maxiter=None):
     if count < 1:
         raise ConfigurationError("count must be at least 1")
     ny, nx = problem.grid.ny, problem.grid.nx
-    cells, matvec = _support_operator(problem)
+    cells, matvec, (rows, columns) = _support_operator(problem)
     n = len(cells)
     if count > n - 2:
         raise ConfigurationError(
@@ -178,7 +202,14 @@ def solve(problem, count, seed=0, tol=1e-10, maxiter=None):
     if maxiter is None:
         maxiter = int(10 * count * np.sqrt(nx * ny)) + 100
 
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
+    matvecs = 0
+
+    def counted(v):
+        nonlocal matvecs
+        matvecs += 1
+        return matvec(v)
+
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=counted, dtype=float)
     rng = np.random.RandomState(int(seed))
     v0 = rng.standard_normal(nx * ny)[cells]
     v0 /= np.linalg.norm(v0)
@@ -206,7 +237,9 @@ def solve(problem, count, seed=0, tol=1e-10, maxiter=None):
     fields[:, cells] = samples
     return GridBasis(problem=problem, eigenvalues=vals,
                      fields=fields.reshape(count, ny, nx), residuals=resid,
-                     seed=int(seed))
+                     seed=int(seed),
+                     extra={"ncv": ncv, "matvecs": matvecs, "rows": rows,
+                            "columns": columns})
 
 
 def weighted_periodogram_sum(basis, count):

@@ -1,8 +1,14 @@
 """Command-line interface: report format, argument handling, exit codes."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import slepkit
 from slepkit import assemble_disk_basis, cli, evaluate_disk_entry
 from slepkit.cli import (
     RunReport, parse_report, read_report, render_report, write_report,
@@ -287,3 +293,33 @@ class TestEnvironment:
         monkeypatch.setenv("SLEPKIT_THREADS", "1")
         assert run_cli(["pswf1d", "--tw", "1.0", "--count", "2"]) == 0
         capsys.readouterr()
+
+    def test_reports_agree_across_thread_counts(self, tmp_path):
+        # bytes are pinned only at a fixed SLEPKIT_THREADS: threaded BLAS
+        # reductions may move region eigenvalues in the last ulp
+        from conftest import boundary_path
+        asym = tmp_path / "asym.xy"
+        asym.write_text("-1.2,-0.8\n1.0,-1.0\n1.3,0.9\n-0.9,1.1\n")
+        src = str(pathlib.Path(slepkit.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = [["region", "--boundary", boundary_path(), "--bandwidth", "0.0194",
+                 "--nquad", "16", "--count", "4"],
+                ["grid", "--boundary", str(asym), "--spectral", "wedge", "0.5",
+                 "0.3", "6.0", "--spacing", "0.1", "--count", "3"]]
+        for argv in runs:
+            one, two = (parse_report(subprocess.run(
+                [sys.executable, "-m", "slepkit.cli", *argv], check=True,
+                capture_output=True, text=True, timeout=300,
+                env=dict(os.environ, SLEPKIT_THREADS=threads, PYTHONPATH=path)).stdout)
+                for threads in ("1", "2"))
+            assert two.eigenvalues == pytest.approx(one.eigenvalues, rel=1e-12, abs=0)
+            assert (one.command, one.version) == (two.command, two.version)
+            pairs = [(one.parameters, two.parameters), (one.scalars, two.scalars)]
+            pairs += list(zip(one.eigen_meta, two.eigen_meta, strict=True))
+            for a, b in pairs:
+                assert a.keys() == b.keys()
+                for key, value in a.items():
+                    if isinstance(value, float):
+                        assert b[key] == pytest.approx(value, rel=1e-12, abs=1e-12)
+                    else:
+                        assert b[key] == value

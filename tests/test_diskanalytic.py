@@ -1,5 +1,7 @@
 """Fixed-order disk solutions: dual series, dual lambda routes, sum rules."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special
@@ -28,6 +30,17 @@ class TestCoefficients:
         sol = fixed_order_solution(2, 6.0)
         for br in sol.branches[:4]:
             assert abs(br.d[-1]) < 1e-12 * np.max(np.abs(br.d))
+
+    def test_l_max_growth_limit_warns(self, monkeypatch):
+        # from a one-term start, four growths of 40 cannot resolve c = 600
+        monkeypatch.setattr(diskanalytic, "default_l_max", lambda c: 1)
+        with pytest.warns(RuntimeWarning, match=r"m=2 at c=600\.0: .* l_max=161"):
+            sol = fixed_order_solution(2, 600.0, n_quad=16)
+        assert sol.l_max == 161
+        assert all(len(br.d) == 162 for br in sol.branches)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fixed_order_solution(2, 600.0, l_max=1, n_quad=16).l_max == 1
 
     def test_normalization(self):
         pairs = coeff_tridiagonal(1, 5.0, 60)
@@ -183,6 +196,17 @@ class TestAssembledBasis:
         assert all(e.m == 0 for e in basis.entries)
         with pytest.raises(ValueError):
             assemble_disk_basis(4.0, 1.0, 6, max_order=-1)
+
+    def test_order_cap_warns(self, monkeypatch):
+        # at c = 2 sqrt(10) orders up to m = 2 still hold eigenvalues near 1
+        monkeypatch.setattr(diskanalytic, "MAX_ORDER", 2)
+        k = 2.0 * np.sqrt(10.0)
+        with pytest.warns(RuntimeWarning, match=r"m=2 without meeting"):
+            basis = assemble_disk_basis(k, 1.0, 3)
+        assert max(basis.solutions) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assemble_disk_basis(k, 1.0, 3, max_order=2)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import slepkit
 from slepkit import (
@@ -29,6 +31,32 @@ def crossing_oracle(vertices, point):
             if xc > x:
                 inside = not inside
     return inside
+
+
+def membership_oracle(vertices, point):
+    """Per-point boundary-inclusive membership: within 1e-12 (max|v| + 1) of an
+    edge, else the crossing oracle."""
+    v = np.asarray(vertices, dtype=float)
+    p = np.asarray(point, dtype=float)
+    tol = 1e-12 * (np.max(np.abs(v)) + 1.0)
+    for a, b in zip(v, np.roll(v, -1, axis=0)):
+        d = b - a
+        t = min(max(float((p - a) @ d / (d @ d)), 0.0), 1.0)
+        if np.hypot(*(p - a - t * d)) <= tol:
+            return True
+    return crossing_oracle(v, p)
+
+
+@st.composite
+def star_polygons(draw):
+    # vertices sorted by angle about a center with every angular gap below pi,
+    # so the polygon is simple and star-shaped about that center
+    n = draw(st.integers(5, 12))
+    gaps = np.array(draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)))
+    radii = np.array(draw(st.lists(st.floats(0.3, 2.0), min_size=n, max_size=n)))
+    cx, cy = draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))
+    theta = 2.0 * np.pi * np.cumsum(gaps) / np.sum(gaps)
+    return np.column_stack([cx + radii * np.cos(theta), cy + radii * np.sin(theta)])
 
 
 class TestRegionConstruction:
@@ -84,6 +112,37 @@ class TestMembership:
                 dist = np.hypot(*(pts - (a + t[:, None] * d)).T)
                 keep &= dist > 1e-9
             assert np.array_equal(got[keep], want[keep])
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(verts=star_polygons(),
+           unit=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                         min_size=1, max_size=30),
+           gap=st.sampled_from([2.0, 1e6, 1e12]))
+    def test_star_polygons_match_per_point_oracle(self, verts, unit, gap):
+        try:
+            reg = Region.polygon(verts)
+        except InvalidRegionError:
+            assume(False)
+        tol = 1e-12 * (np.max(np.abs(verts)) + 1.0)
+        xmin, xmax, ymin, ymax = reg.bounding_box()
+        w, h = xmax - xmin, ymax - ymin
+        xc, yc = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
+        # on the boundary: vertices, edge midpoints, and vertices moved half
+        # the tolerance along x (some of them just outside the bounding box)
+        on = np.vstack([verts, 0.5 * (verts + np.roll(verts, 1, axis=0)),
+                        verts + [0.5 * tol, 0.0], verts - [0.5 * tol, 0.0]])
+        # off it: beyond each side of the box, `gap` tolerances away
+        d = gap * tol
+        off = [(xmin - d, yc), (xmax + d, yc), (xc, ymin - d), (xc, ymax + d),
+               (xmin - d, ymin - d), (xmax + d, ymax + d)]
+        u = np.array(unit)
+        around = np.column_stack([xmin - 0.25 * w + 1.5 * w * u[:, 0],
+                                  ymin - 0.25 * h + 1.5 * h * u[:, 1]])
+        pts = np.vstack([on, off, around])
+        want = np.array([membership_oracle(verts, p) for p in pts])
+        assert np.array_equal(contains_many(reg, pts), want)
+        assert want[:len(on)].all()
+        assert not want[len(on):len(on) + len(off)].any()
 
     def test_boundary_is_inside(self):
         reg = Region.polygon(SQUARE)

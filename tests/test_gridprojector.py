@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from slepkit import (
     ConfigurationError, GridField, Region, SpectralDomain, apply_operator,
@@ -26,6 +27,20 @@ def complex_apply(problem, field):
     v = np.fft.fft2(np.where(p, field, 0.0), norm="ortho")
     v = np.fft.ifft2(np.where(l, v, 0.0), norm="ortho")
     return np.where(p, v, 0.0).real
+
+
+def rfft2_apply(problem, field):
+    """Oracle: P F* L F P through full-grid rfft2/irfft2 on the half plane."""
+    ny, nx = problem.grid.ny, problem.grid.nx
+    spec = np.fft.rfft2(np.where(problem.spatial_mask, field, 0.0), norm="ortho")
+    spec *= problem.spectral_mask[:, :nx // 2 + 1]
+    out = np.fft.irfft2(spec, s=(ny, nx), norm="ortho")
+    return np.where(problem.spatial_mask, out, 0.0)
+
+
+def all_pass_problem():
+    return build_problem(SQUARE, SpectralDomain.disk(100.0), 0.2,
+                         embed_factor=2.5)
 
 
 def mask_problem(spacing, seed):
@@ -172,6 +187,17 @@ class TestApply:
         got = apply_operator(problem, v)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("name", sorted(ORACLE_PROBLEMS) + ["all-pass"])
+    def test_pruned_transforms_bit_identical(self, name):
+        # the pruned 1D passes skip only zero input and unread output, so
+        # they reproduce the full-grid real FFT composition exactly
+        problem = (all_pass_problem() if name == "all-pass"
+                   else ORACLE_PROBLEMS[name][0]())
+        g = problem.grid
+        v = np.random.default_rng(13).standard_normal((g.ny, g.nx))
+        assert np.array_equal(apply_operator(problem, v),
+                              rfft2_apply(problem, v))
+
 
 class TestSolve:
     def test_eigenvalues_in_unit_interval(self, disk_basis):
@@ -212,8 +238,7 @@ class TestSolve:
                                    atol=1e-9)
 
     def test_all_pass_band_gives_unit_eigenvalues(self):
-        p = build_problem(SQUARE, SpectralDomain.disk(100.0), 0.2,
-                          embed_factor=2.5)
+        p = all_pass_problem()
         assert p.spectral_mask.all()
         lam = solve(p, 3).eigenvalues
         np.testing.assert_allclose(lam, 1.0, atol=1e-10)
@@ -240,6 +265,32 @@ class TestSolve:
         for seed in (1, 2, 3):
             np.testing.assert_allclose(solve(p, 4, seed=seed).fields, ref,
                                        rtol=0, atol=1e-10)
+
+    def test_extra_records_solve(self, monkeypatch):
+        # the asymmetric wedge problem of acceptance 09
+        p = build_problem(ASYM, wedge_domain(0.5, 0.3, 6.0), 0.2,
+                          embed_factor=2.5)
+        seen = {"matvecs": 0}
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def counting(a, *args, **kwargs):
+            seen["ncv"] = kwargs["ncv"]
+
+            def matvec(v):
+                seen["matvecs"] += 1
+                return a.matvec(v)
+
+            return eigsh(scipy.sparse.linalg.LinearOperator(
+                a.shape, matvec=matvec, dtype=a.dtype), *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+        extra = solve(p, 4).extra
+        g = p.grid
+        assert extra["columns"] < g.nx // 2 + 1 and extra["rows"] < g.ny
+        assert extra["columns"] == np.sum(p.spectral_mask[:, :g.nx // 2 + 1].any(axis=0))
+        assert extra["rows"] == np.sum(p.spatial_mask.any(axis=1))
+        assert extra["matvecs"] > 0
+        assert (extra["matvecs"], extra["ncv"]) == (seen["matvecs"], seen["ncv"])
 
     def test_count_validation(self, disk_problem):
         n = int(disk_problem.spatial_mask.sum())
