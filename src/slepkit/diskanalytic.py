@@ -309,11 +309,14 @@ def _radial_profile(basis, index, r):
     """Radial factor of basis function `index` at radii r, amplitude included.
 
     The Jacobi series inside the disk, the Bessel series outside, divided by
-    sqrt(xi); at xi = 0 the limit is sum(d) = 1 for m = 0 and 0 above.
+    sqrt(xi); at xi = 0 the limit is sum(d) = 1 for m = 0 and 0 above.  Both
+    series are evaluated once per distinct radius and gathered back onto r.
     """
     entry = basis.entries[index]
     sol, j, m = entry.solution, entry.branch, entry.m
-    xi = np.asarray(r, dtype=float) / basis.R
+    r = np.asarray(r, dtype=float)
+    radii, back = np.unique(r.ravel(), return_inverse=True)
+    xi = radii / basis.R
     inside = xi <= 1.0
     radial = np.empty_like(xi)
     radial[inside] = phi_space(sol, j, xi[inside])
@@ -323,4 +326,4 @@ def _radial_profile(basis, index, r):
         psi = np.where(xi == 0.0, 1.0 if m == 0 else 0.0,
                        radial / np.sqrt(np.where(xi == 0.0, 1.0, xi)))
     amp = np.sqrt(entry.lam / (2.0 * np.pi * basis.R ** 2 * sol.branches[j].norm_sq))
-    return amp * psi
+    return (amp * psi)[back].reshape(r.shape)[()]

@@ -6,7 +6,6 @@ disks, polygon collections, or boolean masks on a stated k-grid.
 """
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidRegionError
 
@@ -222,6 +221,9 @@ def spline_boundary(vertices, n):
     Chord-length parameterization; the returned Region is the polygon of the
     n resampled boundary points (first point not repeated).
     """
+    # imported here: scipy.interpolate is slow to load and only splines need it
+    from scipy.interpolate import CubicSpline
+
     v = _as_vertex_array(vertices)
     if n < len(v):
         raise ValueError("resample count must be at least the vertex count")

@@ -3,6 +3,8 @@
 All evaluators broadcast over numpy arrays so matrix assembly is one call.
 """
 
+import functools
+
 import numpy as np
 from scipy import special as _sp
 
@@ -39,8 +41,10 @@ class DiskBandKernel:
     Called as kernel(x, x') it is disk_kernel at bandlimit k.  Because
     D(x, x') = (2 pi)^-2 int_{|k'|<K} exp(i k'.(x - x')) dk', a k-space rule
     turns it into A(x) A(x')^T with real cos/sin columns; `features` builds A
-    on a polar rule that reproduces the kernel to ~1e-13 relative for every
-    separation |x - x'| <= span.
+    on a tapered polar rule that reproduces the kernel to ~1e-13 relative for
+    every separation |x - x'| <= span.  Its angle counts and wavevectors are
+    each built once per span and shared by `rule_sizes`, `rank` and
+    `features`.
     """
 
     def __init__(self, k):
@@ -52,23 +56,20 @@ class DiskBandKernel:
         return disk_kernel(self.k, x, xp)
 
     def rule_sizes(self, span):
-        """(radial, angular) node counts of the polar k-rule for separations <= span.
+        """(radial count, per-radius angle counts) of the k-rule for separations <= span.
 
-        Gauss-Legendre in |k| takes ceil(0.4 K span) + 8 nodes.  The M uniform
-        angles on [0, pi) pair with their antipodes into a 2M-point trapezoid
-        rule on the circle, whose error is 2 J_2M(|k| r); M is the smallest
-        value with 2M >= K span and |J_2M(K span)| < 1e-15.
+        Gauss-Legendre in |k| takes ceil(0.4 K span) + 8 nodes rho_j.  The M_j
+        uniform angles on [0, pi) at radius rho_j pair with their antipodes
+        into a 2M_j-point trapezoid rule on that circle, whose error is
+        2 J_2M_j(rho_j r); M_j is the smallest value with 2M_j >= rho_j span
+        and |J_2M_j(rho_j span)| < 1e-15.
         """
-        z = self.k * float(span)
-        n_angles = max(1, int(np.ceil(0.5 * z)))
-        while abs(_sp.jv(2 * n_angles, z)) >= 1e-15:
-            n_angles += 1
-        return int(np.ceil(0.4 * z)) + 8, n_angles
+        n_angles = _angle_counts(self.k, float(span))
+        return len(n_angles), n_angles
 
     def rank(self, span):
-        """Column count 2q of the factor sized for separations <= span."""
-        n_radial, n_angles = self.rule_sizes(span)
-        return 2 * n_radial * n_angles
+        """Column count 2q = 2 sum_j M_j of the factor sized for separations <= span."""
+        return 2 * sum(_angle_counts(self.k, float(span)))
 
     def features(self, points, origin, span):
         """The (n, 2q) factor A with A A^T = kernel on (n, 2) points.
@@ -76,14 +77,7 @@ class DiskBandKernel:
         Phases are taken relative to `origin`, so far-off coordinates keep
         full precision when the origin sits among the points.
         """
-        n_radial, n_angles = self.rule_sizes(span)
-        radial = quadrature.map_rule(quadrature.gauss_legendre(n_radial), 0.0, self.k)
-        theta = np.pi * np.arange(n_angles) / n_angles
-        kx = np.outer(radial.nodes, np.cos(theta)).ravel()
-        ky = np.outer(radial.nodes, np.sin(theta)).ravel()
-        # (2 pi)^-2 rho w_rho (pi / M) per wavevector, times 2 for its antipode
-        scale = np.repeat(np.sqrt(radial.nodes * radial.weights / (2.0 * np.pi * n_angles)),
-                          n_angles)
+        kx, ky, scale = _wavevectors(self.k, float(span))
         d = np.asarray(points, dtype=float) - np.asarray(origin, dtype=float)
         phase = np.multiply.outer(d[:, 0], kx) + np.multiply.outer(d[:, 1], ky)
         q = len(kx)
@@ -93,6 +87,55 @@ class DiskBandKernel:
         out[:, :q] *= scale
         out[:, q:] *= scale
         return out
+
+
+def _radial_rule(k, span):
+    """Gauss-Legendre rule in |k| on [0, k]: ceil(0.4 k span) + 8 nodes rho_j."""
+    return quadrature.map_rule(quadrature.gauss_legendre(int(np.ceil(0.4 * k * span)) + 8),
+                               0.0, k)
+
+
+@functools.lru_cache(maxsize=16)
+def _angle_counts(k, span):
+    """Angle count M_j of each radius of the tapered polar k-rule, as a tuple.
+
+    One jv search covers all radii at once: candidate orders 2M from
+    ceil(rho_j span / 2) up, in a window that doubles until every radius
+    meets the 1e-15 bound (|J_2M(x)| decreases in M once 2M >= x).  The bound
+    falls within about 5 (rho_j span)^(1/3) orders of the start, the width of
+    the Bessel transition, so the first window nearly always suffices.  Kept
+    apart from the wavevectors so that `rank` stays cheap for spans whose
+    factor is never built.
+    """
+    x = _radial_rule(k, span).nodes * span
+    first = np.maximum(1.0, np.ceil(0.5 * x))[:, None]
+    width = 8 + int(6.0 * np.cbrt(np.max(x)))
+    while True:
+        m = first + np.arange(width)
+        small = np.abs(_sp.jv(2.0 * m, x[:, None])) < 1e-15
+        if np.all(small[:, -1]):
+            break
+        width *= 2
+    return tuple(m[np.arange(len(x)), np.argmax(small, axis=1)].astype(int).tolist())
+
+
+@functools.lru_cache(maxsize=16)
+def _wavevectors(k, span):
+    """(kx, ky, scale) of the tapered polar k-rule, read-only as the cache shares them.
+
+    Radius rho_j carries M_j angles pi m / M_j on [0, pi); each wavevector's
+    scale is sqrt(rho_j w_j / (2 pi M_j)): (2 pi)^-2 rho_j w_j (pi / M_j),
+    times 2 for its antipode.
+    """
+    radial, n_angles = _radial_rule(k, span), np.array(_angle_counts(k, span))
+    theta = np.concatenate([np.pi * np.arange(count) / count for count in n_angles])
+    rho = np.repeat(radial.nodes, n_angles)
+    scale = np.repeat(np.sqrt(radial.nodes * radial.weights / (2.0 * np.pi * n_angles)),
+                      n_angles)
+    kx, ky = rho * np.cos(theta), rho * np.sin(theta)
+    for a in (kx, ky, scale):
+        a.flags.writeable = False
+    return kx, ky, scale
 
 
 def _p_rule(n2d):

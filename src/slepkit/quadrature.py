@@ -1,5 +1,6 @@
 """Gauss-Legendre rules and their tensorization over planar regions."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +23,23 @@ class RegionQuadrature:
     region: object
 
 
+@functools.lru_cache(maxsize=256)
+def _leggauss(n):
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def gauss_legendre(n):
-    """n-point Gauss-Legendre rule on [-1, 1]."""
+    """n-point Gauss-Legendre rule on [-1, 1].
+
+    The nodes and weights are computed once per n and handed out as fresh
+    copies, so callers may modify what they receive.
+    """
     if n < 1 or int(n) != n:
         raise ValueError("node count must be a positive integer")
-    nodes, weights = np.polynomial.legendre.leggauss(int(n))
-    return QuadratureRule1D(nodes, weights)
+    nodes, weights = _leggauss(int(n))
+    return QuadratureRule1D(nodes.copy(), weights.copy())
 
 
 def map_rule(rule, a, b):

@@ -294,6 +294,16 @@ class TestEnvironment:
         assert run_cli(["pswf1d", "--tw", "1.0", "--count", "2"]) == 0
         capsys.readouterr()
 
+    def test_import_leaves_out_interpolate(self):
+        # scipy.interpolate loads only when a spline boundary is drawn
+        src = str(pathlib.Path(slepkit.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, slepkit.cli; assert 'scipy.interpolate' not in sys.modules; "
+                "slepkit.spline_boundary([[0, 0], [1, 0], [1, 1], [0, 1]], 12); "
+                "assert 'scipy.interpolate' in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=300,
+                       env=dict(os.environ, PYTHONPATH=path))
+
     def test_reports_agree_across_thread_counts(self, tmp_path):
         # bytes are pinned only at a fixed SLEPKIT_THREADS: threaded BLAS
         # reductions may move region eigenvalues in the last ulp

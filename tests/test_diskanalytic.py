@@ -246,6 +246,22 @@ class TestEvaluation:
         energy = np.sum(rule.weights[:, None] * rule.nodes[:, None] * v * v) * dth
         assert energy == pytest.approx(1.0, abs=2e-3)
 
+    def test_radial_profile_gathers_distinct_radii(self):
+        # each distinct radius is evaluated once; the gathered values match a
+        # point-by-point evaluation, inside the disk, outside it and at 0, to
+        # 1e-15 of the profile's peak (the Bessel series sums its terms in a
+        # BLAS order that depends on how many radii go in at once)
+        basis = assemble_disk_basis(2 * np.sqrt(10.0), 1.0, 6)
+        rng = np.random.default_rng(4)
+        r = rng.choice(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 3.0, 30)]), (4, 15))
+        for i in range(len(basis.entries)):
+            got = diskanalytic._radial_profile(basis, i, r)
+            want = np.array([diskanalytic._radial_profile(basis, i, np.array([v]))[0]
+                             for v in r.ravel()]).reshape(r.shape)
+            assert got.shape == r.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15 * np.max(np.abs(want)))
+        assert np.ndim(diskanalytic._radial_profile(basis, 0, 0.5)) == 0
+
     def test_angular_parity(self):
         basis = assemble_disk_basis(2 * np.sqrt(10.0), 1.0, 12)
         idx = next(i for i, e in enumerate(basis.entries)

@@ -1,9 +1,12 @@
 """Nystrom eigensolver: analytic rank-one oracles, Gram, extension, signs."""
 
+import dataclasses
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slepkit import (
     DiskBandKernel, ExtensionError, Region, disk_kernel,
@@ -11,7 +14,10 @@ from slepkit import (
     nystrom_extend, read_region, region_quadrature, sinc_kernel,
     solve_region_disk,
 )
+from slepkit import kernels
+from slepkit.fredholm import EXTEND_CHUNK, _radius
 from conftest import boundary_path
+from test_geometry import star_polygons
 
 
 def constant_kernel(x, xp):
@@ -137,6 +143,25 @@ class TestExtension:
         got = nystrom_extend(sol, 0, rule.nodes)
         np.testing.assert_allclose(got, sol.node_samples[0], atol=1e-9)
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(verts=star_polygons(), kd=st.floats(1.0, 8.0))
+    def test_extension_reproduces_node_samples(self, verts, kd):
+        # at the nodes the Nystrom identity returns the samples it started
+        # from, through the factor (a k-rule no wider than the node count) and
+        # through the plain kernel; the error scales with rounding / lambda
+        rule = region_quadrature(Region.polygon(verts), 16)
+        origin = np.mean(rule.nodes, axis=0)
+        k = kd / (2.0 * _radius(rule.nodes, origin))
+        sol = nystrom_eigs(DiskBandKernel(k), rule, 6)
+        assert sol.kernel.rank(2.0 * _radius(rule.nodes, origin)) <= len(rule.weights)
+        keep = [i for i, lam in enumerate(sol.eigenvalues) if lam > 1e-8]
+        plain = dataclasses.replace(sol, kernel=partial(disk_kernel, k))
+        for s in (sol, plain):
+            got = nystrom_extend(s, keep, rule.nodes)
+            want = s.node_samples[keep]
+            err = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+            assert np.all(err * s.eigenvalues[keep] <= 1e-14)
+
 
 class TestDeterminism:
     def test_sign_fixed_at_centroid(self):
@@ -205,7 +230,9 @@ class TestFactoredKernel:
         dense = nystrom_eigs(partial(disk_kernel, k), rule, count)
         assert fact.extra["route"] == "factored" and dense.extra == {"route": "dense"}
         assert fact.extra["gram"] == "factor"
-        assert fact.extra["rank"] == 2 * np.prod(fact.extra["k_rule"]) < len(rule.weights)
+        n_radial, n_angles = fact.extra["k_rule"]
+        assert len(n_angles) == n_radial
+        assert fact.extra["rank"] == 2 * sum(n_angles) < len(rule.weights)
         np.testing.assert_allclose(fact.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-12)
         assert fact.trace == pytest.approx(dense.trace, rel=1e-13)
         assert exact_residual(fact, k) <= 1e-8
@@ -234,6 +261,29 @@ class TestFactoredKernel:
         basis = solve_region_disk(Region.disk((0.0, 0.0), 1.0), k, n_quad=20, count=None)
         assert basis.solution.extra["gram"] == "nodes"
         np.testing.assert_allclose(basis.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-12)
+
+    def test_rule_built_once_per_span(self):
+        # the solve reads one k-rule for its rank, sizes and factor, and an
+        # extension one more, however many chunks its points take
+        builds = (kernels._angle_counts, kernels._wavevectors)
+        for build in builds:
+            build.cache_clear()
+        rule = region_quadrature(star_region(), 16)
+        sol = nystrom_eigs(DiskBandKernel(6.0), rule, 6)
+        assert sol.extra["gram"] == "factor"
+        assert [build.cache_info().misses for build in builds] == [1, 1]
+        x = np.random.default_rng(2).uniform(-1.0, 1.0, (60000, 2))
+        nystrom_extend(sol, 0, x)
+        origin = np.mean(rule.nodes, axis=0)
+        width = sol.kernel.rank(_radius(x, origin) + _radius(rule.nodes, origin))
+        assert width <= len(rule.weights) and len(x) * width > 10 * EXTEND_CHUNK
+        assert [build.cache_info().misses for build in builds] == [2, 2]
+        # a far query point needs a rule wider than the nodes: the extension
+        # sizes it and goes through the kernel without building its wavevectors
+        far = nystrom_extend(sol, 0, np.array([[400.0, 0.0]]))
+        assert [build.cache_info().misses for build in builds] == [3, 2]
+        plain = dataclasses.replace(sol, kernel=partial(disk_kernel, 6.0))
+        np.testing.assert_array_equal(far, nystrom_extend(plain, 0, np.array([[400.0, 0.0]])))
 
     def test_rank_beyond_node_count(self):
         # a coarse rule under a high bandlimit: the node side is the smaller Gram

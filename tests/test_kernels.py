@@ -58,9 +58,33 @@ class TestDiskBandKernel:
     def test_rule_grows_with_span(self):
         kern = DiskBandKernel(2.0)
         sizes = [kern.rule_sizes(s) for s in (0.5, 5.0, 50.0)]
-        assert sizes[0] < sizes[1] < sizes[2]
-        assert kern.rank(5.0) == 2 * sizes[1][0] * sizes[1][1]
-        assert kern.rule_sizes(0.0) == (8, 1)
+        assert sizes[0][0] < sizes[1][0] < sizes[2][0]
+        for n_radial, n_angles in sizes:
+            # one angle count per radius, tapering towards the origin
+            assert len(n_angles) == n_radial
+            assert list(n_angles) == sorted(n_angles)
+        assert max(sizes[0][1]) < max(sizes[1][1]) < max(sizes[2][1])
+        assert kern.rank(0.5) < kern.rank(5.0) < kern.rank(50.0)
+        assert kern.rank(5.0) == 2 * sum(sizes[1][1])
+        assert kern.rule_sizes(0.0) == (8, (1,) * 8)
+
+    @pytest.mark.parametrize("z, rank", [(10.0, 288), (26.0, 720), (60.0, 1962),
+                                         (100.0, 4154)])
+    def test_tapered_rule_sizes(self, z, rank):
+        # each radius rho_j of the ceil(0.4 K span) + 8 Gauss-Legendre nodes
+        # gets the smallest M_j with 2 M_j >= rho_j span and
+        # |J_2M_j(rho_j span)| < 1e-15 (k = 2 keeps K span exactly z)
+        k = 2.0
+        kern = DiskBandKernel(k)
+        n_radial, n_angles = kern.rule_sizes(z / k)
+        assert n_radial == int(np.ceil(0.4 * z)) + 8
+        assert kern.rank(z / k) == 2 * sum(n_angles) == rank
+        x = map_rule(gauss_legendre(n_radial), 0.0, k).nodes * (z / k)
+        m = np.array(n_angles)
+        assert np.all(2 * m >= x) and np.all(np.abs(jv(2 * m, x)) < 1e-15)
+        fewer = m - 1
+        minimal = (fewer == 0) | (2 * fewer < x) | (np.abs(jv(2 * fewer, x)) >= 1e-15)
+        assert minimal.all()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -93,10 +93,12 @@ class TestRegionSolve:
     def test_records_factor(self, disk42_nystrom):
         extra = disk42_nystrom.solution.extra
         assert extra["route"] == "factored"
-        assert extra["rank"] == 2 * extra["k_rule"][0] * extra["k_rule"][1]
-        # 1024 nodes, a wider factor: the node-side Gram is the smaller one
-        assert extra["rank"] > len(disk42_nystrom.quadrature.weights)
-        assert extra["gram"] == "nodes"
+        n_radial, n_angles = extra["k_rule"]
+        assert len(n_angles) == n_radial
+        assert extra["rank"] == 2 * sum(n_angles)
+        # 1024 nodes, a 720-column tapered factor: its Gram is the smaller one
+        assert extra["rank"] == 720 < len(disk42_nystrom.quadrature.weights)
+        assert extra["gram"] == "factor"
 
 
 @pytest.fixture(scope="module")

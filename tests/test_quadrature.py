@@ -19,6 +19,17 @@ class TestGaussLegendre:
                 want = 0.0 if p % 2 else 2.0 / (p + 1)
                 assert got == pytest.approx(want, abs=1e-13)
 
+    def test_cached_rule_is_a_fresh_copy(self):
+        # the rule is computed once per n; callers get arrays of their own
+        first = gauss_legendre(9)
+        want = np.polynomial.legendre.leggauss(9)
+        first.nodes[:] = 0.0
+        first.weights *= 2.0
+        again = gauss_legendre(9)
+        assert again.nodes is not first.nodes and again.nodes.flags.writeable
+        np.testing.assert_array_equal(again.nodes, want[0])
+        np.testing.assert_array_equal(again.weights, want[1])
+
     def test_degree_2n_not_exact(self):
         rule = gauss_legendre(3)
         got = np.sum(rule.weights * rule.nodes ** 6)
