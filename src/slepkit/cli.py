@@ -269,7 +269,7 @@ def _cmd_grid(args):
     domain = _parse_spectral(args.spectral)
     problem = build_problem(region, domain, args.spacing,
                             embed_factor=args.embed)
-    basis = solve(problem, args.count, seed=args.seed)
+    basis = solve(problem, args.count)
     nx, ny = problem.grid.nx, problem.grid.ny
     n_spatial = int(np.sum(problem.spatial_mask))
     n_spectral = int(np.sum(problem.spectral_mask))
@@ -347,7 +347,8 @@ def _build_parser():
     p.add_argument("--embed", type=float, default=3.0,
                    help="embedding factor for the computation grid")
     p.add_argument("--count", type=int, default=4, help="eigenpairs to keep")
-    p.add_argument("--seed", type=int, default=0, help="start-vector seed")
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted and ignored: the solve is direct")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(run=_cmd_grid)
     return parser

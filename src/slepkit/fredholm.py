@@ -100,11 +100,27 @@ def _fix_signs(samples, nodes, weights):
     return samples
 
 
-def _eigh(mat, **kwargs):
+def _eigh(mat, count=None):
+    """Top `count` pairs (ascending) of a symmetric matrix, all when None.
+
+    LAPACK's index-subset drivers can come back short on an exact cluster
+    (the identity-like Gram of an all-pass band), so a short subset is
+    solved again in full; a solve that still misses pairs raises.
+    """
+    m = len(mat)
+    count = m if count is None else count
+    subset = None if count == m else [m - count, m - 1]
     try:
-        return scipy.linalg.eigh(mat, **kwargs)
+        vals, vecs = scipy.linalg.eigh(mat, subset_by_index=subset)
+        if len(vals) < count:
+            vals, vecs = scipy.linalg.eigh(mat)
+            vals, vecs = vals[m - count:], vecs[:, m - count:]
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"dense symmetric eigensolve failed: {exc}") from exc
+    if len(vals) < count:
+        raise NumericalError(
+            f"dense symmetric eigensolve returned {len(vals)} of {count} pairs")
+    return vals, vecs
 
 
 def _node_eigs(kernel, nodes, sw, count=None):
@@ -117,9 +133,7 @@ def _node_eigs(kernel, nodes, sw, count=None):
         raise NumericalError("kernel matrix has non-finite entries")
     sym = kmat * sw[:, None] * sw[None, :]
     sym = 0.5 * (sym + sym.T)
-    n = len(sw)
-    subset = None if count is None else [n - count, n - 1]
-    vals, vecs = _eigh(sym, subset_by_index=subset)
+    vals, vecs = _eigh(sym, count)
     return vals, vecs, np.diagonal(kmat)
 
 
@@ -143,7 +157,7 @@ def _factored_eigs(kernel, nodes, sw, count):
         b = sw[:, None] * kernel.features(nodes, origin, span)
         if not np.all(np.isfinite(b)):
             raise NumericalError("kernel factor has non-finite entries")
-        vals, v = _eigh(b.T @ b, subset_by_index=[rank - count, rank - 1])
+        vals, v = _eigh(b.T @ b, count)
         if vals[0] >= FACTOR_FLOOR * vals[-1]:
             extra["gram"] = "factor"
             diag = np.asarray(kernel(nodes, nodes), dtype=float)

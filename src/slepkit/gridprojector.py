@@ -1,22 +1,22 @@
 """Concentration eigenproblems for arbitrary spatial and spectral domains.
 
 Everything lives on a discrete grid: the spatial indicator and the spectral
-indicator become projection matrices, the unitary FFT moves between the two,
-and the composed operator is diagonalized matrix-free with a Lanczos-type
-iteration.  Any region shape and any Hermitian-symmetric wavenumber set work.
-Each apply transforms only the grid rows that hold support cells and only the
-half-plane wavenumber columns that hold band cells (a pruned FFT): the skipped
-transforms have all-zero input or unread output, so the result is the full
-real 2D FFT composition to the last bit.
+indicator become projection matrices, and the unitary FFT moves between the
+two.  Any region shape and any Hermitian-symmetric wavenumber set work.  The
+operator P F* L F P over the n support cells and its dual L F P F* L over the
+b band cells share their nonzero spectrum; solve() diagonalizes the smaller
+Gram, read off one DFT of the other side's mask.  apply() and the residuals
+run the operator matrix-free through a pruned FFT: only the grid rows that
+hold support cells and the half-plane wavenumber columns that hold band cells
+are transformed, with the same bits as the full real 2D FFT composition.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg
 
-from .errors import ConfigurationError, NumericalError
-from .fredholm import _fix_signs
+from .errors import ConfigurationError
+from .fredholm import _eigh, _fix_signs
 from .geometry import Region, contains_many
 from .planeslep import GridField, GridSpec, _centered_grid, periodogram
 
@@ -60,15 +60,15 @@ class GridBasis:
     fields have unit grid-l2 norm and are exactly zero outside the spatial
     mask; their signs follow the Nystrom rule (positive at the support cell
     nearest the support centroid).  residuals hold max|A f - lambda f| of each
-    field.  extra records how the spectrum was computed: the Krylov subspace
-    size `ncv`, the operator applies made by the eigensolver (`matvecs`), and
-    the pruned transform sizes (`rows` along x, `columns` along y).
+    field, with A applied through the pruned FFTs.  extra records how the
+    spectrum was computed: the Gram diagonalized (`gram`, "band" or
+    "support"), the band factor's rank bound `rank` (the band cell count b),
+    and the pruned transform sizes (`rows` along x, `columns` along y).
     """
     problem: OperatorProblem
     eigenvalues: np.ndarray        # real, descending
     fields: np.ndarray             # (count, ny, nx)
     residuals: np.ndarray
-    seed: int
     extra: dict = field(default_factory=dict)
 
 
@@ -182,54 +182,33 @@ def apply(problem, field):
     return out.reshape(shape)
 
 
-def solve(problem, count, seed=0, tol=1e-10, maxiter=None):
-    """Top `count` eigenpairs of the composed operator, matrix-free.
+def solve(problem, count):
+    """Top `count` eigenpairs of the composed operator, by a direct solve.
 
-    A Lanczos-type iteration runs on vectors over the support cells only; the
-    start vector is drawn from `seed` over the whole grid and gathered there,
-    making the run deterministic.  Eigenvalues land in [0, 1] up to solver
-    slack because both projections are orthogonal.
+    A = P F* L F P on the n support cells equals B B^T for a real band factor
+    B of b columns (b band cells), which is never built: the b x b Gram
+    B^T B comes from fft2(spatial_mask) when b <= n, else A itself from
+    ifft2(spectral_mask), each read at index differences.  Eigenvalues lie in
+    [0, 1] because both projections are orthogonal; null-space rounding
+    below 0 is clipped.
     """
     count = int(count)
     if count < 1:
         raise ConfigurationError("count must be at least 1")
     ny, nx = problem.grid.ny, problem.grid.nx
     cells, matvec, (rows, columns) = _support_operator(problem)
-    n = len(cells)
-    if count > n - 2:
+    n, b = len(cells), int(problem.spectral_mask.sum())
+    if count > min(n, b):
         raise ConfigurationError(
-            f"count {count} too large for {n} cells inside the region")
-    if maxiter is None:
-        maxiter = int(10 * count * np.sqrt(nx * ny)) + 100
-
-    matvecs = 0
-
-    def counted(v):
-        nonlocal matvecs
-        matvecs += 1
-        return matvec(v)
-
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=counted, dtype=float)
-    rng = np.random.RandomState(int(seed))
-    v0 = rng.standard_normal(nx * ny)[cells]
-    v0 /= np.linalg.norm(v0)
-    # the spectrum clusters at 1 with a cluster roughly as wide as the
-    # discrete Shannon number; the Krylov subspace must span it to converge
-    shannon = (n * problem.spectral_mask.sum()) / (nx * ny)
-    rank_cap = int(min(n, problem.spectral_mask.sum()))
-    ncv = max(2 * count + 1, 20, int(np.ceil(shannon)) + count + 10)
-    ncv = min(ncv, rank_cap + count, n - 1)
-    ncv = max(ncv, count + 2)
-    try:
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            op, k=count, which="LA", v0=v0, tol=tol, maxiter=maxiter, ncv=ncv)
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise NumericalError(
-            f"eigensolver stalled after {maxiter} iterations; "
-            f"{len(exc.eigenvalues)} of {count} pairs converged") from exc
-
-    order = np.argsort(-vals, kind="stable")
-    vals, samples = vals[order], vecs[:, order].T
+            f"count {count} exceeds the operator's rank: {n} cells inside the "
+            f"region, band factor of rank {b}")
+    if b <= n:
+        vals, samples = _band_eigs(problem, count)
+    else:
+        table = np.fft.ifft2(problem.spectral_mask).real
+        vals, vecs = _eigh(_pairwise(table, *np.divmod(cells, nx), -1), count)
+        vals, samples = vals[::-1], vecs[:, ::-1].T
+    vals = np.maximum(vals, 0.0)
     _fix_signs(samples, problem.grid.points()[cells], np.ones(n))
     resid = np.array([np.max(np.abs(matvec(v) - lam * v))
                       for lam, v in zip(vals, samples)])
@@ -237,9 +216,61 @@ def solve(problem, count, seed=0, tol=1e-10, maxiter=None):
     fields[:, cells] = samples
     return GridBasis(problem=problem, eigenvalues=vals,
                      fields=fields.reshape(count, ny, nx), residuals=resid,
-                     seed=int(seed),
-                     extra={"ncv": ncv, "matvecs": matvecs, "rows": rows,
-                            "columns": columns})
+                     extra={"gram": "band" if b <= n else "support",
+                            "rank": b, "rows": rows, "columns": columns})
+
+
+def _pairwise(table, iy, ix, sign):
+    """table[(iy_a + sign iy_b) mod ny, (ix_a + sign ix_b) mod nx], all a, b."""
+    ny, nx = table.shape
+    return table[np.add.outer(iy, sign * iy) % ny,
+                 np.add.outer(ix, sign * ix) % nx]
+
+
+def _band_eigs(problem, count):
+    """Top `count` pairs of B^T B, descending, as samples on the support cells.
+
+    B has a cos and a sin column, scaled by sqrt(2 / (nx ny)), for one cell k
+    of each +-k band pair, and a cos column scaled by 1 / sqrt(nx ny) for each
+    self-conjugate cell.  With M = fft2(spatial_mask) / (nx ny), the support
+    sums of cos cos, sin sin and cos sin are Re[M(k-k') +- M(k+k')] / 2 and
+    Im[M(k-k') - M(k+k')] / 2.  Each eigenvector v maps to B v through
+    separable phase tables, and QR orthonormalizes those samples largest
+    pair first: that strips the error the larger pairs leak into B v, which
+    grows as 1 / sqrt(lambda) relative to it.
+    """
+    ny, nx = problem.grid.ny, problem.grid.nx
+    ky, kx = np.nonzero(problem.spectral_mask)
+    flat, mirror = ky * nx + kx, (-ky % ny) * nx + (-kx % nx)
+    keep = flat <= mirror
+    ky, kx, pair = ky[keep], kx[keep], (flat != mirror)[keep]
+    scale = np.where(pair, np.sqrt(2.0), 1.0)
+
+    table = np.fft.fft2(problem.spatial_mask) / (nx * ny)
+    diff, total = _pairwise(table, ky, kx, -1), _pairwise(table, ky, kx, 1)
+    half = 0.5 * np.outer(scale, scale)
+    cs = (half * (diff.imag - total.imag))[:, pair]
+    gram = np.block([
+        [half * (diff.real + total.real), cs],
+        [cs.T, (half * (diff.real - total.real))[np.ix_(pair, pair)]]])
+    del diff, total
+    vals, vecs = _eigh(gram, count)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+
+    # B v = Re sum_k w_k e^{i k.x}, w = scale (v_cos - i v_sin) / sqrt(nx ny)
+    w = vecs[:len(ky)].astype(complex)
+    w[pair] -= 1j * vecs[len(ky):]
+    w *= (scale / np.sqrt(nx * ny))[:, None]
+    support_rows = np.flatnonzero(problem.spatial_mask.any(axis=1))
+    uy, jy = np.unique(ky, return_inverse=True)
+    ux, jx = np.unique(kx, return_inverse=True)
+    coef = np.zeros((count, len(uy), len(ux)), dtype=complex)
+    coef[:, jy, jx] = w.T
+    ey = np.exp(2j * np.pi * (np.outer(support_rows, uy) % ny) / ny)
+    ex = np.exp(2j * np.pi * (np.outer(ux, np.arange(nx)) % nx) / nx)
+    synth = (ey @ coef @ ex).real.reshape(count, -1)
+    local = np.flatnonzero(problem.spatial_mask[support_rows])
+    return vals, np.linalg.qr(synth[:, local].T)[0].T
 
 
 def weighted_periodogram_sum(basis, count):

@@ -295,10 +295,12 @@ class TestEnvironment:
         capsys.readouterr()
 
     def test_import_leaves_out_interpolate(self):
-        # scipy.interpolate loads only when a spline boundary is drawn
+        # scipy.interpolate loads only when a spline boundary is drawn, and
+        # no solver needs scipy.sparse
         src = str(pathlib.Path(slepkit.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = ("import sys, slepkit.cli; assert 'scipy.interpolate' not in sys.modules; "
+                "assert 'scipy.sparse' not in sys.modules; "
                 "slepkit.spline_boundary([[0, 0], [1, 0], [1, 1], [0, 1]], 12); "
                 "assert 'scipy.interpolate' in sys.modules")
         subprocess.run([sys.executable, "-c", code], check=True, timeout=300,

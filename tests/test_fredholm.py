@@ -5,17 +5,18 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slepkit import (
-    DiskBandKernel, ExtensionError, Region, disk_kernel,
+    DiskBandKernel, ExtensionError, NumericalError, Region, disk_kernel,
     eigennormalized_samples, gauss_legendre, map_rule, nystrom_eigs,
     nystrom_extend, read_region, region_quadrature, sinc_kernel,
     solve_region_disk,
 )
 from slepkit import kernels
-from slepkit.fredholm import EXTEND_CHUNK, _radius
+from slepkit.fredholm import EXTEND_CHUNK, _eigh, _radius
 from conftest import boundary_path
 from test_geometry import star_polygons
 
@@ -196,6 +197,44 @@ class TestValidation:
             weights = np.array([0.2, -0.1, 0.2, 0.2, 0.2])
         with pytest.raises(ValueError):
             nystrom_eigs(constant_kernel, FakeRule(), 1)
+
+
+class TestShortEigensolve:
+    def test_missing_pair_raises(self, monkeypatch):
+        # a plain kernel solves in full, a factored one for a subset of the
+        # Gram; either way a solve that comes back a pair short is an error
+        eigh = scipy.linalg.eigh
+
+        def drop_one(*args, **kwargs):
+            vals, vecs = eigh(*args, **kwargs)
+            return vals[1:], vecs[:, 1:]
+
+        monkeypatch.setattr(scipy.linalg, "eigh", drop_one)
+        with pytest.raises(NumericalError, match="pairs"):
+            nystrom_eigs(partial(sinc_kernel, 3.0),
+                         map_rule(gauss_legendre(32), -1, 1), 4)
+        with pytest.raises(NumericalError, match="pairs"):
+            nystrom_eigs(DiskBandKernel(3.0),
+                         region_quadrature(Region.disk((0.0, 0.0), 1.0), 12), 4)
+
+    def test_short_subset_solved_in_full(self, monkeypatch):
+        # LAPACK's subset drivers can miss pairs of an exact cluster; the
+        # full solve then supplies the top ones
+        a = np.random.default_rng(3).standard_normal((30, 30))
+        mat = a @ a.T
+        full_vals, full_vecs = np.linalg.eigh(mat)
+        eigh = scipy.linalg.eigh
+
+        def short_subsets(mat, subset_by_index=None):
+            if subset_by_index is not None:
+                return np.empty(0), np.empty((len(mat), 0))
+            return eigh(mat)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", short_subsets)
+        vals, vecs = _eigh(mat, 4)
+        np.testing.assert_allclose(vals, full_vals[-4:], rtol=1e-13)
+        overlap = np.abs(np.sum(vecs * full_vecs[:, -4:], axis=0))
+        np.testing.assert_allclose(overlap, 1.0, atol=1e-12)
 
 
 def star_region():

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slepkit import (
-    ConfigurationError, GridField, Region, SpectralDomain, apply_operator,
-    build_problem, periodogram, solve, wedge_domain,
+    ConfigurationError, GridField, NumericalError, Region, SpectralDomain,
+    apply_operator, build_problem, periodogram, solve, wedge_domain,
     weighted_periodogram_sum,
 )
+from test_geometry import star_polygons
 
 SQUARE = Region.polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
 NOTCHED = Region.polygon([(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (3, 2),
@@ -43,15 +47,34 @@ def all_pass_problem():
                          embed_factor=2.5)
 
 
-def mask_problem(spacing, seed):
-    # a random wavenumber set, made symmetric through k = 0, on the
-    # grid the square gets at this spacing
-    grid = build_problem(SQUARE, SpectralDomain.disk(1.0), spacing,
-                         embed_factor=2.5).grid
-    m = np.random.default_rng(seed).random((grid.ny, grid.nx)) < 0.2
+def mask_problem(spacing, seed, region=SQUARE, cells=None, embed=2.5):
+    # a random wavenumber set (each cell kept with probability 0.2, or
+    # `cells` distinct cells), made symmetric through k = 0, on the grid
+    # the region gets at this spacing
+    grid = build_problem(region, SpectralDomain.disk(1.0), spacing,
+                         embed_factor=embed).grid
+    rng = np.random.default_rng(seed)
+    if cells is None:
+        m = rng.random((grid.ny, grid.nx)) < 0.2
+    else:
+        m = np.zeros(grid.ny * grid.nx, dtype=bool)
+        m[rng.choice(m.size, min(cells, m.size), replace=False)] = True
+        m = m.reshape(grid.ny, grid.nx)
     dom = SpectralDomain.grid_mask(m | reflect(m), np.arange(grid.nx),
                                    np.arange(grid.ny))
-    return build_problem(SQUARE, dom, spacing, embed_factor=2.5)
+    return build_problem(region, dom, spacing, embed_factor=embed)
+
+
+def dense_operator(problem):
+    """Oracle: P F* L F P on the support cells, one complex_apply per column."""
+    cells = np.flatnonzero(problem.spatial_mask)
+    cols = []
+    for c in cells:
+        e = np.zeros(problem.spatial_mask.size)
+        e[c] = 1.0
+        cols.append(complex_apply(problem, e.reshape(problem.spatial_mask.shape))
+                    .ravel()[cells])
+    return np.array(cols).T
 
 
 # (builder, (nx % 2, ny % 2)): disk, wedge and mask domains on every parity
@@ -227,15 +250,95 @@ class TestSolve:
             assert r == pytest.approx(want, abs=1e-15)
 
     def test_deterministic(self, disk_problem):
-        a = solve(disk_problem, 3, seed=42)
-        b = solve(disk_problem, 3, seed=42)
+        a = solve(disk_problem, 3)
+        b = solve(disk_problem, 3)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.fields, b.fields)
 
-    def test_seed_independent_spectrum(self, disk_problem, disk_basis):
-        other = solve(disk_problem, 4, seed=123)
-        np.testing.assert_allclose(other.eigenvalues, disk_basis.eigenvalues,
-                                   atol=1e-9)
+    @pytest.mark.parametrize("name", sorted(ORACLE_PROBLEMS) + ["all-pass"])
+    def test_matches_dense_oracle(self, name):
+        # the whole nonzero spectrum, on both Gram sides: band (disk, wedge)
+        # and support (mask, all-pass, where the band outnumbers the cells)
+        problem = (all_pass_problem() if name == "all-pass"
+                   else ORACLE_PROBLEMS[name][0]())
+        n, b = problem.spatial_mask.sum(), problem.spectral_mask.sum()
+        want = np.linalg.eigvalsh(dense_operator(problem))[::-1]
+        basis = solve(problem, min(n, b))
+        assert basis.extra["gram"] == ("band" if b <= n else "support")
+        assert np.max(np.abs(basis.eigenvalues - want[:min(n, b)])) <= 1e-13
+        assert np.all(basis.residuals <= 1e-12)
+        f = basis.fields.reshape(min(n, b), -1)
+        assert np.max(np.abs(f @ f.T - np.eye(min(n, b)))) <= 1e-12
+
+    def test_null_space_pairs_stay_accurate(self):
+        # every band pair of a wide disk band: the tail eigenvalues reach the
+        # rounding floor, where B v / sqrt(lambda) alone is swamped by what
+        # the larger pairs leak into it (residuals ~4e-9, overlaps ~0.9)
+        p = build_problem(Region.disk((0.1, 0.0), 1.0), SpectralDomain.disk(6.0),
+                          0.1)
+        n, b = p.spatial_mask.sum(), p.spectral_mask.sum()
+        assert b < n
+        basis = solve(p, b)
+        assert basis.extra["gram"] == "band" and basis.eigenvalues[-1] < 1e-15
+        assert np.all(basis.eigenvalues >= 0.0)
+        assert np.all(basis.residuals <= 1e-12)
+        f = basis.fields.reshape(b, -1)
+        assert np.max(np.abs(f @ f.T - np.eye(b))) <= 1e-13
+
+    def test_direct_solve_skips_arpack(self, monkeypatch):
+        # the asymmetric wedge problem of acceptance 09
+        p = build_problem(ASYM, wedge_domain(0.5, 0.3, 6.0), 0.2,
+                          embed_factor=2.5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigsh reached")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
+        extra = solve(p, 4).extra
+        g = p.grid
+        assert extra["rank"] == p.spectral_mask.sum() and extra["gram"] == "band"
+        assert extra["columns"] < g.nx // 2 + 1 and extra["rows"] < g.ny
+        assert extra["columns"] == np.sum(p.spectral_mask[:, :g.nx // 2 + 1].any(axis=0))
+        assert extra["rows"] == np.sum(p.spatial_mask.any(axis=1))
+
+    def test_fields_positive_at_centroid(self):
+        # the asymmetric wedge problem of acceptance 09, whose fields tie at
+        # +-max|f|: the sign is anchored at the cell nearest the centroid
+        p = build_problem(ASYM, wedge_domain(0.5, 0.3, 6.0), 0.2,
+                          embed_factor=2.5)
+        cells = np.flatnonzero(p.spatial_mask)
+        pts = p.grid.points()[cells]
+        i0 = cells[np.argmin(np.sum((pts - pts.mean(axis=0)) ** 2, axis=1))]
+        fields = solve(p, 4).fields.reshape(4, -1)
+        assert np.all(fields[:, i0] > 1e-12)
+
+    @pytest.mark.parametrize("name", ["disk-odd", "mask-even"])
+    def test_short_eigensolve_raises(self, name, monkeypatch):
+        eigh = scipy.linalg.eigh
+
+        def drop_one(*args, **kwargs):
+            vals, vecs = eigh(*args, **kwargs)
+            return vals[1:], vecs[:, 1:]
+
+        monkeypatch.setattr(scipy.linalg, "eigh", drop_one)
+        with pytest.raises(NumericalError, match="pairs"):
+            solve(ORACLE_PROBLEMS[name][0](), 3)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(verts=star_polygons(), spacing=st.floats(0.15, 0.4),
+           cells=st.integers(1, 300), seed=st.integers(0, 2 ** 16),
+           count=st.integers(1, 40))
+    def test_random_problems_in_unit_interval(self, verts, spacing, cells,
+                                              seed, count):
+        # random star regions under random symmetrized wavenumber sets, from
+        # a band of one +-k pair to bands that outnumber the support cells
+        p = mask_problem(spacing, seed, Region.polygon(verts), cells, 2.0)
+        count = min(count, p.spatial_mask.sum(), p.spectral_mask.sum())
+        basis = solve(p, count)
+        lam = basis.eigenvalues
+        assert np.all(np.diff(lam) <= 0.0)
+        assert np.all(lam >= 0.0) and np.all(lam <= 1.0 + 1e-12)
+        assert np.all(basis.residuals <= 1e-12)
 
     def test_all_pass_band_gives_unit_eigenvalues(self):
         p = all_pass_problem()
@@ -256,48 +359,19 @@ class TestSolve:
             ls = np.where(l, np.fft.fft2(v, norm="ortho"), 0.0)
             assert np.linalg.norm(ls - lam * s) <= 1e-10
 
-    def test_fields_independent_of_seed(self):
-        # the asymmetric wedge problem of acceptance 09: the peak cell used
-        # to tie at +-max|f|, so the seed picked the sign
-        p = build_problem(ASYM, wedge_domain(0.5, 0.3, 6.0), 0.2,
-                          embed_factor=2.5)
-        ref = solve(p, 4, seed=0).fields
-        for seed in (1, 2, 3):
-            np.testing.assert_allclose(solve(p, 4, seed=seed).fields, ref,
-                                       rtol=0, atol=1e-10)
-
-    def test_extra_records_solve(self, monkeypatch):
-        # the asymmetric wedge problem of acceptance 09
-        p = build_problem(ASYM, wedge_domain(0.5, 0.3, 6.0), 0.2,
-                          embed_factor=2.5)
-        seen = {"matvecs": 0}
-        eigsh = scipy.sparse.linalg.eigsh
-
-        def counting(a, *args, **kwargs):
-            seen["ncv"] = kwargs["ncv"]
-
-            def matvec(v):
-                seen["matvecs"] += 1
-                return a.matvec(v)
-
-            return eigsh(scipy.sparse.linalg.LinearOperator(
-                a.shape, matvec=matvec, dtype=a.dtype), *args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
-        extra = solve(p, 4).extra
-        g = p.grid
-        assert extra["columns"] < g.nx // 2 + 1 and extra["rows"] < g.ny
-        assert extra["columns"] == np.sum(p.spectral_mask[:, :g.nx // 2 + 1].any(axis=0))
-        assert extra["rows"] == np.sum(p.spatial_mask.any(axis=1))
-        assert extra["matvecs"] > 0
-        assert (extra["matvecs"], extra["ncv"]) == (seen["matvecs"], seen["ncv"])
-
     def test_count_validation(self, disk_problem):
         n = int(disk_problem.spatial_mask.sum())
         with pytest.raises(ConfigurationError):
             solve(disk_problem, 0)
         with pytest.raises(ConfigurationError, match=f"{n} cells"):
             solve(disk_problem, n - 1)
+
+    def test_count_beyond_rank(self, disk_problem):
+        # past the b band cells only null-space noise is left
+        b = int(disk_problem.spectral_mask.sum())
+        assert len(solve(disk_problem, b).eigenvalues) == b
+        with pytest.raises(ConfigurationError, match=f"rank {b}"):
+            solve(disk_problem, b + 1)
 
     def test_wedge_pair_close_but_distinct(self):
         lam = {}

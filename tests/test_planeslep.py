@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slepkit import (
     ConfigurationError, ExtensionError, GridField, GridSpec, Region, area, disk_kernel,
@@ -181,6 +183,19 @@ class TestPeriodogram:
         p = periodogram(field)
         lhs = np.sum(p.values) * p.grid.dx * p.grid.dy / (2 * np.pi) ** 2
         rhs = np.sum(field.values ** 2) * grid.dx * grid.dy
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(nx=st.integers(1, 40), ny=st.integers(1, 40),
+           dx=st.floats(1e-3, 1e3), dy=st.floats(1e-3, 1e3),
+           seed=st.integers(0, 2 ** 16))
+    def test_parseval_on_any_grid(self, nx, ny, dx, dy, seed):
+        # odd and even sides, one-cell axes and unequal spacings alike
+        grid = GridSpec(x0=-0.5 * nx * dx, y0=0.0, dx=dx, dy=dy, nx=nx, ny=ny)
+        field = GridField(grid, np.random.default_rng(seed).standard_normal((ny, nx)))
+        p = periodogram(field)
+        lhs = np.sum(p.values) * p.grid.dx * p.grid.dy / (2 * np.pi) ** 2
+        rhs = np.sum(field.values ** 2) * dx * dy
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_constant_field_concentrates_at_origin(self):
