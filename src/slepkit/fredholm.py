@@ -33,21 +33,50 @@ class NystromSolution:
     def kernel_apply(self, rows, x):
         """sum_j w_j kernel(x, x_j) rows[a, j] at points x, shape (m, len(rows)).
 
-        `x` is (m,) for a 1D rule and (m, 2) for a planar one.  A factored
-        kernel goes through A(x) (A(nodes)^T W rows^T) on a k-rule sized to the
-        largest query-to-node distance, as long as that rule is no wider than
-        the node count; otherwise, and for plain kernels, through the kernel.
+        `x` is (m,) for a 1D rule and (..., 2) for a planar one; output rows
+        follow the points in C order.  A factored kernel goes through
+        A(x) (A(nodes)^T W rows^T) on a k-rule sized to the largest
+        query-to-node distance.  When `x` is a (ny, nx, 2) tensor grid (x
+        constant down every column, y along every row, compared exactly), A(x)
+        is never formed: the kernel's 1D phase tables synthesize it, and the
+        factor is taken while its width 2q is at most max(n, m).  Other points
+        take it while 2q <= n.  Past those widths, and for plain kernels, the
+        extension goes through the kernel itself.  Node-side factor chunks,
+        query blocks and kernel blocks each hold at most EXTEND_CHUNK entries;
+        only the grid's (nx, q) x table is built whole.
         """
         kernel, nodes = self.kernel, self.nodes
         wr = (self.weights * np.atleast_2d(rows)).T            # (n, r)
         x = np.asarray(x, dtype=float)
+        axes = _grid_axes(x) if nodes.ndim == 2 else None
+        x = x.reshape(-1, 2) if nodes.ndim == 2 else x.ravel()
         if hasattr(kernel, "features"):
             origin = np.mean(nodes, axis=0)
             span = _radius(x, origin) + _radius(nodes, origin)
-            if kernel.rank(span) <= len(nodes):
-                coef = kernel.features(nodes, origin, span).T @ wr
-                return _chunked(lambda p: kernel.features(p, origin, span) @ coef, x, coef.shape)
-        return _chunked(lambda p: kernel(p[:, None], nodes[None]) @ wr, x, wr.shape)
+            width = kernel.rank(span)
+            if width <= (len(nodes) if axes is None else max(len(nodes), len(x))):
+                coef = sum(kernel.features(nodes[lo:hi], origin, span).T @ wr[lo:hi]
+                           for lo, hi in _steps(len(nodes), width))
+                if axes is None:
+                    return _chunked(lambda p: kernel.features(p, origin, span) @ coef,
+                                    x, width, wr.shape[1:])
+                # a grid row costs q phases of E_y and nx synthesized values
+                xs, ys = axes
+                grid = _chunked(lambda y: kernel.grid_apply(coef, xs, y, origin, span),
+                                ys, max(width // 2, len(xs)), (len(xs), wr.shape[1]))
+                return grid.reshape(len(x), -1)
+        return _chunked(lambda p: kernel(p[:, None], nodes[None]) @ wr, x, len(nodes),
+                        wr.shape[1:])
+
+
+def _grid_axes(x):
+    """(x axis, y axis) of a (ny, nx, 2) array that is a tensor grid, else None."""
+    if x.ndim != 3 or x.shape[-1] != 2 or x.size == 0:
+        return None
+    xs, ys = x[0, :, 0], x[:, 0, 1]
+    if np.all(x[..., 0] == xs) and np.all(x[..., 1] == ys[:, None]):
+        return xs, ys
+    return None
 
 
 def _radius(points, origin):
@@ -55,14 +84,19 @@ def _radius(points, origin):
     return float(np.max(np.hypot(*(points - origin).T), initial=0.0))
 
 
-def _chunked(block, x, shape):
-    """block(x[lo:hi]) stacked; block multiplies a (points, width) matrix by one
-    of `shape` (width, columns), so chunks hold at most EXTEND_CHUNK entries."""
-    width, n_out = shape
-    out = np.empty((len(x), n_out))
+def _steps(count, width):
+    """[lo, hi) slices over `count` items costing `width` entries each, at
+    most EXTEND_CHUNK entries per slice."""
     step = max(1, EXTEND_CHUNK // max(1, width))
-    for lo in range(0, len(x), step):
-        out[lo:lo + step] = block(x[lo:lo + step])
+    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def _chunked(block, x, width, tail):
+    """block(x[lo:hi]) stacked into shape (len(x),) + tail, in slices whose
+    transient blocks of `width` entries per item hold at most EXTEND_CHUNK."""
+    out = np.empty((len(x),) + tuple(tail))
+    for lo, hi in _steps(len(x), width):
+        out[lo:hi] = block(x[lo:hi])
     return out
 
 
@@ -227,7 +261,9 @@ def nystrom_extend(solution, index, x):
     f(x) = (1/lambda) sum_j w_j kernel(x, x_j) f(x_j).  Raises for eigenvalues
     at or below 1e-12, where the division amplifies quadrature noise.  A
     sequence of indices extends them all in one kernel pass; the result then
-    gains a leading axis over the indices.
+    gains a leading axis over the indices.  Planar points keep their shape
+    on the way to `kernel_apply`, so a (ny, nx, 2) tensor grid extends
+    through the kernel's 1D phase tables.
     """
     lam = np.atleast_1d(solution.eigenvalues[index])
     low = lam <= 1e-12
@@ -237,12 +273,12 @@ def nystrom_extend(solution, index, x):
     if solution.nodes.ndim == 1:
         scalar = pts.ndim == 0
         shape = np.atleast_1d(pts).shape
-        flat = np.atleast_1d(pts).ravel()
+        pts = np.atleast_1d(pts).ravel()
     else:
         scalar = pts.ndim == 1
         shape = pts.shape[:-1]
-        flat = pts.reshape(-1, 2)
-    out = (solution.kernel_apply(solution.node_samples[index], flat) / lam).T
+        pts = np.atleast_2d(pts)
+    out = (solution.kernel_apply(solution.node_samples[index], pts) / lam).T
     if np.ndim(index) == 0:
         return float(out[0, 0]) if scalar else out[0].reshape(shape)
     return out[:, 0] if scalar else out.reshape((len(lam),) + shape)

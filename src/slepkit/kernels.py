@@ -43,8 +43,8 @@ class DiskBandKernel:
     turns it into A(x) A(x')^T with real cos/sin columns; `features` builds A
     on a tapered polar rule that reproduces the kernel to ~1e-13 relative for
     every separation |x - x'| <= span.  Its angle counts and wavevectors are
-    each built once per span and shared by `rule_sizes`, `rank` and
-    `features`.
+    each built once per span and shared by `rule_sizes`, `rank`, `features`
+    and `grid_apply`, which extends through the factor on a tensor grid.
     """
 
     def __init__(self, k):
@@ -86,6 +86,26 @@ class DiskBandKernel:
         np.sin(phase, out=out[:, q:])
         out[:, :q] *= scale
         out[:, q:] *= scale
+        return out
+
+    def grid_apply(self, coef, x_axis, y_axis, origin, span):
+        """features(p, origin, span) @ coef at the tensor grid points p, shaped (ny, nx, r).
+
+        A factor column pair is scale (cos, sin) of (x - o_x) kx + (y - o_y) ky,
+        so with the 1D phase tables E_x = exp(i (x - o_x) kx) (nx, q) and
+        E_y = exp(i (y - o_y) ky) (ny, q), column a of the (2q, r) `coef` gives
+        Re[E_y diag(c_a) E_x^T], c_a = scale (coef[:q, a] - i coef[q:, a]): one
+        complex GEMM per column and (nx + ny) q phases instead of nx ny 2q.
+        """
+        kx, ky, scale = _wavevectors(self.k, float(span))
+        q = len(kx)
+        ox, oy = np.asarray(origin, dtype=float)
+        ex = np.exp(1j * np.multiply.outer(np.asarray(x_axis, dtype=float) - ox, kx))
+        ey = np.exp(1j * np.multiply.outer(np.asarray(y_axis, dtype=float) - oy, ky))
+        chat = scale[:, None] * (coef[:q] - 1j * coef[q:])
+        out = np.empty((len(ey), len(ex), coef.shape[1]))
+        for a in range(coef.shape[1]):
+            out[..., a] = ((ey * chat[:, a]) @ ex.T).real
         return out
 
 

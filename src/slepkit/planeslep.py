@@ -154,24 +154,38 @@ def evaluate_g(basis, index, grid):
     """Bandlimited eigenfunction `index` sampled everywhere on a grid.
 
     A sequence of indices gives a list of fields, all extended in one pass.
+    The points go to the extension shaped (ny, nx, 2), so a factored kernel
+    synthesizes them from 1D phase tables (see NystromSolution.kernel_apply)
+    instead of evaluating the factor at every grid point.
     """
+    return _extend_on_grid(basis, index, grid, _grid_points(grid))
+
+
+def _grid_points(grid):
+    """The grid's points shaped (ny, nx, 2), x varying fastest."""
+    return grid.points().reshape(grid.ny, grid.nx, 2)
+
+
+def _extend_on_grid(basis, index, grid, pts):
     scale = np.sqrt(np.clip(basis.eigenvalues[index], 0.0, None))
-    vals = scale[..., None] * nystrom_extend(basis.solution, index, grid.points())
+    vals = scale[..., None, None] * nystrom_extend(basis.solution, index, pts)
     if np.ndim(index) == 0:
-        return GridField(grid, vals.reshape(grid.ny, grid.nx))
-    return [GridField(grid, v.reshape(grid.ny, grid.nx)) for v in vals]
+        return GridField(grid, vals)
+    return [GridField(grid, v) for v in vals]
 
 
 def evaluate_h(basis, index, grid, g=None, inside=None):
     """The space-limited twin: equal to g inside the region, exactly 0 outside.
 
     `g` (the evaluate_g field) and `inside` (the region mask on the grid,
-    shaped (ny, nx)) are computed here unless the caller already has them.
+    shaped (ny, nx)) are computed here, from one set of grid points, unless
+    the caller already has them.
     """
+    pts = _grid_points(grid) if g is None or inside is None else None
     if g is None:
-        g = evaluate_g(basis, index, grid)
+        g = _extend_on_grid(basis, index, grid, pts)
     if inside is None:
-        inside = region_mask(basis.region, grid)
+        inside = contains_many(basis.region, pts.reshape(-1, 2)).reshape(grid.ny, grid.nx)
     return GridField(grid, np.where(inside, g.values, 0.0))
 
 
@@ -217,7 +231,8 @@ def weighted_sumsq(basis, grid, count, g=None):
         return GridField(grid, np.tensordot(lam, vals * vals, axes=1))
     # region-orthonormal rows f give sum_j w_j k(x, x_j) f_aj = sqrt(lam_a) g_a,
     # so the plain squared sum of these extensions is the weighted sum wanted
-    block = basis.solution.kernel_apply(basis.solution.node_samples[:count], grid.points())
+    block = basis.solution.kernel_apply(basis.solution.node_samples[:count],
+                                        _grid_points(grid))
     return GridField(grid, np.sum(block * block, axis=1).reshape(grid.ny, grid.nx))
 
 

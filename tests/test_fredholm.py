@@ -15,7 +15,7 @@ from slepkit import (
     nystrom_extend, read_region, region_quadrature, sinc_kernel,
     solve_region_disk,
 )
-from slepkit import kernels
+from slepkit import fredholm, kernels
 from slepkit.fredholm import EXTEND_CHUNK, _eigh, _radius
 from conftest import boundary_path
 from test_geometry import star_polygons
@@ -332,3 +332,107 @@ class TestFactoredKernel:
         assert fact.extra["rank"] > len(rule.weights) and fact.extra["gram"] == "nodes"
         dense = nystrom_eigs(partial(disk_kernel, k), rule, 10)
         np.testing.assert_allclose(fact.eigenvalues, dense.eigenvalues, atol=1e-12)
+
+
+def tensor_grid(nx, ny, center, spacing):
+    """(ny, nx, 2) points of a grid centred at `center`, x varying fastest."""
+    xs = center[0] + spacing[0] * (np.arange(nx) - 0.5 * (nx - 1))
+    ys = center[1] + spacing[1] * (np.arange(ny) - 0.5 * (ny - 1))
+    xx, yy = np.meshgrid(xs, ys)
+    return np.stack([xx, yy], axis=-1)
+
+
+def factor_reference(sol, rows, points):
+    """A(points) (A(nodes)^T W rows^T) with A evaluated point by point: the
+    scattered factor extension, unchunked."""
+    nodes = sol.nodes
+    origin = np.mean(nodes, axis=0)
+    span = _radius(points, origin) + _radius(nodes, origin)
+    coef = sol.kernel.features(nodes, origin, span).T @ (sol.weights * rows).T
+    return sol.kernel.features(points, origin, span) @ coef
+
+
+class TestGridExtension:
+    """kernel_apply on (ny, nx, 2) tensor grids goes through 1D phase tables."""
+
+    @pytest.fixture(scope="class", params=[(0.0, 0.0), (3000.0, -2000.0)])
+    def sol(self, request):
+        # 432 nodes; the k-rule is wider than that past offsets of about 5.
+        # The shifted copy needs every phase taken about the node centroid.
+        region = Region.polygon(star_region().vertices + np.array(request.param))
+        return nystrom_eigs(DiskBandKernel(3.0), region_quadrature(region, 16), 8)
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls = []
+        method = getattr(DiskBandKernel, name)
+
+        def counting(self, *args):
+            calls.append(args)
+            return method(self, *args)
+
+        monkeypatch.setattr(DiskBandKernel, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("seed, nx, ny, offset", [
+        (0, 1, 37, 0.0), (1, 41, 1, 0.5), (2, 23, 19, 0.0), (3, 1, 1, 1.0),
+        (4, 40, 30, 9.0), (5, 64, 64, 25.0), (6, 3, 50, 2.0), (7, 17, 29, 4.0),
+    ])
+    @pytest.mark.parametrize("rows", [1, 8])
+    def test_matches_scattered_factor(self, sol, monkeypatch, seed, nx, ny, offset, rows):
+        # the offsets 9 and 25 need rules wider than the 432 nodes, which the
+        # grid still takes while they are no wider than its point count
+        rng = np.random.default_rng(seed)
+        direction = rng.normal(size=2)
+        center = np.mean(sol.nodes, axis=0) + offset * direction / np.hypot(*direction)
+        pts = tensor_grid(nx, ny, center, rng.uniform(0.01, 0.1, 2))
+        flat = pts.reshape(-1, 2)
+        origin = np.mean(sol.nodes, axis=0)
+        rank = sol.kernel.rank(_radius(flat, origin) + _radius(sol.nodes, origin))
+        assert rank <= max(len(sol.nodes), len(flat))
+        calls = self.spy(monkeypatch, "grid_apply")
+        got = sol.kernel_apply(sol.node_samples[:rows], pts)
+        assert len(calls) == 1 and got.shape == (nx * ny, rows)
+        want = factor_reference(sol, sol.node_samples[:rows], flat)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+    def test_wider_than_grid_and_nodes_uses_kernel(self, sol, monkeypatch):
+        pts = tensor_grid(4, 3, np.mean(sol.nodes, axis=0) + (30.0, -10.0), (0.05, 0.05))
+        calls = self.spy(monkeypatch, "grid_apply")
+        got = sol.kernel_apply(sol.node_samples, pts)
+        assert calls == []
+        plain = dataclasses.replace(sol, kernel=partial(disk_kernel, 3.0))
+        np.testing.assert_array_equal(got, plain.kernel_apply(sol.node_samples,
+                                                              pts.reshape(-1, 2)))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_nudged_point_takes_scattered_path(self, sol, monkeypatch, axis):
+        pts = tensor_grid(23, 19, np.mean(sol.nodes, axis=0) + (0.2, -0.1), (0.1, 0.12))
+        exact = sol.kernel_apply(sol.node_samples, pts)
+        pts[7, 5, axis] = np.nextafter(pts[7, 5, axis], np.inf)
+        calls = self.spy(monkeypatch, "grid_apply")
+        got = sol.kernel_apply(sol.node_samples, pts)
+        assert calls == [] and got.shape == (19 * 23, 8)
+        np.testing.assert_array_equal(got, sol.kernel_apply(sol.node_samples, pts.reshape(-1, 2)))
+        # the nudged point itself moves by an ulp of its coordinate
+        keep = np.arange(len(got)) != 7 * 23 + 5
+        np.testing.assert_allclose(got[keep], exact[keep], rtol=0,
+                                   atol=1e-13 * np.max(np.abs(exact)))
+
+    @pytest.mark.parametrize("shaped", [True, False])
+    def test_chunked_matches_unchunked(self, sol, monkeypatch, shaped):
+        # on the far grid a 942-column rule: 5 nodes per node-side chunk and 10
+        # grid rows per block
+        center = np.mean(sol.nodes, axis=0)
+        pts = tensor_grid(40, 30, center + (9.0, -3.0), (0.02, 0.02))
+        if not shaped:
+            pts = tensor_grid(20, 15, center + (0.3, 0.1), (0.1, 0.1)).reshape(-1, 2)
+        whole = sol.kernel_apply(sol.node_samples, pts)
+        features = self.spy(monkeypatch, "features")
+        grid = self.spy(monkeypatch, "grid_apply")
+        monkeypatch.setattr(fredholm, "EXTEND_CHUNK", 5000)
+        got = sol.kernel_apply(sol.node_samples, pts)
+        node_chunks = sum(np.shares_memory(args[0], sol.nodes) for args in features)
+        query_blocks = len(grid) if shaped else len(features) - node_chunks
+        assert node_chunks > 1 and query_blocks > 1
+        np.testing.assert_allclose(got, whole, rtol=0, atol=1e-14 * np.max(np.abs(whole)))

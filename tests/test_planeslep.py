@@ -1,5 +1,7 @@
 """Arbitrary-region concentration on the plane plus grid export round trips."""
 
+import dataclasses
+from functools import partial
 import warnings
 
 import numpy as np
@@ -8,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slepkit import (
-    ConfigurationError, ExtensionError, GridField, GridSpec, Region, area, disk_kernel,
-    evaluate_g, evaluate_h, nystrom_extend, periodogram, read_grid,
+    ConfigurationError, DiskBandKernel, ExtensionError, GridField, GridSpec, Region, area,
+    disk_kernel, evaluate_g, evaluate_h, nystrom_extend, periodogram, read_grid,
     read_grid_text, region_mask, scale_to_area, shannon_2d, solve_region_disk,
     weighted_sumsq, write_grid, write_grid_text,
 )
+from slepkit.fredholm import _radius
 
 
 class TestGridSpec:
@@ -147,6 +150,14 @@ class TestEvaluation:
         np.testing.assert_array_equal(h.values, np.where(inside, g.values, 0.0))
         np.testing.assert_array_equal(h.values, evaluate_h(small_basis, 2, grid).values)
 
+    def test_h_builds_grid_points_once(self, small_basis, monkeypatch):
+        grid = GridSpec(x0=-1.5, y0=-1.5, dx=0.1, dy=0.1, nx=31, ny=31)
+        calls = []
+        points = GridSpec.points
+        monkeypatch.setattr(GridSpec, "points", lambda self: calls.append(self) or points(self))
+        evaluate_h(small_basis, 1, grid)
+        assert calls == [grid]
+
     def test_g_of_many_indices(self, small_basis):
         grid = GridSpec(x0=-1.7, y0=-1.3, dx=0.11, dy=0.13, nx=29, ny=23)
         many = evaluate_g(small_basis, [0, 5, 11], grid)
@@ -155,6 +166,31 @@ class TestEvaluation:
             assert g.grid == grid
             np.testing.assert_allclose(g.values, want, rtol=0,
                                        atol=1e-14 * np.max(np.abs(want)))
+
+    def test_wide_rule_grid_skips_the_kernel(self, disk42_nystrom, monkeypatch):
+        # the 121^2 grid of acceptance 06 needs a 2398-column rule, wider than
+        # the 1024 nodes but not than the grid, so no Bessel value is computed
+        basis = disk42_nystrom
+        grid = GridSpec(x0=-3.0, y0=-3.0, dx=0.05, dy=0.05, nx=121, ny=121)
+        nodes = basis.quadrature.nodes
+        span = _radius(grid.points(), nodes.mean(axis=0)) + _radius(nodes, nodes.mean(axis=0))
+        assert len(nodes) < basis.solution.kernel.rank(span) == 2398 < grid.nx * grid.ny
+        calls = []
+
+        def spy(self, x, xp):
+            calls.append(np.shape(x))
+            return disk_kernel(self.k, x, xp)
+
+        monkeypatch.setattr(DiskBandKernel, "__call__", spy)
+        fields = evaluate_g(basis, [0, 4, 9], grid)
+        assert calls == []
+        monkeypatch.undo()
+        plain = dataclasses.replace(basis.solution, kernel=partial(disk_kernel, basis.k))
+        sample = np.arange(0, grid.nx * grid.ny, 37)
+        for i, g in zip((0, 4, 9), fields):
+            want = np.sqrt(basis.eigenvalues[i]) * nystrom_extend(plain, i, grid.points()[sample])
+            np.testing.assert_allclose(g.values.ravel()[sample], want, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(g.values)))
 
     def test_g_of_many_indices_refuses_tiny_lambda(self, unit_disk):
         basis = solve_region_disk(unit_disk, 2.0, n_quad=12, count=40)
