@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from . import quadrature
 from .errors import ExtensionError, NumericalError
 
 # kernel or factor entries evaluated at once when extending to many points
@@ -29,6 +30,8 @@ class NystromSolution:
     kernel_tag: str = ""
     trace: float = 0.0        # sum_i w_i kernel(x_i, x_i), the full discrete trace
     extra: dict = field(default_factory=dict)   # how the spectrum was computed
+    segments: np.ndarray = None   # planar node layout (see RegionQuadrature), None in 1D
+    base: np.ndarray = None
 
     def kernel_apply(self, rows, x):
         """sum_j w_j kernel(x, x_j) rows[a, j] at points x, shape (m, len(rows)).
@@ -36,14 +39,17 @@ class NystromSolution:
         `x` is (m,) for a 1D rule and (..., 2) for a planar one; output rows
         follow the points in C order.  A factored kernel goes through
         A(x) (A(nodes)^T W rows^T) on a k-rule sized to the largest
-        query-to-node distance.  When `x` is a (ny, nx, 2) tensor grid (x
-        constant down every column, y along every row, compared exactly), A(x)
-        is never formed: the kernel's 1D phase tables synthesize it, and the
-        factor is taken while its width 2q is at most max(n, m).  Other points
-        take it while 2q <= n.  Past those widths, and for plain kernels, the
-        extension goes through the kernel itself.  Node-side factor chunks,
-        query blocks and kernel blocks each hold at most EXTEND_CHUNK entries;
-        only the grid's (nx, q) x table is built whole.
+        query-to-node distance.  A(nodes) is never formed: the node side is
+        summed per segment of the node layout (`DiskBandKernel.segment_apply`),
+        one-node segments when the rule had no layout.  When `x` is a
+        (ny, nx, 2) tensor grid (x constant down every column, y along every
+        row, compared exactly), A(x) is not formed either: the kernel's 1D
+        phase tables synthesize it, and the factor is taken while its width 2q
+        is at most max(n, m).  Other points take it while 2q <= n.  Past those
+        widths, and for plain kernels, the extension goes through the kernel
+        itself.  Segment blocks (their cos/sin tables, phases and sums), query
+        blocks and kernel blocks each hold at most EXTEND_CHUNK entries; only
+        the grid's (nx, q) x table is built whole.
         """
         kernel, nodes = self.kernel, self.nodes
         wr = (self.weights * np.atleast_2d(rows)).T            # (n, r)
@@ -55,8 +61,14 @@ class NystromSolution:
             span = _radius(x, origin) + _radius(nodes, origin)
             width = kernel.rank(span)
             if width <= (len(nodes) if axes is None else max(len(nodes), len(x))):
-                coef = sum(kernel.features(nodes[lo:hi], origin, span).T @ wr[lo:hi]
-                           for lo, hi in _steps(len(nodes), width))
+                segments, base = _layout(self, nodes)
+                shape = (len(segments), len(base))
+                points, values = nodes.reshape(shape + (2,)), wr.reshape(shape + (-1,))
+                # per segment: q (len(base) + 1 + 2r) entries bound its cos/sin
+                # tables, its q phases and its sums
+                step = width // 2 * (len(base) + 1 + 2 * wr.shape[1])
+                coef = sum(kernel.segment_apply(values[lo:hi], points[lo:hi], origin, span)
+                           for lo, hi in _steps(len(segments), step))
                 if axes is None:
                     return _chunked(lambda p: kernel.features(p, origin, span) @ coef,
                                     x, width, wr.shape[1:])
@@ -98,6 +110,23 @@ def _chunked(block, x, width, tail):
     for lo, hi in _steps(len(x), width):
         out[lo:hi] = block(x[lo:hi])
     return out
+
+
+def _layout(rule, nodes):
+    """(segments, base) of planar nodes: the rule's own layout, else one-node
+    segments (x, y, y) on base [0.0].
+
+    The extension pairs nodes through the layout, so a layout must have an
+    antisymmetric base and rebuild the nodes exactly (quadrature.layout_nodes).
+    """
+    segments, base = getattr(rule, "segments", None), getattr(rule, "base", None)
+    if segments is None or base is None:
+        return np.column_stack([nodes, nodes[:, 1]]), np.zeros(1)
+    segments, base = np.asarray(segments, dtype=float), np.asarray(base, dtype=float)
+    if not (np.array_equal(base, -base[::-1])
+            and np.array_equal(quadrature.layout_nodes(segments, base), nodes)):
+        raise ValueError("node layout must have an antisymmetric base and rebuild the nodes")
+    return segments, base
 
 
 def _as_rule(rule):
@@ -220,8 +249,10 @@ def nystrom_eigs(kernel, rule, count, kernel_tag=""):
     if not 1 <= count <= n:
         raise ValueError("count must lie in [1, number of nodes]")
     sw = np.sqrt(weights)
+    segments, base = _layout(rule, nodes) if nodes.ndim == 2 else (None, None)
     if hasattr(kernel, "features"):
         vals, vecs, diag, extra = _factored_eigs(kernel, nodes, sw, count)
+        extra.update(segments=len(segments), base=len(base))
     else:
         vals, vecs, diag = _node_eigs(kernel, nodes, sw)
         extra = {"route": "dense"}
@@ -241,7 +272,8 @@ def nystrom_eigs(kernel, rule, count, kernel_tag=""):
     _fix_signs(samples, nodes, weights)
     return NystromSolution(
         eigenvalues=top, node_samples=samples, nodes=nodes, weights=weights,
-        kernel=kernel, kernel_tag=kernel_tag, trace=float(weights @ diag), extra=extra)
+        kernel=kernel, kernel_tag=kernel_tag, trace=float(weights @ diag), extra=extra,
+        segments=segments, base=base)
 
 
 def eigennormalized_samples(solution):

@@ -43,8 +43,9 @@ class DiskBandKernel:
     turns it into A(x) A(x')^T with real cos/sin columns; `features` builds A
     on a tapered polar rule that reproduces the kernel to ~1e-13 relative for
     every separation |x - x'| <= span.  Its angle counts and wavevectors are
-    each built once per span and shared by `rule_sizes`, `rank`, `features`
-    and `grid_apply`, which extends through the factor on a tensor grid.
+    each built once per span and shared by `rule_sizes`, `rank`, `features`,
+    `grid_apply`, which extends through the factor on a tensor grid, and
+    `segment_apply`, which sums the factor over the nodes segment by segment.
     """
 
     def __init__(self, k):
@@ -108,6 +109,51 @@ class DiskBandKernel:
             out[..., a] = ((ey * chat[:, a]) @ ex.T).real
         return out
 
+    def segment_apply(self, values, points, origin, span):
+        """features(points, origin, span)^T @ values for points grouped in segments, (2q, r).
+
+        `points` (s, m, 2) holds s segments of m nodes as a node layout
+        (RegionQuadrature) places them: a segment shares one abscissa x_i, and
+        node p pairs with node m - 1 - p symmetrically about the middle c_i of
+        its outer pair.  `values` (s, m, r) holds the node rows in that order.
+        With d = y - o_y as `features` takes it, a pair sits at
+        d = c_i + b +- a, where a is its half gap and the drift b only the
+        rounding of the nodes, so its phases split as
+        exp(i k.(x - o)) = P[i, k] exp(i ky b) exp(+-i ky a) with one segment
+        phase P = scale exp(i (kx (x_i - o_x) + ky c_i)) per row.  A pair thus
+        shares cos(ky a) and sin(ky a), taken once per distinct ky:
+        S = sum (v+ + v-) cos + i (v+ - v-) sin, each pair's term times
+        exp(i ky b) = 1 + i ky b (exact to (ky b)^2 / 2), plus the middle node
+        of an odd segment, and sum_i P[i] S[i] = coef[:q] + i coef[q:].  That
+        is (n/2) u cos and sin values for the u <= q distinct ky and s q
+        segment phases, instead of the n 2q values of features(points).
+        """
+        kx, ky, scale = _wavevectors(self.k, float(span))
+        distinct, inverse = _distinct_ky(self.k, float(span))
+        ox, oy = np.asarray(origin, dtype=float)
+        d = points[..., 1] - oy                                          # (s, m)
+        size, pairs, r = d.shape[1], d.shape[1] // 2, values.shape[2]
+        mid = 0.5 * (d[:, 0] + d[:, -1])
+        p = scale * np.exp(1j * (np.multiply.outer(points[:, 0, 0] - ox, kx)
+                                 + np.multiply.outer(mid, ky)))          # (s, q)
+        up, down = d[:, size - pairs:], d[:, :pairs][:, ::-1]
+        drift = (0.5 * (up + down) - mid[:, None])[..., None]
+        angle = np.multiply.outer(distinct, 0.5 * (up - down)).transpose(1, 0, 2)
+        vu, vd = values[:, size - pairs:], values[:, :pairs][:, ::-1]
+        plus, minus = vu + vd, vu - vd
+        # cos and sin sums of the pairs, then of the pairs weighted by their drift
+        cs = np.cos(angle) @ np.concatenate([plus, drift * plus], axis=2)
+        sn = np.sin(angle) @ np.concatenate([minus, drift * minus], axis=2)
+        ky_u = distinct[:, None]
+        real = cs[..., :r] - ky_u * sn[..., r:]
+        imag = sn[..., :r] + ky_u * cs[..., r:]
+        if size % 2:
+            centre = values[:, pairs, None]
+            real += centre
+            imag = imag + ky_u * (d[:, pairs] - mid)[:, None, None] * centre
+        c = np.einsum("sk,skr->kr", p, (real + 1j * imag)[:, inverse])
+        return np.concatenate([c.real, c.imag])
+
 
 def _radial_rule(k, span):
     """Gauss-Legendre rule in |k| on [0, k]: ceil(0.4 k span) + 8 nodes rho_j."""
@@ -156,6 +202,15 @@ def _wavevectors(k, span):
     for a in (kx, ky, scale):
         a.flags.writeable = False
     return kx, ky, scale
+
+
+@functools.lru_cache(maxsize=16)
+def _distinct_ky(k, span):
+    """(distinct ky values, index of each wavevector's ky among them), read-only."""
+    distinct, inverse = np.unique(_wavevectors(k, span)[1], return_inverse=True)
+    for a in (distinct, inverse):
+        a.flags.writeable = False
+    return distinct, inverse
 
 
 def _p_rule(n2d):

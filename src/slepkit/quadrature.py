@@ -17,10 +17,20 @@ class QuadratureRule1D:
 
 @dataclass
 class RegionQuadrature:
-    """Product rule over a region: flattened 2D nodes with positive weights."""
+    """Product rule over a region: flattened 2D nodes with positive weights.
+
+    The layout, when present, records how the nodes were built: segment i is
+    the vertical slice (x_i, lo_i, hi_i), and node block i (rows
+    i * len(base) onward) sits at abscissa x_i with ordinates
+    map_rule(base, lo_i, hi_i).  `base` holds the Gauss nodes on [-1, 1]
+    that every segment shares, exactly antisymmetric (base == -base[::-1]).
+    A rule without a layout is treated as one-node segments by the solver.
+    """
     nodes: np.ndarray    # (m, 2)
     weights: np.ndarray  # (m,)
     region: object
+    segments: np.ndarray = None  # (s, 3) rows (x, lo, hi), m = s * len(base)
+    base: np.ndarray = None      # (n_quad,) nodes on [-1, 1] shared by the segments
 
 
 @functools.lru_cache(maxsize=256)
@@ -83,21 +93,35 @@ def region_quadrature(region, n_per_dim=32):
     """Tensor quadrature over a region.
 
     Outer composite Gauss-Legendre rule in x over the bounding interval; at
-    each x-node every disjoint y-extent interval receives its own mapped
-    n_per_dim-point rule; weights are the pairwise products.
+    each x-node every disjoint y-extent interval is one segment and receives
+    its own mapped n_per_dim-point rule; weights are the pairwise products.
+    The segments and the shared inner nodes are kept as the rule's layout.
     """
     if n_per_dim < 1:
         raise ValueError("n_per_dim must be positive")
     xs, wxs = _x_panels(region, n_per_dim)
     inner = gauss_legendre(n_per_dim)
-    nodes, weights = [], []
-    for x, wx in zip(xs, wxs):
+    segments, wx = [], []
+    for x, w in zip(xs, wxs):
         for lo, hi in geometry.y_extents(region, x):
-            if hi <= lo:
-                continue
-            rule = map_rule(inner, lo, hi)
-            nodes.append(np.column_stack([np.full(n_per_dim, x), rule.nodes]))
-            weights.append(wx * rule.weights)
-    if not nodes:
+            if hi > lo:
+                segments.append((x, lo, hi))
+                wx.append(w)
+    if not segments:
         raise InvalidRegionError("region has empty interior at all quadrature abscissas")
-    return RegionQuadrature(np.vstack(nodes), np.concatenate(weights), region)
+    segments = np.array(segments, dtype=float)
+    half = 0.5 * (segments[:, 2:] - segments[:, 1:2])
+    weights = (np.array(wx)[:, None] * (half * inner.weights)).ravel()
+    return RegionQuadrature(layout_nodes(segments, inner.nodes), weights, region, segments,
+                            inner.nodes)
+
+
+def layout_nodes(segments, base):
+    """(s len(base), 2) nodes of a layout: map_rule(base, lo_i, hi_i) at each x_i.
+
+    The arithmetic is map_rule's, one segment per row, so the nodes are
+    bit-identical to mapping the rule segment by segment.
+    """
+    x, lo, hi = (col[:, None] for col in np.asarray(segments, dtype=float).T)
+    y = lo + 0.5 * (hi - lo) * (np.asarray(base, dtype=float) + 1.0)
+    return np.stack(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2)

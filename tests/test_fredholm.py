@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slepkit import (
-    DiskBandKernel, ExtensionError, NumericalError, Region, disk_kernel,
-    eigennormalized_samples, gauss_legendre, map_rule, nystrom_eigs,
-    nystrom_extend, read_region, region_quadrature, sinc_kernel,
+    DiskBandKernel, ExtensionError, NumericalError, Region, RegionQuadrature,
+    disk_kernel, eigennormalized_samples, gauss_legendre, map_rule,
+    nystrom_eigs, nystrom_extend, read_region, region_quadrature, sinc_kernel,
     solve_region_disk,
 )
 from slepkit import fredholm, kernels
@@ -421,18 +421,120 @@ class TestGridExtension:
 
     @pytest.mark.parametrize("shaped", [True, False])
     def test_chunked_matches_unchunked(self, sol, monkeypatch, shaped):
-        # on the far grid a 942-column rule: 5 nodes per node-side chunk and 10
-        # grid rows per block
+        # on the far grid a 942-column rule: one 16-node segment per node-side
+        # block and 10 grid rows per block
         center = np.mean(sol.nodes, axis=0)
         pts = tensor_grid(40, 30, center + (9.0, -3.0), (0.02, 0.02))
         if not shaped:
             pts = tensor_grid(20, 15, center + (0.3, 0.1), (0.1, 0.1)).reshape(-1, 2)
         whole = sol.kernel_apply(sol.node_samples, pts)
+        segment_blocks = self.spy(monkeypatch, "segment_apply")
         features = self.spy(monkeypatch, "features")
         grid = self.spy(monkeypatch, "grid_apply")
         monkeypatch.setattr(fredholm, "EXTEND_CHUNK", 5000)
         got = sol.kernel_apply(sol.node_samples, pts)
-        node_chunks = sum(np.shares_memory(args[0], sol.nodes) for args in features)
-        query_blocks = len(grid) if shaped else len(features) - node_chunks
-        assert node_chunks > 1 and query_blocks > 1
+        assert not any(np.shares_memory(args[0], sol.nodes) for args in features)
+        query_blocks = len(grid) if shaped else len(features)
+        assert len(segment_blocks) > 1 and query_blocks > 1
         np.testing.assert_allclose(got, whole, rtol=0, atol=1e-14 * np.max(np.abs(whole)))
+
+
+def comb_region():
+    """A comb opening to the right: abscissas past x = 1 cut three y-extents."""
+    return Region.polygon([(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (3, 2), (3, 3),
+                           (1, 3), (1, 4), (3, 4), (3, 5), (0, 5)])
+
+
+def node_coef_reference(sol, rows, origin, span):
+    """A(nodes)^T W rows^T with A evaluated node by node: the node side as a
+    plain factor product, unchunked."""
+    return sol.kernel.features(sol.nodes, origin, span).T @ (sol.weights * rows).T
+
+
+class TestSegmentContraction:
+    """DiskBandKernel.segment_apply against the node-by-node factor product."""
+
+    @staticmethod
+    def check(sol):
+        origin = np.mean(sol.nodes, axis=0)
+        radius = _radius(sol.nodes, origin)
+        # r = 1 and r = count, on the solve's rule and on a wider extension rule
+        for rows in (sol.node_samples[:1], sol.node_samples):
+            shape = (len(sol.segments), len(sol.base))
+            values = (sol.weights * rows).T.reshape(shape + (-1,))
+            for span in (2.0 * radius, 3.0 * radius):
+                got = sol.kernel.segment_apply(values, sol.nodes.reshape(shape + (2,)),
+                                               origin, span)
+                want = node_coef_reference(sol, rows, origin, span)
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-14 * np.max(np.abs(want)))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(verts=star_polygons(), n_quad=st.sampled_from([1, 2, 3, 4, 7, 10]),
+           kd=st.floats(1.0, 12.0))
+    def test_star_polygons(self, verts, n_quad, kd):
+        rule = region_quadrature(Region.polygon(verts), n_quad)
+        k = kd / (2.0 * _radius(rule.nodes, np.mean(rule.nodes, axis=0)))
+        sol = nystrom_eigs(DiskBandKernel(k), rule, min(6, len(rule.weights)))
+        assert sol.extra["segments"] == len(rule.segments) and sol.extra["base"] == n_quad
+        self.check(sol)
+
+    def test_unit_disk(self, disk42_nystrom):
+        sol = disk42_nystrom.solution
+        assert sol.extra["segments"] == 32 and sol.extra["base"] == 32
+        self.check(sol)
+
+    def test_plateau_km(self, plateau_region):
+        sol = solve_region_disk(plateau_region, 0.0194, n_quad=24, count=20).solution
+        rule = region_quadrature(plateau_region, 24)
+        assert sol.extra["segments"] == len(rule.segments) == len(rule.weights) // 24
+        assert sol.extra["base"] == 24
+        np.testing.assert_array_equal(sol.segments, rule.segments)
+        np.testing.assert_array_equal(sol.base, rule.base)
+        self.check(sol)
+
+    def test_several_extents_per_abscissa(self):
+        rule = region_quadrature(comb_region(), 9)
+        assert len(np.unique(rule.segments[:, 0])) < len(rule.segments)
+        self.check(nystrom_eigs(DiskBandKernel(4.0), rule, 12))
+
+    @pytest.mark.parametrize("offset, n_quad", [((30000.0, -20000.0), 7),
+                                                ((0.0, 2047.3), 12)])
+    def test_far_from_the_coordinate_origin(self, offset, n_quad):
+        # far nodes are rounded to ulps of 4e-12, so an odd segment's middle
+        # node sits off the centre of its outer pair by that much; across
+        # y = 2048 the ulp changes within a segment, so inner pairs drift too.
+        # The phases follow the nodes as rounded.
+        pentagon = np.array([(0.13, 0.07), (2.71, 0.31), (3.14, 1.93), (1.41, 2.72),
+                             (-0.58, 1.62)])
+        rule = region_quadrature(Region.polygon(pentagon + offset), n_quad)
+        self.check(nystrom_eigs(DiskBandKernel(3.0), rule, 8))
+
+    def test_plain_pairs(self):
+        rule = region_quadrature(star_region(), 12)
+        sol = nystrom_eigs(DiskBandKernel(6.0), (rule.nodes, rule.weights), 10)
+        assert sol.extra["segments"] == len(rule.weights) and sol.extra["base"] == 1
+        np.testing.assert_array_equal(sol.base, [0.0])
+        self.check(sol)
+
+    def test_rule_without_layout_solves_and_extends(self):
+        # a hand-built rule takes one-node segments: the solve is the same
+        # arithmetic, and the extension agrees with the segmented one
+        rule = region_quadrature(star_region(), 12)
+        bare = RegionQuadrature(rule.nodes, rule.weights, rule.region)
+        laid, plain = (nystrom_eigs(DiskBandKernel(6.0), r, 10) for r in (rule, bare))
+        assert plain.extra["segments"] == len(rule.weights) and plain.extra["base"] == 1
+        np.testing.assert_array_equal(plain.eigenvalues, laid.eigenvalues)
+        np.testing.assert_array_equal(plain.node_samples, laid.node_samples)
+        pts = tensor_grid(30, 20, (0.3, -0.2), (0.08, 0.1))
+        want = nystrom_extend(laid, list(range(10)), pts)
+        got = nystrom_extend(plain, list(range(10)), pts)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+    def test_layout_must_rebuild_the_nodes(self):
+        rule = region_quadrature(star_region(), 6)
+        shifted = dataclasses.replace(rule, segments=rule.segments + (0.0, 1e-9, 1e-9))
+        uneven = dataclasses.replace(rule, base=rule.base + 1e-9)
+        for bad in (shifted, uneven):
+            with pytest.raises(ValueError, match="layout"):
+                nystrom_eigs(DiskBandKernel(6.0), bad, 4)

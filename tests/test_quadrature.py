@@ -100,3 +100,30 @@ class TestRegionQuadrature:
         e16 = abs(np.sum(region_quadrature(disk, 16).weights) - np.pi)
         e48 = abs(np.sum(region_quadrature(disk, 48).weights) - np.pi)
         assert e48 < e16
+
+
+class TestLayout:
+    """The segment layout that the Nystrom extension sums phases from."""
+
+    def test_gauss_nodes_are_antisymmetric(self):
+        for n in range(1, 65):
+            nodes = gauss_legendre(n).nodes
+            np.testing.assert_array_equal(nodes, -nodes[::-1])
+        assert gauss_legendre(7).nodes[3] == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_segments_rebuild_the_nodes(self, plateau_region, unit_disk, n):
+        bracket = Region.polygon([(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (3, 2),
+                                  (3, 3), (0, 3)])
+        for region in (plateau_region, unit_disk, bracket):
+            rule = region_quadrature(region, n)
+            np.testing.assert_array_equal(rule.base, gauss_legendre(n).nodes)
+            assert rule.segments.shape == (len(rule.weights) // n, 3)
+            blocks = rule.nodes.reshape(len(rule.segments), n, 2)
+            for (x, lo, hi), block in zip(rule.segments, blocks):
+                assert lo < hi
+                np.testing.assert_array_equal(block[:, 0], x)
+                np.testing.assert_array_equal(block[:, 1],
+                                              map_rule(gauss_legendre(n), lo, hi).nodes)
+        # the bracket's slices past x = 1 cut two extents each
+        assert len(np.unique(rule.segments[:, 0])) < len(rule.segments)
