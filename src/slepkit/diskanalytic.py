@@ -2,27 +2,26 @@
 
 For each order m the radial eigenfunctions are expanded in a Jacobi basis
 whose coefficients are eigenvectors of a tridiagonal matrix, giving machine
-precision at negligible cost.  Eigenvalues come from a closed-form ratio
-(accurate when lambda is not tiny) and from Nystrom quadrature of the radial
-kernel (authoritative for small lambda); both are kept.
+precision at negligible cost.  The coefficients also give each eigenvalue,
+lambda = c gamma^2 from d_0, and each branch's norm, through Jacobi
+orthogonality, in closed form; no quadrature of the radial kernel is run.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 import scipy.linalg
 from scipy import special as _sp
 
-from . import fredholm, quadrature
 from .errors import DegenerateNormalizationError, ExtensionError, NumericalError
-from .kernels import fixedm_kernel
 from .specialfn import _jacobi_sequence
 
 # angular orders assemble_disk_basis visits at most when max_order is not given
 MAX_ORDER = 300
+# branches fixed_order_solution keeps per order at most
+MAX_BRANCHES = 48
 
 
 @dataclass
@@ -30,10 +29,11 @@ class FixedOrderBranch:
     d: np.ndarray        # Jacobi coefficients, sum(d) = 1
     chi: float           # Sturm-Liouville eigenvalue
     gamma: float         # square-root-kernel eigenvalue
-    lam: float           # authoritative concentration eigenvalue
-    lam_formula: float   # closed-form route
-    lam_quad: float      # Nystrom route
-    norm_sq: float       # int_0^1 phi^2 dxi for the raw series
+    lam: float           # concentration eigenvalue c gamma^2, closed form
+    norm_sq: float       # int_0^1 phi^2 dxi for the raw series, closed form
+    # always None: there is no quadrature route; kept because the benchmark's
+    # count hook for fixed_order_solution (perfbench/tracing.py) reads it
+    lam_quad: float = None
 
 
 @dataclass
@@ -123,29 +123,22 @@ def gamma_lambda(d, m, c):
     return float(gamma), float(c * gamma * gamma)
 
 
-def _radial_rule(n_quad):
-    """Rule on [0, 1]: returns (nodes, plain weights, xi-weighted weights)."""
-    rule = quadrature.map_rule(quadrature.gauss_legendre(n_quad), 0.0, 1.0)
-    return rule.nodes, rule.weights, rule.weights * rule.nodes
+def fixed_order_solution(m, c, l_max=None):
+    """Solve the order-m radial problem from its coefficients alone.
 
-
-def fixed_order_solution(m, c, n_branches=None, l_max=None, n_quad=96):
-    """Solve the order-m radial problem: coefficients plus both lambda routes.
-
-    Branches are retained while either route resolves lambda above 1e-16
-    (capped at n_branches or 48) and are sorted by the authoritative lambda,
-    which is the closed form when >= 1e-3 and the quadrature value below that.
-    A quadrature value counts toward retention only above the dense eigensolve's
-    noise floor, n_quad * eps times the largest one, so rounding in the kernel
-    cannot add or drop a branch.  Without an explicit l_max the series grows
-    by 40 terms up to four times; if the coefficient tail is still above 1e-12
-    a RuntimeWarning says so.
+    Each branch takes lambda = c gamma^2 from gamma_lambda; branches are kept
+    in chi order while lambda > 1e-16, at most MAX_BRANCHES of them, and
+    sorted by lambda descending.  norm_sq is the closed form
+    sum_l w_l^2 / (2 (2l + m + 1)) over the series weights w_l of phi_space,
+    from int_{-1}^{1} (1 - u)^m P_l^(m,0) P_l'^(m,0) du = 2^(m+1)/(2l + m + 1)
+    delta_ll' with u = 1 - 2 xi^2.  Without an explicit l_max the series
+    grows by 40 terms up to four times; if the coefficient tail is still
+    above 1e-12 a RuntimeWarning says so.
     """
-    cap = 48 if n_branches is None else int(n_branches)
     lm = default_l_max(c) if l_max is None else int(l_max)
     for grow in range(5):
         pairs = coeff_tridiagonal(m, c, lm)
-        probe = [d for _, d in pairs[:min(cap, len(pairs))]]
+        probe = [d for _, d in pairs[:MAX_BRANCHES]]
         worst = max(abs(d[-1]) / np.max(np.abs(d)) for d in probe)
         if worst < 1e-12 or l_max is not None:
             break
@@ -156,28 +149,25 @@ def fixed_order_solution(m, c, n_branches=None, l_max=None, n_quad=96):
                 RuntimeWarning, stacklevel=2)
             break
         lm += 40
-    nodes, w_plain, w_radial = _radial_rule(n_quad)
-    quad = fredholm.nystrom_eigs(partial(fixedm_kernel, m, c * c / 4.0),
-                                 (nodes, w_radial), n_quad,
-                                 kernel_tag=f"fixed_m_scaled(m={m}, N2D={c * c / 4.0})")
-    lam_q = quad.eigenvalues
-    noise = n_quad * np.finfo(float).eps * lam_q[0]
+    jacobi_norm = 2.0 * (2.0 * np.arange(lm + 1) + m + 1.0)
     branches = []
-    for j, (chi, d) in enumerate(pairs):
-        lq = float(lam_q[j]) if j < len(lam_q) else 0.0
-        gamma, lf = gamma_lambda(d, m, c)
-        if len(branches) >= cap or max(lf, lq if lq > noise else 0.0) <= 1e-16:
+    for chi, d in pairs[:MAX_BRANCHES]:
+        gamma, lam = gamma_lambda(d, m, c)
+        if lam <= 1e-16:
             break
-        lam = lf if lf >= 1e-3 else lq
+        w = _series_weights(d, m)
         branches.append(FixedOrderBranch(
-            d=d, chi=chi, gamma=gamma, lam=lam, lam_formula=lf, lam_quad=lq,
-            norm_sq=0.0))
-    sol = FixedOrderSolution(m=int(m), c=float(c), l_max=lm, branches=branches)
-    for j, br in enumerate(sol.branches):
-        phi = phi_space(sol, j, nodes)
-        br.norm_sq = float(np.sum(w_plain * phi * phi))
-    sol.branches.sort(key=lambda b: -b.lam)
-    return sol
+            d=d, chi=chi, gamma=gamma, lam=lam,
+            norm_sq=float(np.sum(w * w / jacobi_norm))))
+    branches.sort(key=lambda b: -b.lam)
+    return FixedOrderSolution(m=int(m), c=float(c), l_max=lm, branches=branches)
+
+
+def _series_weights(d, m):
+    """Weights d_l m! l!/(l+m)! of P_l^(m,0) in phi_space (and of the Bessel
+    terms in phi_bessel)."""
+    l = np.arange(len(d))
+    return d * np.exp(_sp.gammaln(m + 1.0) + _sp.gammaln(l + 1.0) - _sp.gammaln(l + m + 1.0))
 
 
 def phi_space(solution, branch, xi):
@@ -190,10 +180,8 @@ def phi_space(solution, branch, xi):
     xi = np.asarray(xi, dtype=float)
     u = 1.0 - 2.0 * xi * xi
     seq = _jacobi_sequence(lm, m, u)
-    coef = br.d * np.exp(_sp.gammaln(m + 1.0) + _sp.gammaln(np.arange(lm + 1) + 1.0)
-                         - _sp.gammaln(np.arange(lm + 1) + m + 1.0))
     acc = np.zeros_like(u)
-    for cl, pl in zip(coef, seq):
+    for cl, pl in zip(_series_weights(br.d, m), seq):
         acc += cl * pl
     with np.errstate(invalid="ignore"):
         out = xi ** (m + 0.5) * acc
@@ -213,10 +201,8 @@ def phi_bessel(solution, branch, xi):
     t = c * xi
     safe = np.where(t == 0.0, 1.0, t)
     orders = m + 2.0 * np.arange(lm + 1) + 1.0
-    coef = br.d * np.exp(_sp.gammaln(m + 1.0) + _sp.gammaln(np.arange(lm + 1) + 1.0)
-                         - _sp.gammaln(np.arange(lm + 1) + m + 1.0))
     vals = _sp.jv(orders[:, None], np.atleast_1d(t).ravel()[None, :])
-    acc = (coef @ vals).reshape(np.shape(t))
+    acc = (_series_weights(br.d, m) @ vals).reshape(np.shape(t))
     out = np.where(t == 0.0, 0.0, acc / np.sqrt(safe)) / br.gamma
     return out[()]
 

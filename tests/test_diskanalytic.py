@@ -1,6 +1,8 @@
-"""Fixed-order disk solutions: dual series, dual lambda routes, sum rules."""
+"""Fixed-order disk solutions: dual series, closed-form lambda and norm, sum rules."""
 
+import sys
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,11 +10,10 @@ import scipy.special
 
 from slepkit import (
     Region, assemble_disk_basis, coeff_tridiagonal, evaluate_disk_entry,
-    fixed_order_solution, gamma_lambda, gauss_legendre, map_rule, n2d_m,
-    phi_bessel, phi_space, region_quadrature, sqrt_kernel,
+    fixed_order_solution, fixedm_kernel, gamma_lambda, gauss_legendre, map_rule,
+    n2d_m, nystrom_eigs, phi_bessel, phi_space, region_quadrature, sqrt_kernel,
 )
-from slepkit import diskanalytic
-from test_kernels import pairwise_fixedm_kernel
+from slepkit import diskanalytic, fredholm, kernels
 
 
 class TestCoefficients:
@@ -35,12 +36,12 @@ class TestCoefficients:
         # from a one-term start, four growths of 40 cannot resolve c = 600
         monkeypatch.setattr(diskanalytic, "default_l_max", lambda c: 1)
         with pytest.warns(RuntimeWarning, match=r"m=2 at c=600\.0: .* l_max=161"):
-            sol = fixed_order_solution(2, 600.0, n_quad=16)
+            sol = fixed_order_solution(2, 600.0)
         assert sol.l_max == 161
         assert all(len(br.d) == 162 for br in sol.branches)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert fixed_order_solution(2, 600.0, l_max=1, n_quad=16).l_max == 1
+            assert fixed_order_solution(2, 600.0, l_max=1).l_max == 1
 
     def test_normalization(self):
         pairs = coeff_tridiagonal(1, 5.0, 60)
@@ -85,41 +86,52 @@ class TestLambdaRoutes:
     def test_formula_is_c_gamma_squared(self):
         sol = fixed_order_solution(0, 5.0)
         for br in sol.branches[:4]:
-            assert br.lam_formula == pytest.approx(sol.c * br.gamma ** 2,
-                                                   rel=1e-13)
+            assert br.lam == pytest.approx(sol.c * br.gamma ** 2, rel=1e-13)
 
     def test_gamma_lambda_function(self):
         sol = fixed_order_solution(2, 5.0)
         g, lf = gamma_lambda(sol.branches[0].d, 2, 5.0)
         assert g == pytest.approx(sol.branches[0].gamma, rel=1e-13)
-        assert lf == pytest.approx(sol.branches[0].lam_formula, rel=1e-13)
+        assert lf == pytest.approx(sol.branches[0].lam, rel=1e-13)
 
     def test_formula_vs_quadrature(self):
-        # two independent routes to lambda must agree where both resolve
+        # a dense Nystrom solve of the radial kernel, built here as an
+        # independent oracle, agrees with the closed form where it resolves
+        rule = map_rule(gauss_legendre(96), 0.0, 1.0)
+        c = 2 * np.sqrt(10.0)
         for m in (0, 1, 4):
-            sol = fixed_order_solution(m, 2 * np.sqrt(10.0))
-            for br in sol.branches:
+            sol = fixed_order_solution(m, c)
+            quad = nystrom_eigs(partial(fixedm_kernel, m, c * c / 4.0),
+                                (rule.nodes, rule.weights * rule.nodes), 96)
+            for br, lq in zip(sol.branches, quad.eigenvalues):
                 if br.lam >= 1e-3:
-                    assert br.lam_quad == pytest.approx(br.lam_formula,
-                                                        rel=1e-6)
+                    assert lq == pytest.approx(br.lam, rel=1e-6)
 
-    def test_quadrature_refinement(self):
-        a = fixed_order_solution(1, 6.0, n_quad=96)
-        b = fixed_order_solution(1, 6.0, n_quad=160)
-        for x, y in zip(a.branches[:5], b.branches[:5]):
-            assert x.lam_quad == pytest.approx(y.lam_quad, abs=1e-10)
+    @pytest.mark.parametrize("n2d", (0.5, 3.0, 42.0, 100.0))
+    def test_lambda_and_retention_match_factor_svd(self, n2d):
+        # sigma^2 of the radial factor sqrt(4N) sqrt(w xi) J_m(c p xi) sqrt(w_p p)
+        # are the eigenvalues of the order-m kernel; the kept branches are
+        # exactly those with sigma^2 > 1e-16 (at most MAX_BRANCHES), and lambda
+        # matches sigma^2 wherever the SVD resolves it
+        c = 2.0 * np.sqrt(n2d)
+        rule = map_rule(gauss_legendre(int(np.ceil(2.0 * c)) + 60), 0.0, 1.0)
+        x, sw = rule.nodes, np.sqrt(rule.weights * rule.nodes)
+        for m in (0, 1, 4, 12, 30):
+            f = (np.sqrt(4.0 * n2d) * sw[:, None]
+                 * scipy.special.jv(m, c * np.outer(x, x)) * sw[None, :])
+            ref = np.linalg.svd(f, compute_uv=False) ** 2
+            lam = np.array([br.lam for br in fixed_order_solution(m, c).branches])
+            want = min(diskanalytic.MAX_BRANCHES, int(np.sum(ref > 1e-16)))
+            assert len(lam) == want, f"order {m}"
+            ok = ref[:want] >= 1e-13
+            np.testing.assert_allclose(lam[ok], ref[:want][ok], rtol=1e-9, atol=0)
 
-    def test_branch_retention_ignores_kernel_rounding(self, monkeypatch):
-        # the factored kernel and the pairwise reference differ in the last
-        # ulp; no order may gain or lose a branch, and shared branches agree
-        c = 2.0 * np.sqrt(42.0)
-        fast = [fixed_order_solution(m, c) for m in range(40)]
-        monkeypatch.setattr(diskanalytic, "fixedm_kernel", pairwise_fixedm_kernel)
-        for m, a in enumerate(fast):
-            b = fixed_order_solution(m, c)
-            assert len(a.branches) == len(b.branches), f"order {m}"
-            for x, y in zip(a.branches, b.branches):
-                assert x.lam == pytest.approx(y.lam, rel=0, abs=1e-15)
+    def test_branch_cap(self):
+        # at N = 4000 order 0 holds 51 eigenvalues above 1e-16 by the factor
+        # SVD above; the solve keeps the top MAX_BRANCHES
+        sol = fixed_order_solution(0, 2.0 * np.sqrt(4000.0))
+        assert len(sol.branches) == diskanalytic.MAX_BRANCHES == 48
+        assert sol.branches[-1].lam > 1e-12
 
     def test_sqrt_kernel_oracle(self):
         # gammas are the eigenvalues of the square-root kernel; check
@@ -134,6 +146,38 @@ class TestLambdaRoutes:
         for j in range(4):
             assert c * g[j] ** 2 == pytest.approx(sol.branches[j].lam,
                                                   abs=1e-10)
+
+
+class TestClosedFormNorm:
+    @pytest.mark.parametrize("n2d", (0.5, 42.0, 800.0))
+    def test_norm_matches_quadrature(self, n2d):
+        # norm_sq from Jacobi orthogonality against a Gauss sum of phi^2
+        rule = map_rule(gauss_legendre(800), 0.0, 1.0)
+        checked = 0
+        for m in (0, 5, 60):
+            sol = fixed_order_solution(m, 2.0 * np.sqrt(n2d))
+            for j, br in enumerate(sol.branches):
+                phi = phi_space(sol, j, rule.nodes)
+                assert br.norm_sq == pytest.approx(np.sum(rule.weights * phi * phi),
+                                                   rel=1e-12, abs=0), (m, j)
+                checked += 1
+        assert checked > 0
+
+    def test_solve_path_runs_no_kernel_quadrature(self, monkeypatch):
+        # assemble_disk_basis never evaluates the radial kernel or runs a
+        # Nystrom solve, through whichever module attribute it might reach them
+        calls = []
+        for target in (kernels.fixedm_kernel, fredholm.nystrom_eigs):
+            def spy(*args, _name=target.__name__, **kwargs):
+                calls.append(_name)
+            for name, mod in list(sys.modules.items()):
+                if name == "slepkit" or name.startswith("slepkit."):
+                    for attr, obj in list(vars(mod).items()):
+                        if obj is target:
+                            monkeypatch.setattr(mod, attr, spy)
+        basis = assemble_disk_basis(2.0 * np.sqrt(42.0), 1.0, 30)
+        evaluate_disk_entry(basis, 0, np.array([[0.3, 0.2], [1.5, 0.0]]))
+        assert calls == []
 
 
 class TestSumRules:
