@@ -22,6 +22,9 @@ from .specialfn import _jacobi_sequence
 MAX_ORDER = 300
 # branches fixed_order_solution keeps per order at most
 MAX_BRANCHES = 48
+# phi_space and phi_bessel drop the series terms past the last coefficient
+# above this share of the largest one
+SERIES_TRIM = 1e-18
 
 
 @dataclass
@@ -170,18 +173,27 @@ def _series_weights(d, m):
     return d * np.exp(_sp.gammaln(m + 1.0) + _sp.gammaln(l + 1.0) - _sp.gammaln(l + m + 1.0))
 
 
+def _series_terms(d):
+    """How many leading terms the series of phi sum: up to the last d_l with
+    |d_l| > SERIES_TRIM max|d|.  No dropped term exceeds |d_l| in size: the
+    weight m! l!/(l+m)! cancels the bound |P_l^(m,0)| <= (l+m)!/(m! l!) on
+    [-1, 1], and |J| <= 1 with xi^(m+1/2) <= 1 inside the disk."""
+    return int(np.flatnonzero(np.abs(d) > SERIES_TRIM * np.max(np.abs(d)))[-1]) + 1
+
+
 def phi_space(solution, branch, xi):
     """Jacobi series for the scaled radial eigenfunction phi on [0, 1].
 
-    phi(xi) = m! xi^(m+1/2) sum_l d_l (l!/(l+m)!) P_l^(m,0)(1 - 2 xi^2).
+    phi(xi) = m! xi^(m+1/2) sum_l d_l (l!/(l+m)!) P_l^(m,0)(1 - 2 xi^2),
+    summed over the _series_terms(d) leading terms.
     """
     br = solution.branches[branch]
-    m, lm = solution.m, len(br.d) - 1
+    m, terms = solution.m, _series_terms(br.d)
     xi = np.asarray(xi, dtype=float)
     u = 1.0 - 2.0 * xi * xi
-    seq = _jacobi_sequence(lm, m, u)
+    seq = _jacobi_sequence(terms - 1, m, u)
     acc = np.zeros_like(u)
-    for cl, pl in zip(_series_weights(br.d, m), seq):
+    for cl, pl in zip(_series_weights(br.d[:terms], m), seq):
         acc += cl * pl
     with np.errstate(invalid="ignore"):
         out = xi ** (m + 0.5) * acc
@@ -191,18 +203,19 @@ def phi_space(solution, branch, xi):
 def phi_bessel(solution, branch, xi):
     """Bessel series for phi, valid on [0, 1] and beyond (the extension).
 
-    phi(xi) = (m!/gamma) sum_l d_l (l!/(l+m)!) J_(m+2l+1)(c xi) / sqrt(c xi).
+    phi(xi) = (m!/gamma) sum_l d_l (l!/(l+m)!) J_(m+2l+1)(c xi) / sqrt(c xi),
+    summed over the _series_terms(d) leading terms.
     """
     br = solution.branches[branch]
     if abs(br.gamma) <= 1e-14:
         raise ExtensionError("gamma too small for the Bessel series")
-    m, c, lm = solution.m, solution.c, len(br.d) - 1
+    m, c, terms = solution.m, solution.c, _series_terms(br.d)
     xi = np.asarray(xi, dtype=float)
     t = c * xi
     safe = np.where(t == 0.0, 1.0, t)
-    orders = m + 2.0 * np.arange(lm + 1) + 1.0
+    orders = m + 2.0 * np.arange(terms) + 1.0
     vals = _sp.jv(orders[:, None], np.atleast_1d(t).ravel()[None, :])
-    acc = (_series_weights(br.d, m) @ vals).reshape(np.shape(t))
+    acc = (_series_weights(br.d[:terms], m) @ vals).reshape(np.shape(t))
     out = np.where(t == 0.0, 0.0, acc / np.sqrt(safe)) / br.gamma
     return out[()]
 

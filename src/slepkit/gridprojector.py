@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .fredholm import _eigh, _fix_signs
 from .geometry import Region, contains_many
-from .planeslep import GridField, GridSpec, _centered_grid, periodogram
+from .planeslep import GridSpec, _centered_grid, _half_power, _power_field
 
 __all__ = [
     "OperatorProblem", "GridBasis", "build_problem", "apply", "solve",
@@ -187,8 +187,9 @@ def solve(problem, count):
 
     A = P F* L F P on the n support cells equals B B^T for a real band factor
     B of b columns (b band cells), which is never built: the b x b Gram
-    B^T B comes from fft2(spatial_mask) when b <= n, else A itself from
-    ifft2(spectral_mask), each read at index differences.  Eigenvalues lie in
+    B^T B comes from the DFT of spatial_mask, taken only on the columns it
+    reads, when b <= n, else A itself from ifft2(spectral_mask), each read
+    at index differences.  Eigenvalues lie in
     [0, 1] because both projections are orthogonal; null-space rounding
     below 0 is clipped.
     """
@@ -227,6 +228,40 @@ def _pairwise(table, iy, ix, sign):
                  np.add.outer(ix, sign * ix) % nx]
 
 
+def _band_cells(problem):
+    """(ky, kx, pair) of one cell of each +-k band pair and of each
+    self-conjugate band cell (pair False), in FFT index order."""
+    ny, nx = problem.grid.ny, problem.grid.nx
+    ky, kx = np.nonzero(problem.spectral_mask)
+    flat, mirror = ky * nx + kx, (-ky % ny) * nx + (-kx % nx)
+    keep = flat <= mirror
+    return ky[keep], kx[keep], (flat != mirror)[keep]
+
+
+def _band_table(mask, kx):
+    """fft2(mask) / (nx ny) on the columns (kx_a +- kx_b) mod nx, zero elsewhere.
+
+    rfft along x runs on the rows holding a support cell, and fft along y only
+    on the half-plane columns c <= nx//2 that the wanted columns need; a
+    wanted column c > nx//2 is folded onto nx - c through M(-k) = conj M(k).
+    That is never more work than fft2, however wide the band.
+    """
+    ny, nx = mask.shape
+    ux = np.unique(kx)
+    wanted = np.unique(np.concatenate([np.add.outer(ux, ux).ravel(),
+                                       np.subtract.outer(ux, ux).ravel()]) % nx)
+    fold = wanted > nx // 2
+    cols = np.unique(np.where(fold, nx - wanted, wanted))
+    rows = np.flatnonzero(mask.any(axis=1))
+    half = np.zeros((ny, len(cols)), dtype=complex)
+    half[rows] = np.fft.rfft(mask[rows].astype(float), axis=1)[:, cols]
+    table = np.zeros((ny, nx), dtype=complex)
+    table[:, cols] = np.fft.fft(half, axis=0) / (nx * ny)
+    folded = wanted[fold]
+    table[:, folded] = np.roll(table[::-1, nx - folded], 1, axis=0).conj()
+    return table
+
+
 def _band_eigs(problem, count):
     """Top `count` pairs of B^T B, descending, as samples on the support cells.
 
@@ -234,19 +269,17 @@ def _band_eigs(problem, count):
     of each +-k band pair, and a cos column scaled by 1 / sqrt(nx ny) for each
     self-conjugate cell.  With M = fft2(spatial_mask) / (nx ny), the support
     sums of cos cos, sin sin and cos sin are Re[M(k-k') +- M(k+k')] / 2 and
-    Im[M(k-k') - M(k+k')] / 2.  Each eigenvector v maps to B v through
-    separable phase tables, and QR orthonormalizes those samples largest
-    pair first: that strips the error the larger pairs leak into B v, which
-    grows as 1 / sqrt(lambda) relative to it.
+    Im[M(k-k') - M(k+k')] / 2.  M is computed only on the columns those
+    index differences and sums reach (_band_table).  Each eigenvector v maps
+    to B v through separable phase tables, and QR orthonormalizes those
+    samples largest pair first: that strips the error the larger pairs leak
+    into B v, which grows as 1 / sqrt(lambda) relative to it.
     """
     ny, nx = problem.grid.ny, problem.grid.nx
-    ky, kx = np.nonzero(problem.spectral_mask)
-    flat, mirror = ky * nx + kx, (-ky % ny) * nx + (-kx % nx)
-    keep = flat <= mirror
-    ky, kx, pair = ky[keep], kx[keep], (flat != mirror)[keep]
+    ky, kx, pair = _band_cells(problem)
     scale = np.where(pair, np.sqrt(2.0), 1.0)
 
-    table = np.fft.fft2(problem.spatial_mask) / (nx * ny)
+    table = _band_table(problem.spatial_mask, kx)
     diff, total = _pairwise(table, ky, kx, -1), _pairwise(table, ky, kx, 1)
     half = 0.5 * np.outer(scale, scale)
     cs = (half * (diff.imag - total.imag))[:, pair]
@@ -274,14 +307,17 @@ def _band_eigs(problem, count):
 
 
 def weighted_periodogram_sum(basis, count):
-    """Eigenvalue-weighted periodogram stack sum_a lambda_a |H_a(k)|^2."""
+    """Eigenvalue-weighted periodogram stack sum_a lambda_a |H_a(k)|^2.
+
+    Each field's half-plane power (planeslep._half_power, scaled by
+    (dx dy)^2 as in periodogram) is weighted and added one field at a time;
+    the sum is unfolded and zero-centered once.  With count = 1 the result is
+    lambda_0 times periodogram(field 0) bit for bit.
+    """
     count = int(count)
     if not 1 <= count <= len(basis.eigenvalues):
         raise ValueError("count must lie in [1, number of eigenpairs]")
     grid = basis.problem.grid
-    total = None
-    for i in range(count):
-        pg = periodogram(GridField(grid, basis.fields[i]))
-        term = basis.eigenvalues[i] * pg.values
-        total = term if total is None else total + term
-    return GridField(pg.grid, total)
+    scale = (grid.dx * grid.dy) ** 2
+    return _power_field(grid, sum(lam * (_half_power(values) * scale) for lam, values
+                                  in zip(basis.eigenvalues[:count], basis.fields)))

@@ -199,18 +199,43 @@ def periodogram(field):
 
     H(k) = dx dy * DFT(values); the output grid is zero-centered with spacings
     2 pi / (n d).  Parseval holds exactly: sum |H|^2 dkx dky / (2 pi)^2 equals
-    sum h^2 dx dy.
+    sum h^2 dx dy.  Only the half plane kx >= 0 is transformed (_half_power);
+    the other half is its point reflection, since |H(-k)| = |H(k)| for a real
+    field.
     """
     if np.iscomplexobj(field.values):
         raise ValueError("periodogram expects a real-valued field")
     g = field.grid
-    h = np.fft.fftshift(np.fft.fft2(field.values)) * (g.dx * g.dy)
+    return _power_field(g, _half_power(field.values) * (g.dx * g.dy) ** 2)
+
+
+def _half_power(values):
+    """|DFT|^2 of a real (ny, nx) array on the half plane kx >= 0, unshifted.
+
+    rfft along x runs only on the rows that hold a nonzero value, then fft
+    along y on the nx//2 + 1 columns: r rfft(nx) + (nx//2 + 1) fft(ny) for r
+    nonzero rows, against ny fft(nx) + nx fft(ny) for the full fft2.
+    """
+    ny, nx = values.shape
+    rows = np.flatnonzero(values.any(axis=1))
+    spec = np.zeros((ny, nx // 2 + 1), dtype=complex)
+    spec[rows] = np.fft.rfft(values[rows], axis=1)
+    spec = np.fft.fft(spec, axis=0)
+    return spec.real ** 2 + spec.imag ** 2
+
+
+def _power_field(g, half):
+    """A half-plane power from _half_power, unfolded onto the full wavenumber
+    grid of the space grid g by point reflection and zero-centered."""
+    nx = g.nx
+    mirror = np.roll(half[::-1], 1, axis=0)          # row ky holds row -ky
+    full = np.concatenate([half, mirror[:, (nx - 1) // 2:0:-1]], axis=1)
     kx = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(g.nx, g.dx))
     ky = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(g.ny, g.dy))
     kgrid = GridSpec(x0=float(kx[0]), y0=float(ky[0]),
                      dx=2.0 * np.pi / (g.nx * g.dx),
                      dy=2.0 * np.pi / (g.ny * g.dy), nx=g.nx, ny=g.ny)
-    return GridField(kgrid, np.abs(h) ** 2)
+    return GridField(kgrid, np.fft.fftshift(full))
 
 
 def weighted_sumsq(basis, grid, count, g=None):

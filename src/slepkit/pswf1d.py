@@ -73,10 +73,14 @@ def sinc_matrix(n, w):
 def dpss(n, w, count):
     """Discrete prolate spheroidal sequences of length n, half-bandwidth w.
 
-    Diagonalizes the classical symmetric tridiagonal (diagonal
-    ((n-1-2x)/2)^2 cos 2 pi w, off-diagonal (x+1)(n-x-1)/2), orders sequences
-    by descending tridiagonal eigenvalue chi, then attaches concentration
-    eigenvalues as Rayleigh quotients of the discrete sinc matrix.
+    Solves only the top `count` pairs of the classical symmetric tridiagonal
+    that commutes with the discrete sinc matrix (diagonal
+    ((n-1-2x)/2)^2 cos 2 pi w, off-diagonal (x+1)(n-x-1)/2; Slepian 1978),
+    ordered by descending eigenvalue chi.  Each concentration eigenvalue is
+    the Rayleigh quotient s^T C s of the sinc matrix C, summed along its
+    Toeplitz diagonals: lambda = 2w r(0) + 2 sum_{d>=1} c(d) r(d), with
+    c(d) = sin(2 pi w d) / (pi d) and r the autocorrelation of s from one
+    real FFT of length 2n.  sinc_matrix is never built.
     """
     if n < 2 or int(n) != n:
         raise ValueError("sequence length must be an integer >= 2")
@@ -84,13 +88,13 @@ def dpss(n, w, count):
         raise ValueError("half-bandwidth must lie in (0, 1/2)")
     if not 1 <= count <= n:
         raise ValueError("count must lie in [1, n]")
+    n, count = int(n), int(count)
     x = np.arange(n)
     diag = ((n - 1.0 - 2.0 * x) / 2.0) ** 2 * np.cos(2.0 * np.pi * w)
     off = (x[:-1] + 1.0) * (n - 1.0 - x[:-1]) / 2.0
-    chi, vecs = scipy.linalg.eigh_tridiagonal(diag, off)
-    order = np.argsort(-chi, kind="stable")
-    chi, vecs = chi[order][:count], vecs[:, order][:, :count]
-    seqs = vecs.T.copy()
+    chi, vecs = scipy.linalg.eigh_tridiagonal(
+        diag, off, select="i", select_range=(n - count, n - 1))
+    chi, seqs = chi[::-1], vecs[:, ::-1].T.copy()
     # deterministic sign: positive at (or nearest past) the midpoint
     mid = (n - 1) // 2
     for row in seqs:
@@ -100,6 +104,9 @@ def dpss(n, w, count):
             anchor = row[big[0]] if len(big) else 1.0
         if anchor < 0:
             row *= -1.0
-    conc = sinc_matrix(n, w)
-    lam = np.einsum("ai,ij,aj->a", seqs, conc, seqs)
-    return DpssSet(N=int(n), W=float(w), sequences=seqs, chi=chi, eigenvalues=lam)
+    spec = np.fft.rfft(seqs, n=2 * n, axis=1)
+    r = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, n=2 * n, axis=1)[:, :n]
+    d = np.arange(1, n)
+    c = np.sin(2.0 * np.pi * w * d) / (np.pi * d)
+    lam = 2.0 * w * r[:, 0] + 2.0 * (r[:, 1:] @ c)
+    return DpssSet(N=n, W=float(w), sequences=seqs, chi=chi, eigenvalues=lam)

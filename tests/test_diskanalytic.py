@@ -82,6 +82,100 @@ class TestDualSeries:
         assert np.max(np.abs(off)) < 1e-12 * np.max(np.diag(gram))
 
 
+def untrimmed_phi_space(solution, branch, xi):
+    """Oracle: the Jacobi series of phi over every coefficient."""
+    br = solution.branches[branch]
+    m = solution.m
+    u = 1.0 - 2.0 * xi * xi
+    seq = diskanalytic._jacobi_sequence(len(br.d) - 1, m, u)
+    acc = sum(cl * pl for cl, pl in zip(diskanalytic._series_weights(br.d, m), seq))
+    return xi ** (m + 0.5) * acc
+
+
+def untrimmed_phi_bessel(solution, branch, xi):
+    """Oracle: the Bessel series of phi over every coefficient, xi > 0."""
+    br = solution.branches[branch]
+    m, t = solution.m, solution.c * xi
+    orders = m + 2.0 * np.arange(len(br.d)) + 1.0
+    vals = scipy.special.jv(orders[:, None], t[None, :])
+    return diskanalytic._series_weights(br.d, m) @ vals / np.sqrt(t) / br.gamma
+
+
+class TestSeriesTrim:
+    # every (N, m) with at least one branch, and up to three branches each
+    CASES = [(n2d, m, j) for n2d in (0.5, 3.5, 42.0, 300.0) for m in (0, 1, 5, 30)
+             for j in range(min(3, len(fixed_order_solution(m, 2.0 * np.sqrt(n2d)).branches)))]
+
+    def test_cases_cover_every_shannon_number(self):
+        assert {n2d for n2d, _, _ in self.CASES} == {0.5, 3.5, 42.0, 300.0}
+        assert len(self.CASES) >= 30
+
+    @pytest.mark.parametrize("n2d, m, j", CASES)
+    def test_matches_untrimmed_series(self, n2d, m, j):
+        sol = fixed_order_solution(m, 2.0 * np.sqrt(n2d))
+        xi = np.linspace(0.0, 1.0, 41)
+        want = untrimmed_phi_space(sol, j, xi)
+        got = phi_space(sol, j, xi)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        if abs(sol.branches[j].gamma) <= 1e-14:
+            return
+        xi = np.linspace(0.05, 3.0, 60)
+        want = untrimmed_phi_bessel(sol, j, xi)
+        got = phi_bessel(sol, j, xi)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n2d", [0.5, 3.5, 42.0, 300.0])
+    def test_entries_match_untrimmed_series(self, n2d, monkeypatch):
+        # entries of each order in the cases, on a disk of radius 1.3,
+        # inside it and out to three radii
+        c, radius = 2.0 * np.sqrt(n2d), 1.3
+        entries = []
+        for m in sorted({m for nn, m, _ in self.CASES if nn == n2d}):
+            sol = fixed_order_solution(m, c)
+            entries += [diskanalytic.DiskEntry(m=m, kind=kind, branch=j, lam=br.lam,
+                                               solution=sol)
+                        for j, br in enumerate(sol.branches[:3]) if abs(br.gamma) > 1e-14
+                        for kind in ("cos", "sin")]
+        basis = diskanalytic.DiskBasis(K=c / radius, R=radius, n2d=n2d, entries=entries,
+                                       eigenvalues=np.array([e.lam for e in entries]))
+        rng = np.random.default_rng(7)
+        r, theta = rng.uniform(0.0, 3.0 * radius, 200), rng.uniform(0.0, 2.0 * np.pi, 200)
+        pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+        got = [evaluate_disk_entry(basis, i, pts) for i in range(len(entries))]
+        monkeypatch.setattr(diskanalytic, "phi_space", untrimmed_phi_space)
+        monkeypatch.setattr(diskanalytic, "phi_bessel", untrimmed_phi_bessel)
+        for i, g in enumerate(got):
+            want = evaluate_disk_entry(basis, i, pts)
+            assert np.max(np.abs(g - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_trim_is_exercised(self, monkeypatch):
+        sol = fixed_order_solution(0, 2.0 * np.sqrt(3.5))
+        degrees = []
+        sequence = diskanalytic._jacobi_sequence
+
+        def spy(lmax, m, x):
+            degrees.append(lmax)
+            return sequence(lmax, m, x)
+
+        monkeypatch.setattr(diskanalytic, "_jacobi_sequence", spy)
+        for j in range(len(sol.branches)):
+            phi_space(sol, j, np.linspace(0.0, 1.0, 5))
+            assert diskanalytic._series_terms(sol.branches[j].d) < sol.l_max + 1
+        assert max(degrees) < sol.l_max
+
+    def test_solution_keeps_every_coefficient(self):
+        # the trim acts only when evaluating: d and norm_sq span the full
+        # series of l_max + 1 terms
+        for m in (0, 1, 5):
+            sol = fixed_order_solution(m, 2.0 * np.sqrt(3.5))
+            assert sol.l_max == diskanalytic.default_l_max(sol.c)
+            jacobi_norm = 2.0 * (2.0 * np.arange(sol.l_max + 1) + m + 1.0)
+            for br in sol.branches:
+                assert len(br.d) == sol.l_max + 1
+                w = diskanalytic._series_weights(br.d, m)
+                assert br.norm_sq == float(np.sum(w * w / jacobi_norm))
+
+
 class TestLambdaRoutes:
     def test_formula_is_c_gamma_squared(self):
         sol = fixed_order_solution(0, 5.0)

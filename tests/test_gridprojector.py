@@ -12,6 +12,7 @@ from slepkit import (
     apply_operator, build_problem, periodogram, solve, wedge_domain,
     weighted_periodogram_sum,
 )
+from slepkit import gridprojector
 from test_geometry import star_polygons
 
 SQUARE = Region.polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
@@ -285,6 +286,30 @@ class TestSolve:
         f = basis.fields.reshape(b, -1)
         assert np.max(np.abs(f @ f.T - np.eye(b))) <= 1e-13
 
+    @pytest.mark.parametrize("name", sorted(ORACLE_PROBLEMS))
+    def test_band_table_matches_fft2(self, name):
+        # every column of M that _pairwise reads, from rfft on the support
+        # rows, fft on the half-plane columns and the fold past nx//2
+        problem = ORACLE_PROBLEMS[name][0]()
+        ny, nx = problem.grid.ny, problem.grid.nx
+        _, kx, _ = gridprojector._band_cells(problem)
+        read = np.unique(np.concatenate([np.add.outer(kx, kx).ravel(),
+                                         np.subtract.outer(kx, kx).ravel()]) % nx)
+        assert np.any(read > nx // 2)
+        table = gridprojector._band_table(problem.spatial_mask, kx)
+        want = np.fft.fft2(problem.spatial_mask) / (nx * ny)
+        assert np.max(np.abs(table[:, read] - want[:, read])) <= 1e-15
+
+    @pytest.mark.parametrize("name", ["disk-odd", "mask-even"])
+    def test_solve_runs_no_fft2(self, name, monkeypatch):
+        # band Gram (disk) and support Gram (mask) alike
+        def fft2(*args, **kwargs):
+            raise AssertionError("fft2 called")
+
+        problem = ORACLE_PROBLEMS[name][0]()
+        monkeypatch.setattr(np.fft, "fft2", fft2)
+        solve(problem, 3)
+
     def test_direct_solve_skips_arpack(self, monkeypatch):
         # the asymmetric wedge problem of acceptance 09
         p = build_problem(ASYM, wedge_domain(0.5, 0.3, 6.0), 0.2,
@@ -405,6 +430,27 @@ class TestWeightedPeriodogramSum:
         mask = np.fft.fftshift(disk_basis.problem.spectral_mask)
         frac = np.sum(wps.values[mask]) / np.sum(wps.values)
         assert frac > float(disk_basis.eigenvalues[-1])
+
+    @pytest.mark.parametrize("name", ["disk-even", "wedge-odd-even"])
+    def test_matches_periodogram_loop(self, name):
+        problem = ORACLE_PROBLEMS[name][0]()
+        basis = solve(problem, 6)
+        # the weighted sum as a loop of whole periodograms
+        want = None
+        for i in range(6):
+            pg = periodogram(GridField(problem.grid, basis.fields[i]))
+            term = basis.eigenvalues[i] * pg.values
+            want = term if want is None else want + term
+        got = weighted_periodogram_sum(basis, 6)
+        assert got.grid == pg.grid
+        assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(want)
+
+    def test_runs_no_fft2(self, disk_basis, monkeypatch):
+        def fft2(*args, **kwargs):
+            raise AssertionError("fft2 called")
+
+        monkeypatch.setattr(np.fft, "fft2", fft2)
+        weighted_periodogram_sum(disk_basis, 4)
 
     def test_count_validation(self, disk_basis):
         with pytest.raises(ValueError):

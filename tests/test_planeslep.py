@@ -279,6 +279,38 @@ class TestPeriodogram:
         with pytest.raises(ValueError):
             periodogram(GridField(grid, np.zeros((4, 4), dtype=complex)))
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(nx=st.integers(1, 40), ny=st.integers(1, 40),
+           dx=st.floats(1e-2, 1e2), dy=st.floats(1e-2, 1e2),
+           rows=st.sampled_from(["random", "single", "none"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_full_fft2(self, nx, ny, dx, dy, rows, seed):
+        # oracle: the full complex transform, shifted and squared; odd and
+        # even sides, fields with random all-zero rows, with one nonzero
+        # row, and all-zero fields
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((ny, nx))
+        if rows == "random":
+            values[rng.random(ny) < 0.5] = 0.0
+        elif rows == "single":
+            values[np.arange(ny) != rng.integers(ny)] = 0.0
+        else:
+            values[:] = 0.0
+        grid = GridSpec(x0=0.0, y0=0.0, dx=dx, dy=dy, nx=nx, ny=ny)
+        got = periodogram(GridField(grid, values)).values
+        want = np.abs(np.fft.fftshift(np.fft.fft2(values)) * dx * dy) ** 2
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+
+    def test_runs_no_fft2(self, monkeypatch):
+        # only the half plane is transformed, and only on nonzero rows
+        def fft2(*args, **kwargs):
+            raise AssertionError("fft2 called")
+
+        monkeypatch.setattr(np.fft, "fft2", fft2)
+        grid = GridSpec(x0=0.0, y0=0.0, dx=0.5, dy=0.5, nx=9, ny=6)
+        periodogram(GridField(grid, np.ones((6, 9))))
+
 
 class TestWeightedSumsq:
     def test_interior_plateau(self, basis10):

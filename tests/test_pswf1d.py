@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from slepkit import pswf1d
 from slepkit import (
     Basis1D, DpssSet, dpss, shannon_1d, sinc_matrix, solve_1d,
 )
@@ -119,6 +121,38 @@ class TestDpss:
         out = dpss(n, w, k + 4)
         assert out.eigenvalues[k - 3] > 0.95
         assert out.eigenvalues[k + 2] < 0.1
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 577, 1024])
+    def test_matches_full_tridiagonal_solve(self, n):
+        # oracle: every eigenpair of the commuting tridiagonal, the top ones
+        # kept and signed by the same rule
+        w = 0.2 if n < 64 else 0.02
+        x = np.arange(n)
+        diag = ((n - 1.0 - 2.0 * x) / 2.0) ** 2 * np.cos(2.0 * np.pi * w)
+        off = (x[:-1] + 1.0) * (n - 1.0 - x[:-1]) / 2.0
+        chi_all, vecs = scipy.linalg.eigh_tridiagonal(diag, off)
+        seqs_all = vecs[:, ::-1].T
+        for row in seqs_all:
+            anchor = row[(n - 1) // 2]
+            if abs(anchor) <= 1e-12:
+                anchor = row[np.nonzero(np.abs(row) > 1e-8)[0][0]]
+            row *= np.sign(anchor)
+        conc = sinc_matrix(n, w)
+        for count in sorted({1, min(6, n), n}):
+            out = dpss(n, w, count)
+            chi = chi_all[::-1][:count]
+            assert np.max(np.abs(out.chi - chi)) <= 1e-14 * np.max(np.abs(chi))
+            assert np.max(np.abs(out.sequences - seqs_all[:count])) <= 1e-10
+            dense = np.sum((out.sequences @ conc) * out.sequences, axis=1)
+            assert np.max(np.abs(out.eigenvalues - dense)) <= 1e-13
+
+    def test_builds_no_sinc_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sinc_matrix built")
+
+        monkeypatch.setattr(pswf1d, "sinc_matrix", refuse)
+        out = dpss(300, 0.02, 6)
+        assert np.all(out.eigenvalues > 0.99)
 
     def test_validation(self):
         with pytest.raises(ValueError):
