@@ -163,15 +163,14 @@ def _fix_signs(samples, nodes, weights):
     return samples
 
 
-def _eigh(mat, count=None):
-    """Top `count` pairs (ascending) of a symmetric matrix, all when None.
+def _eigh(mat, count):
+    """Top `count` pairs (ascending) of a symmetric matrix.
 
     LAPACK's index-subset drivers can come back short on an exact cluster
     (the identity-like Gram of an all-pass band), so a short subset is
     solved again in full; a solve that still misses pairs raises.
     """
     m = len(mat)
-    count = m if count is None else count
     subset = None if count == m else [m - count, m - 1]
     try:
         vals, vecs = scipy.linalg.eigh(mat, subset_by_index=subset)
@@ -186,11 +185,34 @@ def _eigh(mat, count=None):
     return vals, vecs
 
 
-def _node_eigs(kernel, nodes, sw, count=None):
-    """Pairs (ascending) of sqrt(W) K sqrt(W) from the kernel matrix, and diag K.
+def _gram_eigs(gram, count):
+    """Top `count` pairs (ascending) of a symmetric PSD Gram, and its pivoted rank.
 
-    All n pairs when count is None, else only the top `count`.
+    LAPACK's pivoted Cholesky (dpstrf, with its own stopping rule) factors
+    G = P L L^T P^T + S and stops at the numerical rank r, where no diagonal
+    entry of the Schur complement S exceeds m eps max G_ii (m = len(G)).  The
+    r x r matrix L^T L has the nonzero eigenvalues of P L L^T P^T, and its
+    eigenvectors w map back to v = P L w / sqrt(lambda), divided by the
+    computed norm of P L w so that rounding in lambda leaves v unit.  S is
+    positive semidefinite, so truncating it lowers each eigenvalue by at most
+    ||S|| <= trace S <= (m - r) m eps max G_ii.  The cost is m r^2 for the
+    factor, r^3 for the eigensolve and m r count for the map.  When r < count,
+    or dpstrf rejects its arguments, the whole Gram goes to _eigh instead; the
+    rank returned is then r, or m if dpstrf failed.
     """
+    c, piv, rank, info = scipy.linalg.lapack.dpstrf(gram, lower=1)
+    if info < 0 or rank < count:
+        return _eigh(gram, count) + (rank if info >= 0 else len(gram),)
+    low = np.tril(c[:, :rank])
+    vals, w = _eigh(low.T @ low, count)
+    vecs = np.empty((len(gram), count))
+    vecs[piv - 1] = low @ w
+    return vals, vecs / np.linalg.norm(vecs, axis=0), rank
+
+
+def _node_eigs(kernel, nodes, sw, count):
+    """Top `count` pairs (ascending) of sqrt(W) K sqrt(W) from the kernel
+    matrix, and diag K."""
     kmat = _kernel_matrix(kernel, nodes)
     if not np.all(np.isfinite(kmat)):
         raise NumericalError("kernel matrix has non-finite entries")
@@ -204,7 +226,9 @@ def _factored_eigs(kernel, nodes, sw, count):
     """Top `count` pairs (ascending) of B B^T, B = sqrt(W) A, and diag K.
 
     The factor's Gram B^T B (2q x 2q) is diagonalized while it is no larger
-    than the node count and holds `count` pairs, and its eigenvectors map to
+    than the node count and holds `count` pairs, cut first to its numerical
+    rank by pivoted Cholesky (_gram_eigs: each eigenvalue moves by at most the
+    trace of the discarded Schur complement), and its eigenvectors map to
     u = B v / sqrt(lambda).  That map loses orthogonality as 1e-17 / lambda,
     so when the smallest pair kept falls below FACTOR_FLOOR times the largest,
     or the factor is the wider side, the top pairs come from the n x n kernel
@@ -220,7 +244,7 @@ def _factored_eigs(kernel, nodes, sw, count):
         b = sw[:, None] * kernel.features(nodes, origin, span)
         if not np.all(np.isfinite(b)):
             raise NumericalError("kernel factor has non-finite entries")
-        vals, v = _eigh(b.T @ b, count)
+        vals, v, extra["gram_rank"] = _gram_eigs(b.T @ b, count)
         if vals[0] >= FACTOR_FLOOR * vals[-1]:
             extra["gram"] = "factor"
             diag = np.asarray(kernel(nodes, nodes), dtype=float)
@@ -232,12 +256,14 @@ def nystrom_eigs(kernel, rule, count, kernel_tag=""):
     """Top `count` eigenpairs of the quadrature-discretized kernel operator.
 
     Diagonalizes sqrt(W) K sqrt(W) and maps eigenvectors back through
-    f = f~ / sqrt(w), which leaves them orthonormal in the weighted Gram.  A
-    plain kernel gets a full dense eigh.  A kernel with `features` (planar
-    nodes only) is factored as sqrt(W) K sqrt(W) = B B^T, and only the top
-    `count` pairs of the smaller Gram are computed; `extra` records the
-    factor's width, its k-rule sizes and the side used ("factor" for B^T B,
-    "nodes" for the n x n kernel matrix).  The trace is
+    f = f~ / sqrt(w), which leaves them orthonormal in the weighted Gram.
+    Only the top `count` pairs are computed.  A plain kernel gets a subset
+    dense eigh of the n x n matrix.  A kernel with `features` (planar nodes
+    only) is factored as sqrt(W) K sqrt(W) = B B^T, and the smaller Gram is
+    solved; `extra` records the factor's width `rank`, its k-rule sizes, the
+    numerical rank `gram_rank` that pivoted Cholesky found in B^T B (when it
+    was formed) and the side used ("factor" for B^T B, "nodes" for the n x n
+    kernel matrix).  The trace is
     sum_i w_i kernel(x_i, x_i) either way.  Output is deterministic:
     eigenvalues descending, exact ties broken by the index of the
     largest-magnitude node sample, signs fixed at the centroid.
@@ -254,7 +280,7 @@ def nystrom_eigs(kernel, rule, count, kernel_tag=""):
         vals, vecs, diag, extra = _factored_eigs(kernel, nodes, sw, count)
         extra.update(segments=len(segments), base=len(base))
     else:
-        vals, vecs, diag = _node_eigs(kernel, nodes, sw)
+        vals, vecs, diag = _node_eigs(kernel, nodes, sw, count)
         extra = {"route": "dense"}
     order = np.argsort(-vals, kind="stable")[:count]
     top = vals[order].copy()

@@ -197,15 +197,14 @@ def y_extents(region, x):
         if not np.any(v[:, 0] == x):
             break
         x += direction * step
-    ys = []
-    x0, y0 = v[-1]
-    for x1, y1 in v:
-        if (x0 - x) * (x1 - x) < 0.0:
-            ys.append(y0 + (x - x0) * (y1 - y0) / (x1 - x0))
-        x0, y0 = x1, y1
+    # edge (v[i-1], v[i]) crosses the slice where its ends straddle x
+    x0, y0 = np.roll(v, 1, axis=0).T
+    x1, y1 = v.T
+    cross = (x0 - x) * (x1 - x) < 0.0
+    x0, y0, x1, y1 = x0[cross], y0[cross], x1[cross], y1[cross]
+    ys = np.sort(y0 + (x - x0) * (y1 - y0) / (x1 - x0))
     if len(ys) < 2:
         return []
-    ys.sort()
     out = []
     for lo, hi in zip(ys[0::2], ys[1::2]):
         if out and lo <= out[-1][1]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .fredholm import _eigh, _fix_signs
+from .fredholm import _eigh, _fix_signs, _gram_eigs
 from .geometry import Region, contains_many
 from .planeslep import GridSpec, _centered_grid, _half_power, _power_field
 
@@ -63,7 +63,9 @@ class GridBasis:
     field, with A applied through the pruned FFTs.  extra records how the
     spectrum was computed: the Gram diagonalized (`gram`, "band" or
     "support"), the band factor's rank bound `rank` (the band cell count b),
-    and the pruned transform sizes (`rows` along x, `columns` along y).
+    the band Gram's numerical rank `gram_rank` found by pivoted Cholesky (band
+    side only), and the pruned transform sizes (`rows` along x, `columns`
+    along y).
     """
     problem: OperatorProblem
     eigenvalues: np.ndarray        # real, descending
@@ -189,7 +191,10 @@ def solve(problem, count):
     B of b columns (b band cells), which is never built: the b x b Gram
     B^T B comes from the DFT of spatial_mask, taken only on the columns it
     reads, when b <= n, else A itself from ifft2(spectral_mask), each read
-    at index differences.  Eigenvalues lie in
+    at index differences.  The band Gram is cut to its numerical rank by
+    pivoted Cholesky before its eigensolve (fredholm._gram_eigs), which
+    lowers each eigenvalue by at most the trace of the discarded Schur
+    complement.  Eigenvalues lie in
     [0, 1] because both projections are orthogonal; null-space rounding
     below 0 is clipped.
     """
@@ -203,8 +208,10 @@ def solve(problem, count):
         raise ConfigurationError(
             f"count {count} exceeds the operator's rank: {n} cells inside the "
             f"region, band factor of rank {b}")
+    extra = {"gram": "band" if b <= n else "support", "rank": b, "rows": rows,
+             "columns": columns}
     if b <= n:
-        vals, samples = _band_eigs(problem, count)
+        vals, samples, extra["gram_rank"] = _band_eigs(problem, count)
     else:
         table = np.fft.ifft2(problem.spectral_mask).real
         vals, vecs = _eigh(_pairwise(table, *np.divmod(cells, nx), -1), count)
@@ -217,8 +224,7 @@ def solve(problem, count):
     fields[:, cells] = samples
     return GridBasis(problem=problem, eigenvalues=vals,
                      fields=fields.reshape(count, ny, nx), residuals=resid,
-                     extra={"gram": "band" if b <= n else "support",
-                            "rank": b, "rows": rows, "columns": columns})
+                     extra=extra)
 
 
 def _pairwise(table, iy, ix, sign):
@@ -263,14 +269,18 @@ def _band_table(mask, kx):
 
 
 def _band_eigs(problem, count):
-    """Top `count` pairs of B^T B, descending, as samples on the support cells.
+    """Top `count` pairs of B^T B, descending, as samples on the support cells,
+    and the Gram's pivoted rank.
 
     B has a cos and a sin column, scaled by sqrt(2 / (nx ny)), for one cell k
     of each +-k band pair, and a cos column scaled by 1 / sqrt(nx ny) for each
     self-conjugate cell.  With M = fft2(spatial_mask) / (nx ny), the support
     sums of cos cos, sin sin and cos sin are Re[M(k-k') +- M(k+k')] / 2 and
     Im[M(k-k') - M(k+k')] / 2.  M is computed only on the columns those
-    index differences and sums reach (_band_table).  Each eigenvector v maps
+    index differences and sums reach (_band_table).  The Gram goes through
+    fredholm._gram_eigs: pivoted Cholesky cuts it to its numerical rank r
+    (falling back to the whole b x b Gram when r < count), so the eigensolve
+    costs b r^2 + r^3 instead of b^3.  Each eigenvector v maps
     to B v through separable phase tables, and QR orthonormalizes those
     samples largest pair first: that strips the error the larger pairs leak
     into B v, which grows as 1 / sqrt(lambda) relative to it.
@@ -287,7 +297,7 @@ def _band_eigs(problem, count):
         [half * (diff.real + total.real), cs],
         [cs.T, (half * (diff.real - total.real))[np.ix_(pair, pair)]]])
     del diff, total
-    vals, vecs = _eigh(gram, count)
+    vals, vecs, rank = _gram_eigs(gram, count)
     vals, vecs = vals[::-1], vecs[:, ::-1]
 
     # B v = Re sum_k w_k e^{i k.x}, w = scale (v_cos - i v_sin) / sqrt(nx ny)
@@ -303,7 +313,7 @@ def _band_eigs(problem, count):
     ex = np.exp(2j * np.pi * (np.outer(ux, np.arange(nx)) % nx) / nx)
     synth = (ey @ coef @ ex).real.reshape(count, -1)
     local = np.flatnonzero(problem.spatial_mask[support_rows])
-    return vals, np.linalg.qr(synth[:, local].T)[0].T
+    return vals, np.linalg.qr(synth[:, local].T)[0].T, rank
 
 
 def weighted_periodogram_sum(basis, count):

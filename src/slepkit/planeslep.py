@@ -122,7 +122,11 @@ def solve_region_disk(region, k, n_quad=32, count=None):
     Keeps the top `count` eigenpairs (all nodes' worth when count is None).
     The kernel is factored through a polar k-space rule sized from K times
     the node spread D, so the cost grows linearly in the node count n (as
-    n (K D)^4 for the factor's Gram) rather than as n^3.  The
+    n (K D)^4 for the factor's Gram) rather than as n^3.  The 2q x 2q Gram
+    is cut to its numerical rank r by pivoted Cholesky before the eigensolve
+    (fredholm._gram_eigs), which then costs 2q r^2 + r^3 rather than (2q)^3
+    and lowers each eigenvalue by at most the trace of the discarded Schur
+    complement; `solution.extra["gram_rank"]` records r.  The
     stored trace is the full quadrature trace of the kernel, which estimates
     the Shannon number independently of the retained count.  A top eigenvalue
     above 1 means the quadrature under-resolves the kernel; that is reported

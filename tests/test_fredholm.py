@@ -13,7 +13,7 @@ from slepkit import (
     DiskBandKernel, ExtensionError, NumericalError, Region, RegionQuadrature,
     disk_kernel, eigennormalized_samples, gauss_legendre, map_rule,
     nystrom_eigs, nystrom_extend, read_region, region_quadrature, sinc_kernel,
-    solve_region_disk,
+    solve_1d, solve_region_disk,
 )
 from slepkit import fredholm, kernels
 from slepkit.fredholm import EXTEND_CHUNK, _eigh, _radius
@@ -235,6 +235,105 @@ class TestShortEigensolve:
         np.testing.assert_allclose(vals, full_vals[-4:], rtol=1e-13)
         overlap = np.abs(np.sum(vecs * full_vecs[:, -4:], axis=0))
         np.testing.assert_allclose(overlap, 1.0, atol=1e-12)
+
+
+    def test_plain_kernel_solves_a_subset(self, monkeypatch):
+        # a plain kernel (the 1D route) asks LAPACK for the top pairs only
+        subsets = []
+        eigh = scipy.linalg.eigh
+
+        def spy(mat, subset_by_index=None):
+            subsets.append((len(mat), subset_by_index))
+            return eigh(mat, subset_by_index=subset_by_index)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        sol = solve_1d(3.0, n_nodes=96, count=8).solution
+        assert sol.extra == {"route": "dense"} and len(sol.eigenvalues) == 8
+        assert subsets == [(96, [88, 95])]
+
+
+def assert_gram_pairs(gram, vals, vecs, count):
+    """Top `count` pairs of a symmetric Gram against numpy.linalg.eigh of it.
+
+    Eigenvalues agree within 1e-13.  Pairs are grouped where the full
+    spectrum's gaps fall below 1e-8 of its largest value; on every group inside
+    the top `count` the singular values of the overlap with numpy's vectors
+    (the absolute overlap for a single pair) lie within 1e-12 of 1.  A group
+    cut by the count boundary is checked through residuals and orthogonality;
+    a map back through the Cholesky factor loses orthogonality as
+    eps lambda_max / sqrt(lambda_a lambda_b), which the bound allows for.
+    """
+    want_vals, want_vecs = np.linalg.eigh(gram)
+    m = len(gram)
+    assert vals.shape == (count,) and vecs.shape == (m, count)
+    assert np.max(np.abs(vals - want_vals[m - count:])) <= 1e-13
+    assert np.max(np.abs(gram @ vecs - vecs * vals)) <= 1e-13
+    lam = np.maximum(np.abs(vals), np.finfo(float).tiny)
+    slack = 1e-14 * np.max(np.abs(want_vals)) / np.sqrt(np.outer(lam, lam))
+    assert np.all(np.abs(vecs.T @ vecs - np.eye(count)) <= 1e-12 + slack)
+    cuts = np.flatnonzero(np.diff(want_vals) >= 1e-8 * np.max(np.abs(want_vals))) + 1
+    for group in np.split(np.arange(m), cuts):
+        if group[0] >= m - count:
+            cos = np.linalg.svd(want_vecs[:, group].T @ vecs[:, group - (m - count)],
+                                compute_uv=False)
+            np.testing.assert_allclose(cos, 1.0, rtol=0, atol=1e-12)
+
+
+def low_rank_gram(m, rho, seed):
+    """m x m PSD Gram of rank rho, eigenvalues spread from 1 down to 1e-3."""
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, rho)))[0]
+    gram = (q * np.geomspace(1.0, 1e-3, rho)) @ q.T
+    return 0.5 * (gram + gram.T)
+
+
+class TestGramEigs:
+    """Pivoted-Cholesky truncation of PSD Grams against numpy's full eigh."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        # the size of every matrix handed to the dense eigensolver
+        seen = []
+        eigh = fredholm._eigh
+
+        def spy(mat, count):
+            seen.append(len(mat))
+            return eigh(mat, count)
+
+        monkeypatch.setattr(fredholm, "_eigh", spy)
+        return seen
+
+    @pytest.mark.parametrize("count", [1, 12, 30])
+    def test_known_rank_solves_the_cut_gram(self, count, sizes):
+        gram = low_rank_gram(80, 30, 4)
+        vals, vecs, rank = fredholm._gram_eigs(gram, count)
+        assert rank == 30 and sizes == [30]
+        assert_gram_pairs(gram, vals, vecs, count)
+
+    def test_count_beyond_rank_falls_back(self, sizes):
+        gram = low_rank_gram(80, 30, 5)
+        vals, vecs, rank = fredholm._gram_eigs(gram, 36)
+        assert rank == 30 and sizes == [80]
+        assert_gram_pairs(gram, vals, vecs, 36)
+
+    @pytest.mark.parametrize("name, k, n_quad, count", [
+        ("disk", 2.0 * np.sqrt(20.0), 32, 40),
+        ("plateau", 0.0194, 24, 20),
+        ("star", 6.0, 24, 30),
+    ])
+    def test_region_factor_grams(self, name, k, n_quad, count, sizes):
+        region = {"disk": lambda: Region.disk((0.0, 0.0), 1.0),
+                  "plateau": lambda: read_region(boundary_path()),
+                  "star": star_region}[name]()
+        rule = region_quadrature(region, n_quad)
+        origin = np.mean(rule.nodes, axis=0)
+        span = 2.0 * _radius(rule.nodes, origin)
+        b = np.sqrt(rule.weights)[:, None] * DiskBandKernel(k).features(rule.nodes, origin, span)
+        gram = b.T @ b
+        vals, vecs, rank = fredholm._gram_eigs(gram, count)
+        assert count <= rank < len(gram) and sizes == [rank]
+        assert_gram_pairs(gram, vals, vecs, count)
+        sol = nystrom_eigs(DiskBandKernel(k), rule, count)
+        assert sol.extra["gram"] == "factor" and sol.extra["gram_rank"] == rank
 
 
 def star_region():

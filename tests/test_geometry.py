@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import slepkit
 from slepkit import (
     InvalidRegionError, Region, SpectralDomain, area, contains, contains_many,
-    hermitian_symmetrize, read_region, scale_to_area, spline_boundary,
+    hermitian_symmetrize, read_region, region_quadrature, scale_to_area, spline_boundary,
     wedge_domain, write_region, y_extents,
 )
 
@@ -199,6 +199,62 @@ class TestExtents:
 
     def test_outside_is_empty(self):
         assert y_extents(Region.polygon(SQUARE), 5.0) == []
+
+    @pytest.mark.parametrize("name", ["plateau", "star", "spline", "c-shape"])
+    def test_matches_edge_loop(self, name, plateau_region, monkeypatch):
+        # the vectorized crossings repeat the edge loop's arithmetic, so the
+        # extents, and the quadrature built on them, are bit-identical
+        rng = np.random.default_rng(17)
+        theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, 23))
+        star = np.column_stack([np.cos(theta), np.sin(theta)]) * rng.uniform(0.4, 1.5, (23, 1))
+        phi = 2.0 * np.pi * np.arange(9) / 9
+        knots = np.column_stack([np.cos(phi), np.sin(phi)]) * rng.uniform(0.8, 1.2, (9, 1))
+        region = {"plateau": lambda: plateau_region,
+                  "star": lambda: Region.polygon(star + [3.0, -2.0]),
+                  "spline": lambda: spline_boundary(knots, 120),
+                  "c-shape": lambda: Region.polygon(C_SHAPE)}[name]()
+        xmin, xmax, _, _ = region.bounding_box()
+        xs = np.concatenate([region.vertices[:, 0], np.linspace(xmin, xmax, 97),
+                             rng.uniform(xmin, xmax, 50)])
+        for x in xs:
+            assert y_extents(region, x) == edge_loop_extents(region, x)
+        rule = region_quadrature(region, 24)
+        monkeypatch.setattr(slepkit.geometry, "y_extents", edge_loop_extents)
+        loop = region_quadrature(region, 24)
+        for got, want in ((rule.nodes, loop.nodes), (rule.weights, loop.weights),
+                          (rule.segments, loop.segments)):
+            assert np.array_equal(got, want)
+
+
+def edge_loop_extents(region, x):
+    """y_extents of a polygon with the crossings found one edge at a time."""
+    x = float(x)
+    xmin, xmax, _, _ = region.bounding_box()
+    if x < xmin or x > xmax:
+        return []
+    v = region.vertices
+    step = 1e-12 * (xmax - xmin)
+    if x <= xmin or x >= xmax:
+        x = np.clip(x, xmin + step, xmax - step)
+    direction = 1.0 if x <= 0.5 * (xmin + xmax) else -1.0
+    for _ in range(16):
+        if not np.any(v[:, 0] == x):
+            break
+        x += direction * step
+    ys = []
+    x0, y0 = v[-1]
+    for x1, y1 in v:
+        if (x0 - x) * (x1 - x) < 0.0:
+            ys.append(y0 + (x - x0) * (y1 - y0) / (x1 - x0))
+        x0, y0 = x1, y1
+    ys.sort()
+    out = []
+    for lo, hi in zip(ys[0::2], ys[1::2]):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(hi, out[-1][1]))
+        else:
+            out.append((lo, hi))
+    return out
 
 
 class TestSpline:

@@ -12,7 +12,8 @@ from slepkit import (
     apply_operator, build_problem, periodogram, solve, wedge_domain,
     weighted_periodogram_sum,
 )
-from slepkit import gridprojector
+from slepkit import fredholm, gridprojector
+from test_fredholm import assert_gram_pairs
 from test_geometry import star_polygons
 
 SQUARE = Region.polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
@@ -408,6 +409,54 @@ class TestSolve:
         # different fine values
         np.testing.assert_allclose(lam[1], lam[-1], atol=0.2)
         assert np.max(np.abs(lam[1] - lam[-1])) > 1e-6
+
+
+class TestGramEigs:
+    """The grid Grams through fredholm._gram_eigs, against numpy's full eigh."""
+
+    @staticmethod
+    def band_gram(problem, monkeypatch):
+        grams = []
+
+        def spy(gram, count):
+            grams.append(gram)
+            return fredholm._gram_eigs(gram, count)
+
+        monkeypatch.setattr(gridprojector, "_gram_eigs", spy)
+        gridprojector._band_eigs(problem, 1)
+        return grams[0]
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_PROBLEMS))
+    def test_band_grams(self, name, monkeypatch):
+        # every oracle problem's band Gram, whichever side solve() would take
+        gram = self.band_gram(ORACLE_PROBLEMS[name][0](), monkeypatch)
+        b = len(gram)
+        for count in sorted({1, min(6, b), b // 2, b}):
+            vals, vecs, rank = fredholm._gram_eigs(gram, count)
+            assert rank <= b
+            assert_gram_pairs(gram, vals, vecs, count)
+
+    def test_identity_like_gram(self):
+        # the all-pass support Gram is the identity to rounding: one exact
+        # cluster, every pivot 1, and no pair left out of the factor
+        p = all_pass_problem()
+        cells = np.flatnonzero(p.spatial_mask)
+        gram = gridprojector._pairwise(np.fft.ifft2(p.spectral_mask).real,
+                                       *np.divmod(cells, p.grid.nx), -1)
+        assert np.max(np.abs(gram - np.eye(len(cells)))) <= 1e-15
+        for count in (1, 7, len(cells)):
+            vals, vecs, rank = fredholm._gram_eigs(gram, count)
+            assert rank == len(cells)
+            assert_gram_pairs(gram, vals, vecs, count)
+
+    @pytest.mark.parametrize("name", ["disk-odd", "wedge-even-odd"])
+    def test_solve_records_the_band_gram_rank(self, name, monkeypatch):
+        problem = ORACLE_PROBLEMS[name][0]()
+        gram = self.band_gram(problem, monkeypatch)
+        rank = scipy.linalg.lapack.dpstrf(gram, lower=1)[2]
+        basis = solve(problem, 3)
+        assert basis.extra["gram"] == "band"
+        assert basis.extra["gram_rank"] == rank <= basis.extra["rank"]
 
 
 class TestWeightedPeriodogramSum:
