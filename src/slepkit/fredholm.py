@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import quadrature
 from .errors import ExtensionError, NumericalError
 
 # kernel or factor entries evaluated at once when extending to many points
@@ -30,8 +29,6 @@ class NystromSolution:
     kernel_tag: str = ""
     trace: float = 0.0        # sum_i w_i kernel(x_i, x_i), the full discrete trace
     extra: dict = field(default_factory=dict)   # how the spectrum was computed
-    segments: np.ndarray = None   # planar node layout (see RegionQuadrature), None in 1D
-    base: np.ndarray = None
 
     def kernel_apply(self, rows, x):
         """sum_j w_j kernel(x, x_j) rows[a, j] at points x, shape (m, len(rows)).
@@ -40,16 +37,14 @@ class NystromSolution:
         follow the points in C order.  A factored kernel goes through
         A(x) (A(nodes)^T W rows^T) on a k-rule sized to the largest
         query-to-node distance.  A(nodes) is never formed: the node side is
-        summed per segment of the node layout (`DiskBandKernel.segment_apply`),
-        one-node segments when the rule had no layout.  When `x` is a
-        (ny, nx, 2) tensor grid (x constant down every column, y along every
-        row, compared exactly), A(x) is not formed either: the kernel's 1D
-        phase tables synthesize it, and the factor is taken while its width 2q
-        is at most max(n, m).  Other points take it while 2q <= n.  Past those
+        `DiskBandKernel.node_apply`.  When `x` is a (ny, nx, 2) tensor grid
+        (x constant down every column, y along every row, compared exactly),
+        A(x) is not formed either: the kernel's 1D phase tables synthesize
+        it, and the factor is taken while its width 2q is at most max(n, m).  Other points take it while 2q <= n.  Past those
         widths, and for plain kernels, the extension goes through the kernel
-        itself.  Segment blocks (their cos/sin tables, phases and sums), query
-        blocks and kernel blocks each hold at most EXTEND_CHUNK entries; only
-        the grid's (nx, q) x table is built whole.
+        itself.  Node blocks (their samples, phases and sums), query blocks
+        and kernel blocks each hold at most EXTEND_CHUNK entries; only the
+        grid's (nx, q) x table is built whole.
         """
         kernel, nodes = self.kernel, self.nodes
         wr = (self.weights * np.atleast_2d(rows)).T            # (n, r)
@@ -61,14 +56,7 @@ class NystromSolution:
             span = _radius(x, origin) + _radius(nodes, origin)
             width = kernel.rank(span)
             if width <= (len(nodes) if axes is None else max(len(nodes), len(x))):
-                segments, base = _layout(self, nodes)
-                shape = (len(segments), len(base))
-                points, values = nodes.reshape(shape + (2,)), wr.reshape(shape + (-1,))
-                # per segment: q (len(base) + 1 + 2r) entries bound its cos/sin
-                # tables, its q phases and its sums
-                step = width // 2 * (len(base) + 1 + 2 * wr.shape[1])
-                coef = sum(kernel.segment_apply(values[lo:hi], points[lo:hi], origin, span)
-                           for lo, hi in _steps(len(segments), step))
+                coef = kernel.node_apply(wr, nodes, origin, span, EXTEND_CHUNK)
                 if axes is None:
                     return _chunked(lambda p: kernel.features(p, origin, span) @ coef,
                                     x, width, wr.shape[1:])
@@ -96,37 +84,13 @@ def _radius(points, origin):
     return float(np.max(np.hypot(*(points - origin).T), initial=0.0))
 
 
-def _steps(count, width):
-    """[lo, hi) slices over `count` items costing `width` entries each, at
-    most EXTEND_CHUNK entries per slice."""
-    step = max(1, EXTEND_CHUNK // max(1, width))
-    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
-
-
 def _chunked(block, x, width, tail):
     """block(x[lo:hi]) stacked into shape (len(x),) + tail, in slices whose
     transient blocks of `width` entries per item hold at most EXTEND_CHUNK."""
-    out = np.empty((len(x),) + tuple(tail))
-    for lo, hi in _steps(len(x), width):
-        out[lo:hi] = block(x[lo:hi])
+    out, step = np.empty((len(x),) + tuple(tail)), max(1, EXTEND_CHUNK // max(1, width))
+    for lo in range(0, len(x), step):
+        out[lo:lo + step] = block(x[lo:lo + step])
     return out
-
-
-def _layout(rule, nodes):
-    """(segments, base) of planar nodes: the rule's own layout, else one-node
-    segments (x, y, y) on base [0.0].
-
-    The extension pairs nodes through the layout, so a layout must have an
-    antisymmetric base and rebuild the nodes exactly (quadrature.layout_nodes).
-    """
-    segments, base = getattr(rule, "segments", None), getattr(rule, "base", None)
-    if segments is None or base is None:
-        return np.column_stack([nodes, nodes[:, 1]]), np.zeros(1)
-    segments, base = np.asarray(segments, dtype=float), np.asarray(base, dtype=float)
-    if not (np.array_equal(base, -base[::-1])
-            and np.array_equal(quadrature.layout_nodes(segments, base), nodes)):
-        raise ValueError("node layout must have an antisymmetric base and rebuild the nodes")
-    return segments, base
 
 
 def _as_rule(rule):
@@ -225,11 +189,12 @@ def _node_eigs(kernel, nodes, sw, count):
 def _factored_eigs(kernel, nodes, sw, count):
     """Top `count` pairs (ascending) of B B^T, B = sqrt(W) A, and diag K.
 
-    The factor's Gram B^T B (2q x 2q) is diagonalized while it is no larger
-    than the node count and holds `count` pairs, cut first to its numerical
-    rank by pivoted Cholesky (_gram_eigs: each eigenvalue moves by at most the
-    trace of the discarded Schur complement), and its eigenvectors map to
-    u = B v / sqrt(lambda).  That map loses orthogonality as 1e-17 / lambda,
+    B comes from `kernel.node_factor`, with sqrt(W) folded into its ky
+    samples.  The factor's Gram B^T B (2q x 2q) is diagonalized while it is
+    no larger than the node count and holds `count` pairs, cut first to its
+    numerical rank by pivoted Cholesky (_gram_eigs: each eigenvalue moves by
+    at most the trace of the discarded Schur complement), and its
+    eigenvectors map to u = B v / sqrt(lambda).  That map loses orthogonality as 1e-17 / lambda,
     so when the smallest pair kept falls below FACTOR_FLOOR times the largest,
     or the factor is the wider side, the top pairs come from the n x n kernel
     matrix instead, which is then the cheaper and exact Gram.
@@ -241,7 +206,9 @@ def _factored_eigs(kernel, nodes, sw, count):
     extra = {"route": "factored", "rank": rank, "k_rule": kernel.rule_sizes(span),
              "gram": "nodes"}
     if count <= rank <= n:
-        b = sw[:, None] * kernel.features(nodes, origin, span)
+        # (Re, Im) pairs side by side: B with its columns permuted, same B B^T
+        f, extra["abscissas"], extra["cheb_terms"] = kernel.node_factor(nodes, origin, span, sw)
+        b = f.view(float)
         if not np.all(np.isfinite(b)):
             raise NumericalError("kernel factor has non-finite entries")
         vals, v, extra["gram_rank"] = _gram_eigs(b.T @ b, count)
@@ -261,10 +228,11 @@ def nystrom_eigs(kernel, rule, count, kernel_tag=""):
     dense eigh of the n x n matrix.  A kernel with `features` (planar nodes
     only) is factored as sqrt(W) K sqrt(W) = B B^T, and the smaller Gram is
     solved; `extra` records the factor's width `rank`, its k-rule sizes, the
-    numerical rank `gram_rank` that pivoted Cholesky found in B^T B (when it
-    was formed) and the side used ("factor" for B^T B, "nodes" for the n x n
-    kernel matrix).  The trace is
-    sum_i w_i kernel(x_i, x_i) either way.  Output is deterministic:
+    side used ("factor" for B^T B, "nodes" for the n x n kernel matrix) and,
+    when B was built, the numerical rank `gram_rank` that pivoted Cholesky
+    found in B^T B, the count `abscissas` of distinct node abscissas and the
+    Chebyshev term count `cheb_terms` in ky that B was synthesized from.  The
+    trace is sum_i w_i kernel(x_i, x_i) either way.  Output is deterministic:
     eigenvalues descending, exact ties broken by the index of the
     largest-magnitude node sample, signs fixed at the centroid.
     """
@@ -275,10 +243,8 @@ def nystrom_eigs(kernel, rule, count, kernel_tag=""):
     if not 1 <= count <= n:
         raise ValueError("count must lie in [1, number of nodes]")
     sw = np.sqrt(weights)
-    segments, base = _layout(rule, nodes) if nodes.ndim == 2 else (None, None)
     if hasattr(kernel, "features"):
         vals, vecs, diag, extra = _factored_eigs(kernel, nodes, sw, count)
-        extra.update(segments=len(segments), base=len(base))
     else:
         vals, vecs, diag = _node_eigs(kernel, nodes, sw, count)
         extra = {"route": "dense"}
@@ -298,8 +264,7 @@ def nystrom_eigs(kernel, rule, count, kernel_tag=""):
     _fix_signs(samples, nodes, weights)
     return NystromSolution(
         eigenvalues=top, node_samples=samples, nodes=nodes, weights=weights,
-        kernel=kernel, kernel_tag=kernel_tag, trace=float(weights @ diag), extra=extra,
-        segments=segments, base=base)
+        kernel=kernel, kernel_tag=kernel_tag, trace=float(weights @ diag), extra=extra)
 
 
 def eigennormalized_samples(solution):

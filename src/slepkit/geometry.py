@@ -176,41 +176,51 @@ def y_extents(region, x):
     the slice is shifted by 1e-12 of the bounding-box width toward the box
     center and recomputed.
     """
-    x = float(x)
+    return _slice_extents(region, [float(x)])[0]
+
+
+def _slice_extents(region, xs):
+    """y_extents at every abscissa of the 1D sequence xs, as a list of lists.
+
+    A polygon's edge crossings are found for all abscissas at once, in one
+    (abscissas x edges) array; each crossing is the same expression a single
+    slice evaluates, so the extents do not depend on which abscissas share
+    the call.
+    """
+    xs = np.asarray(xs, dtype=float)
     xmin, xmax, _, _ = region.bounding_box()
-    if x < xmin or x > xmax:
-        return []
+    inside = ((xs >= xmin) & (xs <= xmax)).tolist()
     if region.kind == "disk":
         (cx, cy), r = region.center, region.radius
-        s2 = r * r - (x - cx) ** 2
-        if s2 <= 0.0:
-            return []
-        s = np.sqrt(s2)
-        return [(cy - s, cy + s)]
+        s2 = r * r - (xs - cx) ** 2
+        s = np.sqrt(np.maximum(s2, 0.0))
+        return [[(lo, hi)] if ok and pos else [] for ok, pos, lo, hi in
+                zip(inside, (s2 > 0.0).tolist(), (cy - s).tolist(), (cy + s).tolist())]
     v = region.vertices
-    width = xmax - xmin
-    step = 1e-12 * width
-    if x <= xmin or x >= xmax:
-        x = np.clip(x, xmin + step, xmax - step)
-    direction = 1.0 if x <= 0.5 * (xmin + xmax) else -1.0
+    step = 1e-12 * (xmax - xmin)
+    xs = np.where((xs <= xmin) | (xs >= xmax), np.clip(xs, xmin + step, xmax - step), xs)
+    direction = np.where(xs <= 0.5 * (xmin + xmax), 1.0, -1.0)
     for _ in range(16):
-        if not np.any(v[:, 0] == x):
+        on_vertex = np.isin(xs, v[:, 0])
+        if not np.any(on_vertex):
             break
-        x += direction * step
+        xs = np.where(on_vertex, xs + direction * step, xs)
     # edge (v[i-1], v[i]) crosses the slice where its ends straddle x
     x0, y0 = np.roll(v, 1, axis=0).T
     x1, y1 = v.T
+    x = xs[:, None]
     cross = (x0 - x) * (x1 - x) < 0.0
-    x0, y0, x1, y1 = x0[cross], y0[cross], x1[cross], y1[cross]
-    ys = np.sort(y0 + (x - x0) * (y1 - y0) / (x1 - x0))
-    if len(ys) < 2:
-        return []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ys = np.sort(np.where(cross, y0 + (x - x0) * (y1 - y0) / (x1 - x0), np.inf), axis=1)
     out = []
-    for lo, hi in zip(ys[0::2], ys[1::2]):
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(hi, out[-1][1]))
-        else:
-            out.append((lo, hi))
+    for ok, count, row in zip(inside, np.sum(cross, axis=1).tolist(), ys.tolist()):
+        spans = []
+        for lo, hi in zip(row[0:count:2], row[1:count:2]) if ok else ():
+            if spans and lo <= spans[-1][1]:
+                spans[-1] = (spans[-1][0], max(hi, spans[-1][1]))
+            else:
+                spans.append((lo, hi))
+        out.append(spans)
     return out
 
 

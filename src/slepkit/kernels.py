@@ -4,6 +4,7 @@ All evaluators broadcast over numpy arrays so matrix assembly is one call.
 """
 
 import functools
+import math
 
 import numpy as np
 from scipy import special as _sp
@@ -45,7 +46,7 @@ class DiskBandKernel:
     every separation |x - x'| <= span.  Its angle counts and wavevectors are
     each built once per span and shared by `rule_sizes`, `rank`, `features`,
     `grid_apply`, which extends through the factor on a tensor grid, and
-    `segment_apply`, which sums the factor over the nodes segment by segment.
+    `node_factor` and `node_apply`, which synthesize A and A^T on quadrature nodes.
     """
 
     def __init__(self, k):
@@ -109,50 +110,85 @@ class DiskBandKernel:
             out[..., a] = ((ey * chat[:, a]) @ ex.T).real
         return out
 
-    def segment_apply(self, values, points, origin, span):
-        """features(points, origin, span)^T @ values for points grouped in segments, (2q, r).
+    def node_factor(self, nodes, origin, span, weights):
+        """(F, n_x, N): features(nodes, origin, span) scaled by `weights` down its
+        rows, as (Re, Im) of a complex (n, q) F (F.view(float) pairs cos, sin).
 
-        `points` (s, m, 2) holds s segments of m nodes as a node layout
-        (RegionQuadrature) places them: a segment shares one abscissa x_i, and
-        node p pairs with node m - 1 - p symmetrically about the middle c_i of
-        its outer pair.  `values` (s, m, r) holds the node rows in that order.
-        With d = y - o_y as `features` takes it, a pair sits at
-        d = c_i + b +- a, where a is its half gap and the drift b only the
-        rounding of the nodes, so its phases split as
-        exp(i k.(x - o)) = P[i, k] exp(i ky b) exp(+-i ky a) with one segment
-        phase P = scale exp(i (kx (x_i - o_x) + ky c_i)) per row.  A pair thus
-        shares cos(ky a) and sin(ky a), taken once per distinct ky:
-        S = sum (v+ + v-) cos + i (v+ - v-) sin, each pair's term times
-        exp(i ky b) = 1 + i ky b (exact to (ky b)^2 / 2), plus the middle node
-        of an odd segment, and sum_i P[i] S[i] = coef[:q] + i coef[q:].  That
-        is (n/2) u cos and sin values for the u <= q distinct ky and s q
-        segment phases, instead of the n 2q values of features(points).
+        With d = nodes - origin, exp(i k.d) = exp(i kx d_x) exp(i ky d_y), so
+        F = X[abscissa] * (E L^T), X = scale exp(i kx d_x) at the n_x distinct
+        abscissas and E = weights exp(i w_j d_y) at the N points w_j of the ky
+        interpolation L (_ky_rule): n N q products and n_x q phases, not n 2q
+        cos/sin values.  F is built in place, its X gathers in blocks no larger than E.
         """
-        kx, ky, scale = _wavevectors(self.k, float(span))
-        distinct, inverse = _distinct_ky(self.k, float(span))
-        ox, oy = np.asarray(origin, dtype=float)
-        d = points[..., 1] - oy                                          # (s, m)
-        size, pairs, r = d.shape[1], d.shape[1] // 2, values.shape[2]
-        mid = 0.5 * (d[:, 0] + d[:, -1])
-        p = scale * np.exp(1j * (np.multiply.outer(points[:, 0, 0] - ox, kx)
-                                 + np.multiply.outer(mid, ky)))          # (s, q)
-        up, down = d[:, size - pairs:], d[:, :pairs][:, ::-1]
-        drift = (0.5 * (up + down) - mid[:, None])[..., None]
-        angle = np.multiply.outer(distinct, 0.5 * (up - down)).transpose(1, 0, 2)
-        vu, vd = values[:, size - pairs:], values[:, :pairs][:, ::-1]
-        plus, minus = vu + vd, vu - vd
-        # cos and sin sums of the pairs, then of the pairs weighted by their drift
-        cs = np.cos(angle) @ np.concatenate([plus, drift * plus], axis=2)
-        sn = np.sin(angle) @ np.concatenate([minus, drift * minus], axis=2)
-        ky_u = distinct[:, None]
-        real = cs[..., :r] - ky_u * sn[..., r:]
-        imag = sn[..., :r] + ky_u * cs[..., r:]
-        if size % 2:
-            centre = values[:, pairs, None]
-            real += centre
-            imag = imag + ky_u * (d[:, pairs] - mid)[:, None, None] * centre
-        c = np.einsum("sk,skr->kr", p, (real + 1j * imag)[:, inverse])
+        kx, _, scale = _wavevectors(self.k, float(span))
+        d = np.asarray(nodes, dtype=float) - np.asarray(origin, dtype=float)
+        xs, at = np.unique(d[:, 0], return_inverse=True)
+        omega, interp = _ky_rule(self.k, float(span), d[:, 1])
+        samples = _samples(d[:, 1], omega) * np.asarray(weights, dtype=float)[:, None]
+        out = samples @ interp.T
+        phases = scale * np.exp(1j * np.multiply.outer(xs, kx))
+        step = max(1, samples.size // len(kx))
+        for lo in range(0, len(out), step):
+            out[lo:lo + step] *= phases[at[lo:lo + step]]
+        return out, len(xs), len(omega)
+
+    def node_apply(self, values, nodes, origin, span, chunk):
+        """features(nodes, origin, span)^T @ values, (2q, r), without forming the factor.
+
+        In node_factor's terms, column pair k is (Re, Im) of
+        sum_x X_x[k] (L Z_x)[k], Z_x summing E[p] (x) values[p] over the nodes
+        at abscissa x: n N r + q N n_x r products and n_x q phases.  Blocks of
+        whole abscissas hold at most `chunk` entries (one abscissa at least),
+        so blocking changes only the order of the sum over abscissas.
+        """
+        kx, _, scale = _wavevectors(self.k, float(span))
+        d = np.asarray(nodes, dtype=float) - np.asarray(origin, dtype=float)
+        xs, at, counts = np.unique(d[:, 0], return_inverse=True, return_counts=True)
+        omega, interp = _ky_rule(self.k, float(span), d[:, 1])
+        (q, terms), r = interp.shape, values.shape[1]
+        order, ends = np.argsort(at, kind="stable"), np.cumsum(counts)
+        # an abscissa holds its nodes' E and E (x) V rows and its X, Z and L Z rows
+        step, c = max(1, chunk // (2 * (counts.max() * terms * (r + 1) + (terms + q) * r + q))), 0
+        for lo in range(0, len(xs), step):
+            block, first = slice(lo, lo + step), ends[lo] - counts[lo]
+            rows = order[first:ends[block][-1]]
+            # (N, abscissas, r): the Z_x side by side, for one real GEMM with L
+            z = np.add.reduceat(_samples(d[rows, 1], omega).T[:, :, None] * values[rows],
+                                ends[block] - counts[block] - first, axis=1)
+            lz = (interp @ z.reshape(terms, -1).view(float)).view(complex)
+            phases = scale * np.exp(1j * np.multiply.outer(xs[block], kx))
+            c = c + np.einsum("xk,kxr->kr", phases, lz.reshape((q,) + z.shape[1:]))
         return np.concatenate([c.real, c.imag])
+
+
+def _samples(dy, omega):
+    """exp(i w_j dy) at every offset dy and point w_j, (len(dy), len(omega))."""
+    angle = np.multiply.outer(dy, omega)
+    return np.cos(angle) + 1j * np.sin(angle)
+
+
+def _ky_rule(k, span, dy):
+    """(w, L) interpolating exp(i ky dy) in ky to about 1e-16 for the offsets dy.
+
+    ky lies in [0, k], where exp(i w dy) is entire in w with Chebyshev
+    coefficients 2 |J_n(k |dy| / 2)| about k / 2.  |J_n(x)| <= (x / 2)^n / n!,
+    so N first-kind Chebyshev points w_j of [0, k] suffice, N the smallest
+    count with that bound at most 1e-17 for x = k max|dy| / 2.  L (q, N)
+    holds the barycentric weights from the w_j to each wavevector's ky.  It
+    costs q N divisions, so it is rebuilt per call rather than kept.
+    """
+    x, terms = 0.5 * k * np.max(np.abs(dy), initial=0.0), 1
+    while x > 0.0 and terms * math.log(0.5 * x) - math.lgamma(terms + 1) > math.log(1e-17):
+        terms += 1
+    angle = (2 * np.arange(terms) + 1) * np.pi / (2 * terms)
+    omega = 0.5 * k * (1.0 + np.cos(angle))
+    diff = _wavevectors(k, span)[1][:, None] - omega
+    with np.errstate(divide="ignore", invalid="ignore"):
+        interp = (-1.0) ** np.arange(terms) * np.sin(angle) / diff
+        interp /= np.sum(interp, axis=1, keepdims=True)
+    hit = np.any(diff == 0.0, axis=1)   # a ky on a point takes that point's sample
+    interp[hit] = diff[hit] == 0.0
+    return omega, interp
 
 
 def _radial_rule(k, span):
@@ -202,15 +238,6 @@ def _wavevectors(k, span):
     for a in (kx, ky, scale):
         a.flags.writeable = False
     return kx, ky, scale
-
-
-@functools.lru_cache(maxsize=16)
-def _distinct_ky(k, span):
-    """(distinct ky values, index of each wavevector's ky among them), read-only."""
-    distinct, inverse = np.unique(_wavevectors(k, span)[1], return_inverse=True)
-    for a in (distinct, inverse):
-        a.flags.writeable = False
-    return distinct, inverse
 
 
 def _p_rule(n2d):

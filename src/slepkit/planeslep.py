@@ -122,11 +122,15 @@ def solve_region_disk(region, k, n_quad=32, count=None):
     Keeps the top `count` eigenpairs (all nodes' worth when count is None).
     The kernel is factored through a polar k-space rule sized from K times
     the node spread D, so the cost grows linearly in the node count n (as
-    n (K D)^4 for the factor's Gram) rather than as n^3.  The 2q x 2q Gram
-    is cut to its numerical rank r by pivoted Cholesky before the eigensolve
-    (fredholm._gram_eigs), which then costs 2q r^2 + r^3 rather than (2q)^3
-    and lowers each eigenvalue by at most the trace of the discarded Schur
-    complement; `solution.extra["gram_rank"]` records r.  The
+    n (K D)^4 for the factor's Gram) rather than as n^3.  The factor on the
+    nodes is synthesized from one phase row per distinct abscissa and an
+    N-term Chebyshev interpolation in ky (DiskBandKernel.node_factor;
+    `solution.extra` records `abscissas` and `cheb_terms`), in place of
+    n 2q cos/sin values.  The 2q x 2q Gram is cut to its numerical rank r
+    by pivoted Cholesky before the eigensolve (fredholm._gram_eigs), which
+    then costs 2q r^2 + r^3 rather than (2q)^3 and lowers each eigenvalue by
+    at most the trace of the discarded Schur complement;
+    `solution.extra["gram_rank"]` records r.  The
     stored trace is the full quadrature trace of the kernel, which estimates
     the Shannon number independently of the retained count.  A top eigenvalue
     above 1 means the quadrature under-resolves the kernel; that is reported
@@ -324,13 +328,17 @@ def write_grid_text(field, path):
     if np.iscomplexobj(vals):
         raise ConfigurationError("text grid export is defined for real fields")
     g = field.grid
-    # every x and y is formatted once, and a row goes out in one write
+    vals = vals.astype(float, copy=False)
+    # every x and y is formatted once, a row goes out in one write, and +0.0,
+    # most of a field outside its region, is written without a repr call
     xs = [repr(x) for x in g.x_axis().tolist()]
+    plus_zero = (vals == 0.0) & ~np.signbit(vals)
     with open(path, "w") as fh:
         fh.write("# x y value\n")
-        for y, row in zip(g.y_axis().tolist(), vals.astype(float, copy=False).tolist()):
+        for y, row, zero in zip(g.y_axis().tolist(), vals, plus_zero):
             mid = f" {y!r} "
-            fh.write("".join(f"{x}{mid}{v!r}\n" for x, v in zip(xs, row)))
+            fh.write("".join([f"{x}{mid}0.0\n" if z else f"{x}{mid}{v!r}\n"
+                              for x, v, z in zip(xs, row.tolist(), zero.tolist())]))
 
 
 def read_grid_text(path):

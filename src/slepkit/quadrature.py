@@ -24,7 +24,7 @@ class RegionQuadrature:
     i * len(base) onward) sits at abscissa x_i with ordinates
     map_rule(base, lo_i, hi_i).  `base` holds the Gauss nodes on [-1, 1]
     that every segment shares, exactly antisymmetric (base == -base[::-1]).
-    A rule without a layout is treated as one-node segments by the solver.
+    The solver reads only the nodes and weights.
     """
     nodes: np.ndarray    # (m, 2)
     weights: np.ndarray  # (m,)
@@ -93,7 +93,8 @@ def region_quadrature(region, n_per_dim=32):
     """Tensor quadrature over a region.
 
     Outer composite Gauss-Legendre rule in x over the bounding interval; at
-    each x-node every disjoint y-extent interval is one segment and receives
+    each x-node (all found in one pass, geometry._slice_extents) every
+    disjoint y-extent interval is one segment and receives
     its own mapped n_per_dim-point rule; weights are the pairwise products.
     The segments and the shared inner nodes are kept as the rule's layout.
     """
@@ -102,8 +103,8 @@ def region_quadrature(region, n_per_dim=32):
     xs, wxs = _x_panels(region, n_per_dim)
     inner = gauss_legendre(n_per_dim)
     segments, wx = [], []
-    for x, w in zip(xs, wxs):
-        for lo, hi in geometry.y_extents(region, x):
+    for x, w, extents in zip(xs, wxs, geometry._slice_extents(region, xs)):
+        for lo, hi in extents:
             if hi > lo:
                 segments.append((x, lo, hi))
                 wx.append(w)

@@ -6,12 +6,13 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slepkit import (
-    DiskBandKernel, ExtensionError, NumericalError, Region, RegionQuadrature,
-    disk_kernel, eigennormalized_samples, gauss_legendre, map_rule,
+    DiskBandKernel, ExtensionError, GridSpec, NumericalError, Region, RegionQuadrature,
+    disk_kernel, eigennormalized_samples, evaluate_g, gauss_legendre, map_rule,
     nystrom_eigs, nystrom_extend, read_region, region_quadrature, sinc_kernel,
     solve_1d, solve_region_disk,
 )
@@ -327,8 +328,9 @@ class TestGramEigs:
         rule = region_quadrature(region, n_quad)
         origin = np.mean(rule.nodes, axis=0)
         span = 2.0 * _radius(rule.nodes, origin)
-        b = np.sqrt(rule.weights)[:, None] * DiskBandKernel(k).features(rule.nodes, origin, span)
-        gram = b.T @ b
+        # the Gram the solve forms: the synthesized factor, (cos, sin) pairs side by side
+        b = DiskBandKernel(k).node_factor(rule.nodes, origin, span, np.sqrt(rule.weights))[0]
+        gram = b.view(float).T @ b.view(float)
         vals, vecs, rank = fredholm._gram_eigs(gram, count)
         assert count <= rank < len(gram) and sizes == [rank]
         assert_gram_pairs(gram, vals, vecs, count)
@@ -520,21 +522,24 @@ class TestGridExtension:
 
     @pytest.mark.parametrize("shaped", [True, False])
     def test_chunked_matches_unchunked(self, sol, monkeypatch, shaped):
-        # on the far grid a 942-column rule: one 16-node segment per node-side
-        # block and 10 grid rows per block
+        # on the far grid a 942-column rule: one abscissa per node-side block
+        # and 10 grid rows per block
         center = np.mean(sol.nodes, axis=0)
         pts = tensor_grid(40, 30, center + (9.0, -3.0), (0.02, 0.02))
         if not shaped:
             pts = tensor_grid(20, 15, center + (0.3, 0.1), (0.1, 0.1)).reshape(-1, 2)
         whole = sol.kernel_apply(sol.node_samples, pts)
-        segment_blocks = self.spy(monkeypatch, "segment_apply")
+        node_blocks = []
+        samples = kernels._samples
+        monkeypatch.setattr(kernels, "_samples",
+                            lambda dy, omega: node_blocks.append(dy) or samples(dy, omega))
         features = self.spy(monkeypatch, "features")
         grid = self.spy(monkeypatch, "grid_apply")
         monkeypatch.setattr(fredholm, "EXTEND_CHUNK", 5000)
         got = sol.kernel_apply(sol.node_samples, pts)
         assert not any(np.shares_memory(args[0], sol.nodes) for args in features)
         query_blocks = len(grid) if shaped else len(features)
-        assert len(segment_blocks) > 1 and query_blocks > 1
+        assert len(node_blocks) > 1 and query_blocks > 1
         np.testing.assert_allclose(got, whole, rtol=0, atol=1e-14 * np.max(np.abs(whole)))
 
 
@@ -550,90 +555,157 @@ def node_coef_reference(sol, rows, origin, span):
     return sol.kernel.features(sol.nodes, origin, span).T @ (sol.weights * rows).T
 
 
+def bound_terms(x):
+    """Smallest n >= 1 with (x / 2)^n / n! <= 1e-17, a bound on |J_n(x)|."""
+    n, term = 1, 0.5 * x
+    while term > 1e-17:
+        n += 1
+        term *= 0.5 * x / n
+    return n
+
+
+def synthesized_factor(kernel, nodes, origin, span, weights):
+    """node_factor as a plain (n, 2q) array in the column order of features."""
+    f = kernel.node_factor(nodes, origin, span, weights)[0]
+    return np.concatenate([f.real, f.imag], axis=1)
+
+
 class TestSegmentContraction:
-    """DiskBandKernel.segment_apply against the node-by-node factor product."""
+    """The node-side synthesis (DiskBandKernel.node_factor and node_apply: one
+    phase per abscissa and a Chebyshev expansion in ky) against the
+    node-by-node factor."""
 
     @staticmethod
     def check(sol):
-        origin = np.mean(sol.nodes, axis=0)
-        radius = _radius(sol.nodes, origin)
-        # r = 1 and r = count, on the solve's rule and on a wider extension rule
-        for rows in (sol.node_samples[:1], sol.node_samples):
-            shape = (len(sol.segments), len(sol.base))
-            values = (sol.weights * rows).T.reshape(shape + (-1,))
-            for span in (2.0 * radius, 3.0 * radius):
-                got = sol.kernel.segment_apply(values, sol.nodes.reshape(shape + (2,)),
-                                               origin, span)
+        """Check both node products; returns (abscissas, terms) of the synthesis."""
+        kernel, nodes = sol.kernel, sol.nodes
+        origin = np.mean(nodes, axis=0)
+        radius = _radius(nodes, origin)
+        # the solve's span and one 1.5x wider; r = 1 and r = count
+        for span in (2.0 * radius, 3.0 * radius):
+            want = np.sqrt(sol.weights)[:, None] * kernel.features(nodes, origin, span)
+            got = synthesized_factor(kernel, nodes, origin, span, np.sqrt(sol.weights))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+            for rows in (sol.node_samples[:1], sol.node_samples):
+                got = kernel.node_apply((sol.weights * rows).T, nodes, origin, span,
+                                        fredholm.EXTEND_CHUNK)
                 want = node_coef_reference(sol, rows, origin, span)
                 np.testing.assert_allclose(got, want, rtol=0,
                                            atol=1e-14 * np.max(np.abs(want)))
+        # the distinct abscissas and the N of the bound, as the solve records them
+        d = nodes - origin
+        sizes = kernel.node_factor(nodes, origin, 2.0 * radius, sol.weights)[1:]
+        assert sizes == (len(np.unique(d[:, 0])),
+                         bound_terms(0.5 * kernel.k * np.max(np.abs(d[:, 1]))))
+        if sol.extra["gram"] == "factor":
+            assert (sol.extra["abscissas"], sol.extra["cheb_terms"]) == sizes
+        return sizes
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-    @given(verts=star_polygons(), n_quad=st.sampled_from([1, 2, 3, 4, 7, 10]),
-           kd=st.floats(1.0, 12.0))
+    @given(verts=star_polygons(), n_quad=st.integers(1, 10), kd=st.floats(1.0, 12.0))
     def test_star_polygons(self, verts, n_quad, kd):
         rule = region_quadrature(Region.polygon(verts), n_quad)
         k = kd / (2.0 * _radius(rule.nodes, np.mean(rule.nodes, axis=0)))
         sol = nystrom_eigs(DiskBandKernel(k), rule, min(6, len(rule.weights)))
-        assert sol.extra["segments"] == len(rule.segments) and sol.extra["base"] == n_quad
         self.check(sol)
 
     def test_unit_disk(self, disk42_nystrom):
         sol = disk42_nystrom.solution
-        assert sol.extra["segments"] == 32 and sol.extra["base"] == 32
-        self.check(sol)
+        assert sol.extra["gram"] == "factor" and self.check(sol)[0] == 32
 
     def test_plateau_km(self, plateau_region):
         sol = solve_region_disk(plateau_region, 0.0194, n_quad=24, count=20).solution
         rule = region_quadrature(plateau_region, 24)
-        assert sol.extra["segments"] == len(rule.segments) == len(rule.weights) // 24
-        assert sol.extra["base"] == 24
-        np.testing.assert_array_equal(sol.segments, rule.segments)
-        np.testing.assert_array_equal(sol.base, rule.base)
-        self.check(sol)
+        assert sol.extra["gram"] == "factor"
+        assert self.check(sol)[0] == len(np.unique(rule.segments[:, 0]))
 
     def test_several_extents_per_abscissa(self):
         rule = region_quadrature(comb_region(), 9)
-        assert len(np.unique(rule.segments[:, 0])) < len(rule.segments)
-        self.check(nystrom_eigs(DiskBandKernel(4.0), rule, 12))
+        sol = nystrom_eigs(DiskBandKernel(4.0), rule, 12)
+        assert self.check(sol)[0] == len(np.unique(rule.segments[:, 0])) < len(rule.segments)
 
     @pytest.mark.parametrize("offset, n_quad", [((30000.0, -20000.0), 7),
                                                 ((0.0, 2047.3), 12)])
     def test_far_from_the_coordinate_origin(self, offset, n_quad):
-        # far nodes are rounded to ulps of 4e-12, so an odd segment's middle
-        # node sits off the centre of its outer pair by that much; across
-        # y = 2048 the ulp changes within a segment, so inner pairs drift too.
-        # The phases follow the nodes as rounded.
+        # far nodes are rounded to ulps of 4e-12, and across y = 2048 the ulp
+        # changes within a slice; the phases follow the nodes as rounded
         pentagon = np.array([(0.13, 0.07), (2.71, 0.31), (3.14, 1.93), (1.41, 2.72),
                              (-0.58, 1.62)])
         rule = region_quadrature(Region.polygon(pentagon + offset), n_quad)
+        if offset[1] > 0:
+            assert np.min(rule.nodes[:, 1]) < 2048.0 < np.max(rule.nodes[:, 1])
         self.check(nystrom_eigs(DiskBandKernel(3.0), rule, 8))
 
     def test_plain_pairs(self):
-        rule = region_quadrature(star_region(), 12)
+        rule = region_quadrature(star_region(), 24)
         sol = nystrom_eigs(DiskBandKernel(6.0), (rule.nodes, rule.weights), 10)
-        assert sol.extra["segments"] == len(rule.weights) and sol.extra["base"] == 1
-        np.testing.assert_array_equal(sol.base, [0.0])
+        assert sol.extra["gram"] == "factor"
         self.check(sol)
 
     def test_rule_without_layout_solves_and_extends(self):
-        # a hand-built rule takes one-node segments: the solve is the same
-        # arithmetic, and the extension agrees with the segmented one
+        # the solve reads only nodes and weights: a hand-built rule, and the
+        # same rule with its nodes shuffled, give the same spectrum and extension
         rule = region_quadrature(star_region(), 12)
         bare = RegionQuadrature(rule.nodes, rule.weights, rule.region)
         laid, plain = (nystrom_eigs(DiskBandKernel(6.0), r, 10) for r in (rule, bare))
-        assert plain.extra["segments"] == len(rule.weights) and plain.extra["base"] == 1
         np.testing.assert_array_equal(plain.eigenvalues, laid.eigenvalues)
         np.testing.assert_array_equal(plain.node_samples, laid.node_samples)
+        perm = np.random.default_rng(8).permutation(len(rule.weights))
+        shuffled = nystrom_eigs(DiskBandKernel(6.0), (rule.nodes[perm], rule.weights[perm]), 10)
+        np.testing.assert_allclose(shuffled.eigenvalues, laid.eigenvalues, rtol=0, atol=1e-13)
+        assert self.check(shuffled) == self.check(laid)
         pts = tensor_grid(30, 20, (0.3, -0.2), (0.08, 0.1))
         want = nystrom_extend(laid, list(range(10)), pts)
-        got = nystrom_extend(plain, list(range(10)), pts)
+        np.testing.assert_array_equal(nystrom_extend(plain, list(range(10)), pts), want)
+        got = nystrom_extend(shuffled, list(range(10)), pts)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
-    def test_layout_must_rebuild_the_nodes(self):
-        rule = region_quadrature(star_region(), 6)
-        shifted = dataclasses.replace(rule, segments=rule.segments + (0.0, 1e-9, 1e-9))
-        uneven = dataclasses.replace(rule, base=rule.base + 1e-9)
-        for bad in (shifted, uneven):
-            with pytest.raises(ValueError, match="layout"):
-                nystrom_eigs(DiskBandKernel(6.0), bad, 4)
+    def test_single_abscissa(self):
+        # every node on x = 0.3: one phase row serves them all
+        y = map_rule(gauss_legendre(40), -1.5, 2.0)
+        nodes = np.column_stack([np.full(40, 0.3), y.nodes])
+        sol = nystrom_eigs(DiskBandKernel(5.0), (nodes, y.weights), 3)
+        assert self.check(sol)[0] == 1
+
+    def test_nodes_on_one_ordinate(self):
+        # every node on y = 0.25: d_y = 0, so one Chebyshev term is exact
+        x = map_rule(gauss_legendre(40), -1.5, 2.0)
+        nodes = np.column_stack([x.nodes, np.full(40, 0.25)])
+        sol = nystrom_eigs(DiskBandKernel(5.0), (nodes, x.weights), 3)
+        assert self.check(sol) == (40, 1)
+
+    @pytest.mark.parametrize("x", [0.0, 1e-12, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0,
+                                   40.0])
+    def test_terms_against_the_bessel_tail(self, x):
+        # the bound (x/2)^n / n! keeps N at most 3 above the last order whose
+        # |J_n(x)| exceeds 1e-17, and the tail it drops stays below 4e-17
+        terms = len(kernels._ky_rule(2.0, 1.0, np.array([-x, 0.5 * x]))[0])
+        assert terms == bound_terms(x)
+        j = np.abs(scipy.special.jv(np.arange(terms + 60), x))
+        last = np.nonzero(j > 1e-17)[0]
+        needed = last[-1] + 1 if len(last) else 0
+        assert max(1, needed) <= terms <= needed + 3
+        assert 2.0 * np.sum(j[terms:]) <= 4e-17
+
+    def test_solve_and_grid_extension_leave_features_to_queries(self, monkeypatch):
+        # the node side never goes through features: only query points do
+        seen = []
+        features = DiskBandKernel.features
+
+        def spy(self, points, origin, span):
+            seen.append(points)
+            return features(self, points, origin, span)
+
+        monkeypatch.setattr(DiskBandKernel, "features", spy)
+        region = Region.polygon(star_region().vertices * 2.0)
+        basis = solve_region_disk(region, 3.0, n_quad=16, count=6)
+        assert basis.solution.extra["gram"] == "factor" and seen == []
+        grid = GridSpec(x0=-2.5, y0=-2.2, dx=0.1, dy=0.11, nx=50, ny=41)
+        evaluate_g(basis, [0, 1], grid)
+        assert seen == []
+        x = np.random.default_rng(3).uniform(-2.0, 2.0, (50, 2))
+        nystrom_extend(basis.solution, 0, x)
+        assert len(seen) == 1 and np.array_equal(seen[0], x)
+        nodes = basis.solution.nodes
+        assert not any(np.shares_memory(p, nodes) or
+                       (p.shape == nodes.shape and np.array_equal(p, nodes)) for p in seen)

@@ -434,6 +434,12 @@ class TestGridIO:
                         nx=13, ny=9)
         vals = rng.standard_normal((9, 13)) * 10.0 ** rng.integers(-20, 20, (9, 13))
         vals[0, 0], vals[1, 2] = 0.0, -0.0
+        # the +0.0 shortcut leaves every other value to repr: -0.0, nan, +-inf,
+        # subnormals and the smallest normals; a row of +0.0 and a row without
+        vals[2, :7] = [np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                       np.nextafter(0.0, -1.0)]
+        vals[3] = 0.0
+        vals[4] = -0.0
         path = tmp_path / "f.txt"
         write_grid_text(GridField(grid, vals), path)
         xs, ys = grid.x_axis(), grid.y_axis()

@@ -4,9 +4,26 @@ import numpy as np
 import pytest
 
 from slepkit import (
-    InvalidRegionError, Region, area, gauss_legendre, map_rule,
-    region_quadrature,
+    InvalidRegionError, Region, area, gauss_legendre, map_rule, quadrature,
+    region_quadrature, spline_boundary, y_extents,
 )
+from test_geometry import C_SHAPE, edge_loop_extents
+
+
+def per_call_rule(region, n, extents):
+    """(nodes, weights, segments) of region_quadrature assembled with one
+    extents(region, x) call per abscissa."""
+    xs, wxs = quadrature._x_panels(region, n)
+    segments, wx = [], []
+    for x, w in zip(xs, wxs):
+        for lo, hi in extents(region, x):
+            if hi > lo:
+                segments.append((x, lo, hi))
+                wx.append(w)
+    segments, inner = np.array(segments, dtype=float), gauss_legendre(n)
+    half = 0.5 * (segments[:, 2:] - segments[:, 1:2])
+    weights = (np.array(wx)[:, None] * (half * inner.weights)).ravel()
+    return quadrature.layout_nodes(segments, inner.nodes), weights, segments
 
 
 class TestGaussLegendre:
@@ -95,6 +112,31 @@ class TestRegionQuadrature:
         assert (rule.weights > 0).all()
         assert np.sum(rule.weights) == pytest.approx(7.0, rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["disk", "plateau", "trapezoid", "star", "spline",
+                                      "c-shape"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 24, 48])
+    def test_matches_per_call_extents(self, name, n, plateau_region):
+        # one crossing array per rule gives the nodes, weights and segments of
+        # one extents call per abscissa, bit for bit
+        rng = np.random.default_rng(5)
+        theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, 19))
+        star = np.column_stack([np.cos(theta), np.sin(theta)]) * rng.uniform(0.5, 1.4, (19, 1))
+        phi = 2.0 * np.pi * np.arange(9) / 9
+        knots = np.column_stack([np.cos(phi), np.sin(phi)]) * rng.uniform(0.8, 1.2, (9, 1))
+        region = {"disk": lambda: Region.disk((0.3, -0.2), 1.7),
+                  "plateau": lambda: plateau_region,
+                  "trapezoid": lambda: Region.polygon([(0, 0), (2, 0), (1.5, 1), (0.5, 1)]),
+                  "star": lambda: Region.polygon(star + [30.0, -20.0]),
+                  "spline": lambda: spline_boundary(knots, 120),
+                  "c-shape": lambda: Region.polygon(C_SHAPE)}[name]()
+        rule = region_quadrature(region, n)
+        refs = [y_extents] + ([edge_loop_extents] if region.kind == "polygon" else [])
+        for extents in refs:
+            nodes, weights, segments = per_call_rule(region, n, extents)
+            assert np.array_equal(rule.nodes, nodes)
+            assert np.array_equal(rule.weights, weights)
+            assert np.array_equal(rule.segments, segments)
+
     def test_refinement_tightens_disk_area(self):
         disk = Region.disk((0.0, 0.0), 1.0)
         e16 = abs(np.sum(region_quadrature(disk, 16).weights) - np.pi)
@@ -103,7 +145,7 @@ class TestRegionQuadrature:
 
 
 class TestLayout:
-    """The segment layout that the Nystrom extension sums phases from."""
+    """The segment layout that records how region_quadrature built its nodes."""
 
     def test_gauss_nodes_are_antisymmetric(self):
         for n in range(1, 65):
