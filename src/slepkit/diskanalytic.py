@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy import special as _sp
 
 from .errors import DegenerateNormalizationError, ExtensionError, NumericalError
-from .specialfn import _jacobi_sequence
+from .specialfn import _jacobi_sequence, _special
 
 # angular orders assemble_disk_basis visits at most when max_order is not given
 MAX_ORDER = 300
@@ -170,7 +169,8 @@ def _series_weights(d, m):
     """Weights d_l m! l!/(l+m)! of P_l^(m,0) in phi_space (and of the Bessel
     terms in phi_bessel)."""
     l = np.arange(len(d))
-    return d * np.exp(_sp.gammaln(m + 1.0) + _sp.gammaln(l + 1.0) - _sp.gammaln(l + m + 1.0))
+    gammaln = _special().gammaln
+    return d * np.exp(gammaln(m + 1.0) + gammaln(l + 1.0) - gammaln(l + m + 1.0))
 
 
 def _series_terms(d):
@@ -214,7 +214,7 @@ def phi_bessel(solution, branch, xi):
     t = c * xi
     safe = np.where(t == 0.0, 1.0, t)
     orders = m + 2.0 * np.arange(terms) + 1.0
-    vals = _sp.jv(orders[:, None], np.atleast_1d(t).ravel()[None, :])
+    vals = _special().jv(orders[:, None], np.atleast_1d(t).ravel()[None, :])
     acc = (_series_weights(br.d[:terms], m) @ vals).reshape(np.shape(t))
     out = np.where(t == 0.0, 0.0, acc / np.sqrt(safe)) / br.gamma
     return out[()]
@@ -229,10 +229,11 @@ def n2d_m(m, n2d):
     if n2d == 0:
         return 0.0
     a = 2.0 * np.sqrt(n2d)
-    jm, jm1 = _sp.jv(m, a), _sp.jv(m + 1, a)
+    jv = _special().jv
+    jm, jm1 = jv(m, a), jv(m + 1, a)
     total = 2.0 * n2d * (jm * jm + jm1 * jm1) - (2.0 * m + 1.0) * np.sqrt(n2d) * jm * jm1
     if m > 0:
-        tail = 1.0 - _sp.jv(0, a) ** 2 - 2.0 * sum(_sp.jv(n, a) ** 2 for n in range(1, m + 1))
+        tail = 1.0 - jv(0, a) ** 2 - 2.0 * sum(jv(n, a) ** 2 for n in range(1, m + 1))
         total -= 0.5 * m * tail
     return float(total)
 

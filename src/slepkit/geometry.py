@@ -224,16 +224,48 @@ def _slice_extents(region, xs):
     return out
 
 
+def _periodic_cubic(t, y, ts):
+    """Periodic C2 cubic through (t_i, y_i), y[-1] == y[0], evaluated at ts.
+
+    First-derivative (Hermite) form: the knot derivatives s_i solve the m x m
+    cyclic system dx_i s_{i-1} + 2(dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1} =
+    3(dx_i slope_{i-1} + dx_{i-1} slope_i), indices mod m.  m is a vertex
+    count, so a dense solve is cheap.  ts must lie in [t_0, t_m].
+    """
+    dx = np.diff(t)
+    slope = np.diff(y, axis=0) / dx[:, None]
+    m = len(dx)
+    i = np.arange(m)
+    dx_prev = np.roll(dx, 1)
+    a = np.zeros((m, m))
+    a[i, i] = 2.0 * (dx_prev + dx)
+    a[i, i - 1] = dx
+    a[i, (i + 1) % m] = dx_prev
+    s = np.linalg.solve(a, 3.0 * (dx[:, None] * np.roll(slope, 1, axis=0)
+                                  + dx_prev[:, None] * slope))
+    s_next = np.roll(s, -1, axis=0)
+    c3 = (s + s_next - 2.0 * slope) / dx[:, None]
+    c2 = (slope - s) / dx[:, None] - c3
+    c3 /= dx[:, None]
+    k = np.minimum(np.searchsorted(t, ts, side="right") - 1, m - 1)
+    u = (ts - t[k])[:, None]
+    return ((c3[k] * u + c2[k]) * u + s[k]) * u + y[k]
+
+
 def spline_boundary(vertices, n):
     """Close vertices with a periodic cubic spline and resample to n points.
 
     Chord-length parameterization; the returned Region is the polygon of the
-    n resampled boundary points (first point not repeated).
+    n resampled boundary points (first point not repeated).  n must be an
+    integer no smaller than the vertex count.  The spline is the C2 periodic
+    cubic through the vertices, solved and evaluated in numpy; it agrees
+    with scipy.interpolate.CubicSpline(bc_type="periodic") to rounding, and
+    scipy.interpolate is never imported.
     """
-    # imported here: scipy.interpolate is slow to load and only splines need it
-    from scipy.interpolate import CubicSpline
-
     v = _as_vertex_array(vertices)
+    if int(n) != n:
+        raise ValueError("resample count must be an integer")
+    n = int(n)
     if n < len(v):
         raise ValueError("resample count must be at least the vertex count")
     closed = np.vstack([v, v[:1]])
@@ -241,9 +273,7 @@ def spline_boundary(vertices, n):
     if np.any(chord == 0.0):
         raise InvalidRegionError("repeated consecutive vertices")
     t = np.concatenate([[0.0], np.cumsum(chord)])
-    cs = CubicSpline(t, closed, bc_type="periodic", axis=0)
-    ts = t[-1] * np.arange(n) / n
-    pts = cs(ts)
+    pts = _periodic_cubic(t, closed, t[-1] * np.arange(n) / n)
     try:
         return Region.polygon(pts)
     except InvalidRegionError as exc:

@@ -7,10 +7,9 @@ import functools
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 from . import quadrature
-from .specialfn import bessel_j1_over_x
+from .specialfn import _special, bessel_j1_over_x
 
 
 def sinc_kernel(tw, x, xp):
@@ -212,9 +211,10 @@ def _angle_counts(k, span):
     x = _radial_rule(k, span).nodes * span
     first = np.maximum(1.0, np.ceil(0.5 * x))[:, None]
     width = 8 + int(6.0 * np.cbrt(np.max(x)))
+    jv = _special().jv
     while True:
         m = first + np.arange(width)
-        small = np.abs(_sp.jv(2.0 * m, x[:, None])) < 1e-15
+        small = np.abs(jv(2.0 * m, x[:, None])) < 1e-15
         if np.all(small[:, -1]):
             break
         width *= 2
@@ -264,8 +264,9 @@ def fixedm_kernel(m, n2d, xi, xip):
     c = 2.0 * np.sqrt(n2d)
     rule = _p_rule(n2d)
     a, b = np.asarray(xi, dtype=float), np.asarray(xip, dtype=float)
-    ja = _sp.jv(m, np.multiply.outer(a, c * rule.nodes))
-    jb = ja if b is a or (b.shape == a.shape and np.array_equal(a, b)) else _sp.jv(
+    jv = _special().jv
+    ja = jv(m, np.multiply.outer(a, c * rule.nodes))
+    jb = ja if b is a or (b.shape == a.shape and np.array_equal(a, b)) else jv(
         m, np.multiply.outer(b, c * rule.nodes))
     vals = 4.0 * n2d * np.einsum("...q,...q->...", ja * (rule.weights * rule.nodes), jb)
     return vals[()]
@@ -290,4 +291,4 @@ def sqrt_kernel(m, c, xi, xip):
         return (np.sqrt(2.0 / np.pi) * np.cos(t))[()]
     if m < 0 or int(m) != m:
         raise ValueError("order must be a nonnegative integer or +-1/2")
-    return (_sp.jv(m, t) * np.sqrt(t))[()]
+    return (_special().jv(m, t) * np.sqrt(t))[()]

@@ -4,7 +4,15 @@ All evaluators accept scalars or numpy arrays and broadcast like ufuncs.
 """
 
 import numpy as np
-from scipy import special as _sp
+
+
+def _special():
+    """scipy.special, imported on first use: the 1D and grid routes never
+    evaluate a Bessel function, and a process that runs only those skips its
+    load time."""
+    import scipy.special
+
+    return scipy.special
 
 
 def _check_finite_nonneg(x):
@@ -37,7 +45,7 @@ def bessel_j(order, x):
     if m != order:
         raise ValueError("order must be an integer or +-1/2")
     sign = -1.0 if (m < 0 and m % 2 != 0) else 1.0
-    return (sign * _sp.jv(abs(m), x))[()]
+    return (sign * _special().jv(abs(m), x))[()]
 
 
 def bessel_j1_over_x(x):
@@ -45,7 +53,7 @@ def bessel_j1_over_x(x):
     x = _check_finite_nonneg(x)
     small = x < 1e-4
     xs = np.where(small, 1.0, x)
-    out = np.where(small, 0.5 - x * x / 16.0, _sp.j1(xs) / xs)
+    out = np.where(small, 0.5 - x * x / 16.0, _special().j1(xs) / xs)
     return out[()]
 
 

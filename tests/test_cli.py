@@ -294,17 +294,28 @@ class TestEnvironment:
         assert run_cli(["pswf1d", "--tw", "1.0", "--count", "2"]) == 0
         capsys.readouterr()
 
-    def test_import_leaves_out_interpolate(self):
-        # scipy.interpolate loads only when a spline boundary is drawn, and
-        # no solver needs scipy.sparse
+    def test_import_leaves_out_interpolate(self, square_boundary):
+        # splines are drawn in numpy, so scipy.interpolate (and the
+        # scipy.optimize it pulls in) never loads; no solver needs
+        # scipy.sparse; scipy.special loads only on the first Bessel value,
+        # which the 1D and grid routes never ask for
         src = str(pathlib.Path(slepkit.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = ("import sys, slepkit.cli; assert 'scipy.interpolate' not in sys.modules; "
-                "assert 'scipy.sparse' not in sys.modules; "
-                "slepkit.spline_boundary([[0, 0], [1, 0], [1, 1], [0, 1]], 12); "
-                "assert 'scipy.interpolate' in sys.modules")
-        subprocess.run([sys.executable, "-c", code], check=True, timeout=300,
-                       env=dict(os.environ, PYTHONPATH=path))
+        code = ("import sys, slepkit.cli\n"
+                "def loaded(): return {m for m in ('scipy.interpolate', 'scipy.optimize', "
+                "'scipy.sparse', 'scipy.special') if m in sys.modules}\n"
+                "assert not loaded(), loaded()\n"
+                "slepkit.spline_boundary([[0, 0], [1, 0], [1, 1], [0, 1]], 12)\n"
+                "assert slepkit.cli.main(['pswf1d', '--tw', '1.0', '--count', '2']) == 0\n"
+                "assert slepkit.cli.main(['grid', '--boundary', sys.argv[1], '--spectral', "
+                "'wedge', '0.5', '0.3', '6.0', '--spacing', '0.25', '--count', '2']) == 0\n"
+                "assert not loaded(), loaded()\n"
+                "slepkit.assemble_disk_basis(3.0, 1.0, 2)\n"
+                "assert loaded() == {'scipy.special'}, loaded()\n")
+        run = subprocess.run([sys.executable, "-c", code, square_boundary], timeout=300,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=path))
+        assert run.returncode == 0, run.stderr
 
     def test_reports_agree_across_thread_counts(self, tmp_path):
         # bytes are pinned only at a fixed SLEPKIT_THREADS: threaded BLAS

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import slepkit
@@ -48,13 +48,15 @@ def membership_oracle(vertices, point):
 
 
 @st.composite
-def star_polygons(draw):
-    # vertices sorted by angle about a center with every angular gap below pi,
-    # so the polygon is simple and star-shaped about that center
-    n = draw(st.integers(5, 12))
+def star_polygons(draw, min_size=5, max_size=12, center=50.0, log_scale=st.just(0.0)):
+    # vertices sorted by angle about a center; with at least 5 of them every
+    # angular gap is below pi, so the polygon is simple and star-shaped about
+    # that center.  Radii are scaled by 10**log_scale.
+    n = draw(st.integers(min_size, max_size))
     gaps = np.array(draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)))
     radii = np.array(draw(st.lists(st.floats(0.3, 2.0), min_size=n, max_size=n)))
-    cx, cy = draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))
+    cx, cy = draw(st.floats(-center, center)), draw(st.floats(-center, center))
+    radii = radii * 10.0 ** draw(log_scale)
     theta = 2.0 * np.pi * np.cumsum(gaps) / np.sum(gaps)
     return np.column_stack([cx + radii * np.cos(theta), cy + radii * np.sin(theta)])
 
@@ -253,7 +255,47 @@ def edge_loop_extents(region, x):
     return out
 
 
+def cubic_spline_oracle(vertices, n):
+    """scipy's periodic CubicSpline through the closed vertices, chord-length
+    parameterized and sampled at n equal steps, as spline_boundary samples."""
+    from scipy.interpolate import CubicSpline
+
+    v = np.asarray(vertices, dtype=float)
+    closed = np.vstack([v, v[:1]])
+    t = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(closed, axis=0).T))])
+    return CubicSpline(t, closed, bc_type="periodic", axis=0)(t[-1] * np.arange(n) / n)
+
+
 class TestSpline:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(verts=star_polygons(3, 40, center=1e4, log_scale=st.floats(-3.0, 3.0)),
+           spread=st.floats(0.0, 1.0))
+    @example(verts=np.array([(0.0, 0.0), (3.0, 0.0), (1.0, 2.0)]), spread=0.0)
+    @example(verts=np.array([(0.0, 0.0), (3.0, 0.0), (1.0, 2.0)]), spread=1.0)
+    def test_matches_scipy_periodic_spline(self, verts, spread):
+        # from len(v) to 5 len(v) points; the triangle gives the 3 x 3 cyclic
+        # system, whose corner entries are the wrap-around ones
+        n = len(verts) + round(spread * 4 * len(verts))
+        want = cubic_spline_oracle(verts, n)
+        try:
+            got = spline_boundary(verts, n).vertices
+        except InvalidRegionError:
+            # many-knot stars spline into loops: rejected only where the
+            # oracle's polygon is not simple either
+            with pytest.raises(InvalidRegionError):
+                Region.polygon(want)
+            return
+        # through Region.polygon, which turns clockwise outlines around
+        want = Region.polygon(want).vertices
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(verts))
+
+    def test_resample_count_must_be_integral(self):
+        with pytest.raises(ValueError, match="integer"):
+            spline_boundary(SQUARE, 12.5)
+        got = spline_boundary(SQUARE, np.float64(8.0)).vertices
+        np.testing.assert_array_equal(got, spline_boundary(SQUARE, 8).vertices)
+        assert got.shape == (8, 2)
+
     def test_knots_reproduced(self):
         # a regular polygon has equal chords, so every fourth resampled
         # point of a 4x resampling lands back on a knot
