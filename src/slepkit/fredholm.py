@@ -7,6 +7,7 @@ solved and extended through A without forming the n x n kernel matrix.
 """
 
 from dataclasses import dataclass, field
+import warnings
 
 import numpy as np
 import scipy.linalg
@@ -17,6 +18,8 @@ from .errors import ExtensionError, NumericalError
 EXTEND_CHUNK = 2097152
 # smallest kept eigenvalue, relative to the largest, solved through the factor
 FACTOR_FLOOR = 1e-8
+# rounding slack on the top eigenvalue before it counts as exceeding 1
+LAMBDA_SLACK = 1e-12
 
 
 @dataclass
@@ -108,7 +111,8 @@ def _kernel_matrix(kernel, nodes):
 
 
 def _fix_signs(samples, nodes, weights):
-    """Deterministic sign: positive at the node nearest the weighted centroid."""
+    """Deterministic sign: positive at the node nearest the weighted centroid,
+    or, where that sample is below 1e-12, at the first above 1e-8."""
     if nodes.ndim == 1:
         centroid = np.sum(weights * nodes) / np.sum(weights)
         i0 = int(np.argmin(np.abs(nodes - centroid)))
@@ -125,6 +129,27 @@ def _fix_signs(samples, nodes, weights):
         if len(big) and row[big[0]] < 0:
             row *= -1.0
     return samples
+
+
+def _canonical(vals, samples, nodes, weights):
+    """Eigenpairs, given in any order, in the one output form of every route.
+
+    Eigenvalues descend; exact ties go by the index of each row's
+    largest-magnitude sample, earlier first; signs follow _fix_signs at the
+    (nodes, weights) centroid.  Returns new arrays: vals and the C-ordered
+    rows of samples.
+    """
+    order = np.lexsort((np.argmax(np.abs(samples), axis=1), -vals))
+    return vals[order], _fix_signs(samples[order], nodes, weights)
+
+
+def _warn_above_one(top, knob, value, subject):
+    """Warn that `knob`=`value` under-resolves `subject` when the top
+    concentration eigenvalue exceeds 1 + LAMBDA_SLACK."""
+    if top > 1.0 + LAMBDA_SLACK:
+        warnings.warn(
+            f"top eigenvalue exceeds 1 by {top - 1.0:.3g}: {knob}={value} "
+            f"is too coarse for {subject}; raise {knob}", RuntimeWarning, stacklevel=3)
 
 
 def _eigh(mat, count):
@@ -232,9 +257,9 @@ def nystrom_eigs(kernel, rule, count, kernel_tag=""):
     when B was built, the numerical rank `gram_rank` that pivoted Cholesky
     found in B^T B, the count `abscissas` of distinct node abscissas and the
     Chebyshev term count `cheb_terms` in ky that B was synthesized from.  The
-    trace is sum_i w_i kernel(x_i, x_i) either way.  Output is deterministic:
-    eigenvalues descending, exact ties broken by the index of the
-    largest-magnitude node sample, signs fixed at the centroid.
+    trace is sum_i w_i kernel(x_i, x_i) either way.  Output is deterministic
+    (_canonical): eigenvalues descending, exact ties broken by the index of
+    the largest-magnitude node sample, signs fixed at the centroid.
     """
     nodes, weights = _as_rule(rule)
     n = len(weights)
@@ -248,20 +273,7 @@ def nystrom_eigs(kernel, rule, count, kernel_tag=""):
     else:
         vals, vecs, diag = _node_eigs(kernel, nodes, sw, count)
         extra = {"route": "dense"}
-    order = np.argsort(-vals, kind="stable")[:count]
-    top = vals[order].copy()
-    samples = (vecs[:, order] / sw[:, None]).T.copy()
-    # exact ties: earlier peak-sample index first
-    i = 0
-    while i < count - 1:
-        j = i + 1
-        while j < count and top[j] == top[i]:
-            j += 1
-        if j - i > 1:
-            peaks = [int(np.argmax(np.abs(s))) for s in samples[i:j]]
-            samples[i:j] = samples[i:j][np.argsort(peaks, kind="stable")]
-        i = j
-    _fix_signs(samples, nodes, weights)
+    top, samples = _canonical(vals, (vecs / sw[:, None]).T, nodes, weights)
     return NystromSolution(
         eigenvalues=top, node_samples=samples, nodes=nodes, weights=weights,
         kernel=kernel, kernel_tag=kernel_tag, trace=float(weights @ diag), extra=extra)

@@ -263,7 +263,7 @@ def spline_boundary(vertices, n):
     scipy.interpolate is never imported.
     """
     v = _as_vertex_array(vertices)
-    if int(n) != n:
+    if not np.isfinite(n) or int(n) != n:
         raise ValueError("resample count must be an integer")
     n = int(n)
     if n < len(v):
@@ -323,6 +323,8 @@ class SpectralDomain:
 
     @classmethod
     def grid_mask(cls, mask, kx, ky):
+        """mask[iy, ix] at wavenumber (kx[ix], ky[iy]); build_problem takes it
+        on its grid's axes 2 pi fftfreq(n, spacing), in FFT or centred order."""
         mask = np.asarray(mask, dtype=bool)
         kx = np.asarray(kx, dtype=float)
         ky = np.asarray(ky, dtype=float)

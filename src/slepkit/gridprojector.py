@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .fredholm import _eigh, _fix_signs, _gram_eigs
+from .fredholm import _canonical, _eigh, _gram_eigs
 from .geometry import Region, contains_many
 from .planeslep import GridSpec, _centered_grid, _half_power, _power_field
 
@@ -123,11 +123,15 @@ def _rasterize_spectral(domain, kx, ky):
             mask |= contains_many(Region.polygon(poly), pts)
         return mask.reshape(kxx.shape)
     if domain.kind == "mask":
-        if domain.mask.shape != kxx.shape:
-            raise ConfigurationError(
-                f"mask domain shape {domain.mask.shape} does not match the "
-                f"wavenumber grid {kxx.shape}")
-        return domain.mask.copy()
+        # read through its own axes: the grid's, in FFT or centred order
+        for shift, unshift in ((np.asarray, np.array), (np.fft.fftshift, np.fft.ifftshift)):
+            if all(len(got) == len(want) and np.allclose(
+                    got, shift(want), rtol=0.0, atol=1e-9 * np.max(np.abs(want)))
+                   for got, want in ((domain.kx, kx), (domain.ky, ky))):
+                return unshift(domain.mask)
+        raise ConfigurationError(
+            f"mask domain axes must be the {len(ky)} x {len(kx)} grid's wavenumbers "
+            "2 pi fftfreq(n, spacing), in FFT or centred (fftshift) order")
     raise ConfigurationError(f"unknown spectral domain kind {domain.kind!r}")
 
 
@@ -194,9 +198,10 @@ def solve(problem, count):
     at index differences.  The band Gram is cut to its numerical rank by
     pivoted Cholesky before its eigensolve (fredholm._gram_eigs), which
     lowers each eigenvalue by at most the trace of the discarded Schur
-    complement.  Eigenvalues lie in
+    complement.  Either side leaves through fredholm._canonical, the
+    Nystrom routes' order, tie rule and sign rule.  Eigenvalues lie in
     [0, 1] because both projections are orthogonal; null-space rounding
-    below 0 is clipped.
+    below 0 is clipped after ordering.
     """
     count = int(count)
     if count < 1:
@@ -215,9 +220,9 @@ def solve(problem, count):
     else:
         table = np.fft.ifft2(problem.spectral_mask).real
         vals, vecs = _eigh(_pairwise(table, *np.divmod(cells, nx), -1), count)
-        vals, samples = vals[::-1], vecs[:, ::-1].T
+        samples = vecs.T
+    vals, samples = _canonical(vals, samples, problem.grid.points()[cells], np.ones(n))
     vals = np.maximum(vals, 0.0)
-    _fix_signs(samples, problem.grid.points()[cells], np.ones(n))
     resid = np.array([np.max(np.abs(matvec(v) - lam * v))
                       for lam, v in zip(vals, samples)])
     fields = np.zeros((count, ny * nx))

@@ -9,12 +9,11 @@ through a flat binary format with a text sidecar, or a headered text table.
 from array import array
 from dataclasses import dataclass
 import os
-import warnings
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .fredholm import eigennormalized_samples, nystrom_eigs, nystrom_extend
+from .fredholm import _warn_above_one, eigennormalized_samples, nystrom_eigs, nystrom_extend
 from .geometry import area, contains_many
 from .kernels import DiskBandKernel
 from .quadrature import region_quadrature
@@ -24,9 +23,6 @@ __all__ = [
     "evaluate_g", "evaluate_h", "region_mask", "periodogram", "weighted_sumsq",
     "write_grid", "read_grid", "write_grid_text", "read_grid_text",
 ]
-
-# rounding slack on the top eigenvalue before it counts as exceeding 1
-LAMBDA_SLACK = 1e-12
 
 
 @dataclass
@@ -145,11 +141,7 @@ def solve_region_disk(region, k, n_quad=32, count=None):
         count = n
     sol = nystrom_eigs(DiskBandKernel(k), rule, count,
                        kernel_tag=f"diskband(K={k})")
-    if sol.eigenvalues[0] > 1.0 + LAMBDA_SLACK:
-        warnings.warn(
-            f"top eigenvalue exceeds 1 by {sol.eigenvalues[0] - 1.0:.3g}: n_quad={n_quad} "
-            f"is too coarse for K={k!r} over this region; raise n_quad",
-            RuntimeWarning, stacklevel=2)
+    _warn_above_one(sol.eigenvalues[0], "n_quad", n_quad, f"K={k!r} over this region")
     return SlepianBasis(
         region=region, k=k, quadrature=rule,
         eigenvalues=sol.eigenvalues.copy(),

@@ -44,7 +44,8 @@ def solve_1d(tw, n_nodes=128, count=None):
     Nystrom solve of the sinc-kernel equation on Gauss-Legendre nodes; node
     samples are scaled so the interval norm of eigenfunction alpha equals
     lambda_alpha (whole-line norm 1).  Parity alternates with rank, the top
-    eigenfunction being even.
+    eigenfunction being even.  A top eigenvalue above 1 means n_nodes
+    under-resolves the kernel, and raises a RuntimeWarning naming n_nodes.
     """
     if tw <= 0:
         raise ValueError("time-bandwidth product must be positive")
@@ -53,6 +54,7 @@ def solve_1d(tw, n_nodes=128, count=None):
     rule = quadrature.gauss_legendre(n_nodes)
     sol = fredholm.nystrom_eigs(partial(sinc_kernel, tw), rule, count,
                                 kernel_tag=f"sinc1d(TW={tw})")
+    fredholm._warn_above_one(sol.eigenvalues[0], "n_nodes", n_nodes, f"TW={tw!r}")
     return Basis1D(
         tw=float(tw), eigenvalues=sol.eigenvalues,
         node_samples=fredholm.eigennormalized_samples(sol),
@@ -76,11 +78,13 @@ def dpss(n, w, count):
     Solves only the top `count` pairs of the classical symmetric tridiagonal
     that commutes with the discrete sinc matrix (diagonal
     ((n-1-2x)/2)^2 cos 2 pi w, off-diagonal (x+1)(n-x-1)/2; Slepian 1978),
-    ordered by descending eigenvalue chi.  Each concentration eigenvalue is
-    the Rayleigh quotient s^T C s of the sinc matrix C, summed along its
-    Toeplitz diagonals: lambda = 2w r(0) + 2 sum_{d>=1} c(d) r(d), with
-    c(d) = sin(2 pi w d) / (pi d) and r the autocorrelation of s from one
-    real FFT of length 2n.  sinc_matrix is never built.
+    ordered by descending eigenvalue chi and signed by the Nystrom rule
+    (fredholm._canonical): positive at the midpoint (n - 1) // 2.  Each
+    concentration eigenvalue is the Rayleigh quotient s^T C s of the sinc
+    matrix C, summed along its Toeplitz diagonals:
+    lambda = 2w r(0) + 2 sum_{d>=1} c(d) r(d), with c(d) = sin(2 pi w d) / (pi d)
+    and r the autocorrelation of s from one real FFT of length 2n.
+    sinc_matrix is never built.
     """
     if n < 2 or int(n) != n:
         raise ValueError("sequence length must be an integer >= 2")
@@ -94,16 +98,7 @@ def dpss(n, w, count):
     off = (x[:-1] + 1.0) * (n - 1.0 - x[:-1]) / 2.0
     chi, vecs = scipy.linalg.eigh_tridiagonal(
         diag, off, select="i", select_range=(n - count, n - 1))
-    chi, seqs = chi[::-1], vecs[:, ::-1].T.copy()
-    # deterministic sign: positive at (or nearest past) the midpoint
-    mid = (n - 1) // 2
-    for row in seqs:
-        anchor = row[mid]
-        if abs(anchor) <= 1e-12:
-            big = np.nonzero(np.abs(row) > 1e-8)[0]
-            anchor = row[big[0]] if len(big) else 1.0
-        if anchor < 0:
-            row *= -1.0
+    chi, seqs = fredholm._canonical(chi, vecs.T, x, np.ones(n))
     spec = np.fft.rfft(seqs, n=2 * n, axis=1)
     r = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, n=2 * n, axis=1)[:, :n]
     d = np.arange(1, n)

@@ -17,20 +17,10 @@ class QuadratureRule1D:
 
 @dataclass
 class RegionQuadrature:
-    """Product rule over a region: flattened 2D nodes with positive weights.
-
-    The layout, when present, records how the nodes were built: segment i is
-    the vertical slice (x_i, lo_i, hi_i), and node block i (rows
-    i * len(base) onward) sits at abscissa x_i with ordinates
-    map_rule(base, lo_i, hi_i).  `base` holds the Gauss nodes on [-1, 1]
-    that every segment shares, exactly antisymmetric (base == -base[::-1]).
-    The solver reads only the nodes and weights.
-    """
+    """Product rule over a region: flattened 2D nodes with positive weights."""
     nodes: np.ndarray    # (m, 2)
     weights: np.ndarray  # (m,)
     region: object
-    segments: np.ndarray = None  # (s, 3) rows (x, lo, hi), m = s * len(base)
-    base: np.ndarray = None      # (n_quad,) nodes on [-1, 1] shared by the segments
 
 
 @functools.lru_cache(maxsize=256)
@@ -46,7 +36,7 @@ def gauss_legendre(n):
     The nodes and weights are computed once per n and handed out as fresh
     copies, so callers may modify what they receive.
     """
-    if n < 1 or int(n) != n:
+    if not np.isfinite(n) or n < 1 or int(n) != n:
         raise ValueError("node count must be a positive integer")
     nodes, weights = _leggauss(int(n))
     return QuadratureRule1D(nodes.copy(), weights.copy())
@@ -79,11 +69,10 @@ def _x_panels(region, n_per_dim):
             if not keep or v - keep[-1] > 1e-12 * width:
                 keep.append(float(v))
         breaks = [xmin] + keep + [xmax]
-    base = gauss_legendre(n_per_dim)
     xs, ws = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
         n_panel = max(2, int(np.ceil(n_per_dim * (b - a) / width)))
-        panel = map_rule(gauss_legendre(n_panel) if n_panel != n_per_dim else base, a, b)
+        panel = map_rule(gauss_legendre(n_panel), a, b)
         xs.append(panel.nodes)
         ws.append(panel.weights)
     return np.concatenate(xs), np.concatenate(ws)
@@ -94,9 +83,9 @@ def region_quadrature(region, n_per_dim=32):
 
     Outer composite Gauss-Legendre rule in x over the bounding interval; at
     each x-node (all found in one pass, geometry._slice_extents) every
-    disjoint y-extent interval is one segment and receives
-    its own mapped n_per_dim-point rule; weights are the pairwise products.
-    The segments and the shared inner nodes are kept as the rule's layout.
+    disjoint y-extent interval receives its own mapped n_per_dim-point rule,
+    as one block of consecutive nodes; weights are the pairwise products.
+    The nodes are bit-identical to map_rule applied extent by extent.
     """
     if n_per_dim < 1:
         raise ValueError("n_per_dim must be positive")
@@ -110,19 +99,9 @@ def region_quadrature(region, n_per_dim=32):
                 wx.append(w)
     if not segments:
         raise InvalidRegionError("region has empty interior at all quadrature abscissas")
-    segments = np.array(segments, dtype=float)
-    half = 0.5 * (segments[:, 2:] - segments[:, 1:2])
+    x, lo, hi = (col[:, None] for col in np.array(segments, dtype=float).T)
+    half = 0.5 * (hi - lo)
+    y = lo + half * (inner.nodes + 1.0)
+    nodes = np.stack(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2)
     weights = (np.array(wx)[:, None] * (half * inner.weights)).ravel()
-    return RegionQuadrature(layout_nodes(segments, inner.nodes), weights, region, segments,
-                            inner.nodes)
-
-
-def layout_nodes(segments, base):
-    """(s len(base), 2) nodes of a layout: map_rule(base, lo_i, hi_i) at each x_i.
-
-    The arithmetic is map_rule's, one segment per row, so the nodes are
-    bit-identical to mapping the rule segment by segment.
-    """
-    x, lo, hi = (col[:, None] for col in np.asarray(segments, dtype=float).T)
-    y = lo + 0.5 * (hi - lo) * (np.asarray(base, dtype=float) + 1.0)
-    return np.stack(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2)
+    return RegionQuadrature(nodes, weights, region)

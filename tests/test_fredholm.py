@@ -16,7 +16,8 @@ from slepkit import (
     nystrom_eigs, nystrom_extend, read_region, region_quadrature, sinc_kernel,
     solve_1d, solve_region_disk,
 )
-from slepkit import fredholm, kernels
+from slepkit import SpectralDomain, build_problem, dpss, fredholm, kernels, wedge_domain
+from slepkit.gridprojector import solve as grid_solve
 from slepkit.fredholm import EXTEND_CHUNK, _eigh, _radius
 from conftest import boundary_path
 from test_geometry import star_polygons
@@ -182,6 +183,80 @@ class TestDeterminism:
         b = nystrom_eigs(partial(sinc_kernel, tw), rule, 5)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.node_samples, b.node_samples)
+
+
+def assert_canonical(vals, samples, nodes, weights):
+    """Eigenvalues descend, and each row is positive at the node nearest the
+    weighted centroid or, where that sample is below 1e-12, at the first
+    sample above 1e-8."""
+    assert np.all(np.diff(vals) <= 0)
+    nodes = np.asarray(nodes, dtype=float).reshape(len(weights), -1)
+    centroid = weights @ nodes / np.sum(weights)
+    i0 = np.argmin(np.sum((nodes - centroid) ** 2, axis=1))
+    for row in samples:
+        anchor = row[i0] if abs(row[i0]) > 1e-12 else row[np.abs(row) > 1e-8][0]
+        assert anchor > 0
+
+
+def route_output(route):
+    """(eigenvalues, samples, nodes, weights) of one small solve per route."""
+    if route == "solve_1d":
+        b = solve_1d(3.0, n_nodes=48, count=10)
+        return b.eigenvalues, b.node_samples, b.nodes, b.weights
+    if route == "solve_region_disk":
+        b = solve_region_disk(star_region(), 5.0, n_quad=10, count=12)
+        return b.eigenvalues, b.node_samples, b.quadrature.nodes, b.quadrature.weights
+    if route == "dpss":
+        d = dpss(64, 0.1, 10)
+        return d.eigenvalues, d.sequences, np.arange(64), np.ones(64)
+    # band side for the wedge, support side for the all-pass disk band
+    region = Region.polygon([(-1.2, -0.8), (1.0, -1.0), (1.3, 0.9), (-0.9, 1.1)])
+    domain = wedge_domain(0.5, 0.3, 6.0) if route == "grid-band" else SpectralDomain.disk(100.0)
+    p = build_problem(region, domain, 0.2, embed_factor=2.5)
+    basis = grid_solve(p, 6)
+    assert basis.extra["gram"] == route[5:]
+    cells = np.flatnonzero(p.spatial_mask)
+    return (basis.eigenvalues, basis.fields.reshape(6, -1)[:, cells],
+            p.grid.points()[cells], np.ones(len(cells)))
+
+
+class TestCanonicalExit:
+    """Every route leaves its eigensolve through fredholm._canonical."""
+
+    @pytest.mark.parametrize("route", ["solve_1d", "solve_region_disk", "dpss",
+                                       "grid-band", "grid-support"])
+    def test_descending_and_signed(self, route):
+        assert_canonical(*route_output(route))
+
+    def test_ties_go_by_peak_index(self):
+        # three exact ties, the largest peak index first; one sign flipped
+        nodes, weights = np.linspace(-1.0, 1.0, 7), np.ones(7)
+        rows = np.array([[0.1, 0, 0, 0.2, 0, 0, 0.9], [1.0, 0, 0, 0, 0, 0, 0],
+                         [0, 0.8, 0, -0.5, 0, 0, 0], [0, 0, 0.3, 0.4, 0, 0, 0]])
+        vals = np.array([0.5, 0.9, 0.5, 0.5])
+        got_vals, got = fredholm._canonical(vals, rows, nodes, weights)
+        np.testing.assert_array_equal(got_vals, [0.9, 0.5, 0.5, 0.5])
+        np.testing.assert_array_equal(got, [rows[1], -rows[2], rows[3], rows[0]])
+        assert got.flags.c_contiguous and np.array_equal(vals, [0.5, 0.9, 0.5, 0.5])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_order_matches_tie_loop(self, seed):
+        # reference: a stable descending sort, then each run of exact ties
+        # sorted stably by peak index, as nystrom_eigs once did in a loop
+        rng = np.random.default_rng(seed)
+        vals = rng.choice([0.1, 0.2, 0.3], 12)
+        rows = rng.standard_normal((12, 9))
+        order = list(np.argsort(-vals, kind="stable"))
+        i = 0
+        while i < len(order):
+            j = i + 1
+            while j < len(order) and vals[order[j]] == vals[order[i]]:
+                j += 1
+            order[i:j] = sorted(order[i:j], key=lambda r: np.argmax(np.abs(rows[r])))
+            i = j
+        got_vals, got = fredholm._canonical(vals, rows, np.arange(9.0), np.ones(9))
+        np.testing.assert_array_equal(got_vals, vals[order])
+        np.testing.assert_array_equal(np.abs(got), np.abs(rows[order]))
 
 
 class TestValidation:
@@ -617,12 +692,13 @@ class TestSegmentContraction:
         sol = solve_region_disk(plateau_region, 0.0194, n_quad=24, count=20).solution
         rule = region_quadrature(plateau_region, 24)
         assert sol.extra["gram"] == "factor"
-        assert self.check(sol)[0] == len(np.unique(rule.segments[:, 0]))
+        assert self.check(sol)[0] == len(np.unique(rule.nodes[:, 0]))
 
     def test_several_extents_per_abscissa(self):
         rule = region_quadrature(comb_region(), 9)
         sol = nystrom_eigs(DiskBandKernel(4.0), rule, 12)
-        assert self.check(sol)[0] == len(np.unique(rule.segments[:, 0])) < len(rule.segments)
+        # a block of 9 nodes per extent, and fewer abscissas than blocks
+        assert self.check(sol)[0] == len(np.unique(rule.nodes[:, 0])) < len(rule.weights) // 9
 
     @pytest.mark.parametrize("offset, n_quad", [((30000.0, -20000.0), 7),
                                                 ((0.0, 2047.3), 12)])

@@ -296,6 +296,11 @@ class TestSpline:
         np.testing.assert_array_equal(got, spline_boundary(SQUARE, 8).vertices)
         assert got.shape == (8, 2)
 
+    @pytest.mark.parametrize("n", [float("inf"), float("-inf"), float("nan")])
+    def test_resample_count_must_be_finite(self, n):
+        with pytest.raises(ValueError, match="resample count must be an integer"):
+            spline_boundary(SQUARE, n)
+
     def test_knots_reproduced(self):
         # a regular polygon has equal chords, so every fourth resampled
         # point of a 4x resampling lands back on a knot

@@ -27,6 +27,12 @@ def reflect(mask):
     return np.roll(np.roll(mask[::-1, ::-1], 1, axis=0), 1, axis=1)
 
 
+def fft_axes(grid):
+    """(kx, ky): the grid's wavenumbers 2 pi fftfreq, in FFT order."""
+    return (2 * np.pi * np.fft.fftfreq(grid.nx, grid.dx),
+            2 * np.pi * np.fft.fftfreq(grid.ny, grid.dy))
+
+
 def complex_apply(problem, field):
     """Oracle: P F* L F P in full complex arithmetic, real part kept."""
     p, l = problem.spatial_mask, problem.spectral_mask
@@ -52,7 +58,7 @@ def all_pass_problem():
 def mask_problem(spacing, seed, region=SQUARE, cells=None, embed=2.5):
     # a random wavenumber set (each cell kept with probability 0.2, or
     # `cells` distinct cells), made symmetric through k = 0, on the grid
-    # the region gets at this spacing
+    # the region gets at this spacing, with that grid's FFT-ordered axes
     grid = build_problem(region, SpectralDomain.disk(1.0), spacing,
                          embed_factor=embed).grid
     rng = np.random.default_rng(seed)
@@ -62,8 +68,7 @@ def mask_problem(spacing, seed, region=SQUARE, cells=None, embed=2.5):
         m = np.zeros(grid.ny * grid.nx, dtype=bool)
         m[rng.choice(m.size, min(cells, m.size), replace=False)] = True
         m = m.reshape(grid.ny, grid.nx)
-    dom = SpectralDomain.grid_mask(m | reflect(m), np.arange(grid.nx),
-                                   np.arange(grid.ny))
+    dom = SpectralDomain.grid_mask(m | reflect(m), *fft_axes(grid))
     return build_problem(region, dom, spacing, embed_factor=embed)
 
 
@@ -113,6 +118,36 @@ class TestBuildProblem:
         kxx, kyy = np.meshgrid(kx, ky)
         want = kxx ** 2 + kyy ** 2 <= 4.0
         assert np.array_equal(disk_problem.spectral_mask, want)
+
+    @pytest.mark.parametrize("region, spacing, k", [
+        (Region.disk((0.0, 0.0), 1.0), 0.2, 2.0),     # 31 x 31
+        (Region.disk((0.3, -0.2), 1.0), 0.16, 2.5),   # 38 x 38
+    ])
+    def test_grid_mask_read_through_its_axes(self, region, spacing, k):
+        # a mask of |k| <= K, given on centred or FFT-ordered axes, selects
+        # the cells of the disk domain; on the odd grid a centred mask read
+        # in FFT order picked 14 cells reaching |k| = 21.5 instead of 9
+        want = build_problem(region, SpectralDomain.disk(k), spacing).spectral_mask
+        grid = build_problem(region, SpectralDomain.disk(k), spacing).grid
+        if grid.nx % 2:
+            assert (grid.nx, grid.ny) == (31, 31) and want.sum() == 9
+        for order in (np.fft.fftshift, lambda a: a):
+            kx, ky = (order(a) for a in fft_axes(grid))
+            mask = kx[None, :] ** 2 + ky[:, None] ** 2 <= k * k
+            dom = SpectralDomain.grid_mask(mask, kx, ky)
+            assert np.array_equal(build_problem(region, dom, spacing).spectral_mask, want)
+
+    def test_grid_mask_other_axes_rejected(self, disk_problem):
+        g = disk_problem.grid
+        kx, ky = fft_axes(g)
+        mask = np.ones((g.ny, g.nx), dtype=bool)
+        for axes in ((np.arange(g.nx), np.arange(g.ny)), (1.01 * kx, ky),
+                     (kx, np.fft.fftshift(ky)), (np.fft.fftshift(kx), ky)):
+            with pytest.raises(ConfigurationError, match="axes"):
+                build_problem(Region.disk((0.0, 0.0), 1.0),
+                              SpectralDomain.grid_mask(mask, *axes), 0.25)
+        with pytest.raises(ConfigurationError, match="31 x 31 grid"):
+            build_problem(SQUARE, SpectralDomain.grid_mask(mask, kx, ky), 0.2)
 
     def test_spatial_mask_matches_region(self, disk_problem):
         g = disk_problem.grid

@@ -1,10 +1,12 @@
 """Interval concentration and discrete tapers: oracles and invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from slepkit import pswf1d
+from slepkit import fredholm, pswf1d
 from slepkit import (
     Basis1D, DpssSet, dpss, shannon_1d, sinc_matrix, solve_1d,
 )
@@ -51,6 +53,21 @@ class TestIntervalBasis:
         a = solve_1d(3.0, n_nodes=96, count=4).eigenvalues
         b = solve_1d(3.0, n_nodes=192, count=4).eigenvalues
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+    def test_coarse_rule_warns(self):
+        # 128 nodes under-resolve the sinc kernel at TW = 200: lambda_0 = 2,
+        # while the trace still equals the Shannon number
+        with pytest.warns(RuntimeWarning, match="n_nodes=128 is too coarse for TW=200"):
+            basis = solve_1d(200, n_nodes=128)
+        assert basis.eigenvalues[0] > 1.0
+        assert basis.trace == pytest.approx(basis.shannon, rel=1e-12)
+
+    @pytest.mark.parametrize("tw, n_nodes", [(200, 230), (4.0, 128)])
+    def test_resolved_rule_is_quiet(self, tw, n_nodes):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis = solve_1d(tw, n_nodes=n_nodes)
+        assert basis.eigenvalues[0] <= 1.0 + fredholm.LAMBDA_SLACK
 
     def test_type(self):
         basis = solve_1d(2.0, count=3)

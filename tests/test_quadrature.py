@@ -4,26 +4,24 @@ import numpy as np
 import pytest
 
 from slepkit import (
-    InvalidRegionError, Region, area, gauss_legendre, map_rule, quadrature,
+    InvalidRegionError, Region, area, gauss_legendre, geometry, map_rule, quadrature,
     region_quadrature, spline_boundary, y_extents,
 )
 from test_geometry import C_SHAPE, edge_loop_extents
 
 
 def per_call_rule(region, n, extents):
-    """(nodes, weights, segments) of region_quadrature assembled with one
-    extents(region, x) call per abscissa."""
+    """(nodes, weights) of region_quadrature assembled with one
+    extents(region, x) call and one map_rule call per extent."""
     xs, wxs = quadrature._x_panels(region, n)
-    segments, wx = [], []
+    nodes, weights = [], []
     for x, w in zip(xs, wxs):
         for lo, hi in extents(region, x):
             if hi > lo:
-                segments.append((x, lo, hi))
-                wx.append(w)
-    segments, inner = np.array(segments, dtype=float), gauss_legendre(n)
-    half = 0.5 * (segments[:, 2:] - segments[:, 1:2])
-    weights = (np.array(wx)[:, None] * (half * inner.weights)).ravel()
-    return quadrature.layout_nodes(segments, inner.nodes), weights, segments
+                inner = map_rule(gauss_legendre(n), lo, hi)
+                nodes.append(np.column_stack([np.full(n, x), inner.nodes]))
+                weights.append(w * inner.weights)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 class TestGaussLegendre:
@@ -61,6 +59,11 @@ class TestGaussLegendre:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             gauss_legendre(0)
+
+    @pytest.mark.parametrize("n", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite_count(self, n):
+        with pytest.raises(ValueError, match="node count must be a positive integer"):
+            gauss_legendre(n)
 
 
 class TestRegionQuadrature:
@@ -116,8 +119,9 @@ class TestRegionQuadrature:
                                       "c-shape"])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 24, 48])
     def test_matches_per_call_extents(self, name, n, plateau_region):
-        # one crossing array per rule gives the nodes, weights and segments of
-        # one extents call per abscissa, bit for bit
+        # one crossing array and one vectorized map per rule give the nodes
+        # and weights of one extents call per abscissa and one map_rule call
+        # per extent, bit for bit
         rng = np.random.default_rng(5)
         theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, 19))
         star = np.column_stack([np.cos(theta), np.sin(theta)]) * rng.uniform(0.5, 1.4, (19, 1))
@@ -132,10 +136,9 @@ class TestRegionQuadrature:
         rule = region_quadrature(region, n)
         refs = [y_extents] + ([edge_loop_extents] if region.kind == "polygon" else [])
         for extents in refs:
-            nodes, weights, segments = per_call_rule(region, n, extents)
+            nodes, weights = per_call_rule(region, n, extents)
             assert np.array_equal(rule.nodes, nodes)
             assert np.array_equal(rule.weights, weights)
-            assert np.array_equal(rule.segments, segments)
 
     def test_refinement_tightens_disk_area(self):
         disk = Region.disk((0.0, 0.0), 1.0)
@@ -145,7 +148,8 @@ class TestRegionQuadrature:
 
 
 class TestLayout:
-    """The segment layout that records how region_quadrature built its nodes."""
+    """How region_quadrature lays out its nodes: one block of n consecutive
+    nodes per y-extent of each abscissa."""
 
     def test_gauss_nodes_are_antisymmetric(self):
         for n in range(1, 65):
@@ -155,17 +159,26 @@ class TestLayout:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
     def test_segments_rebuild_the_nodes(self, plateau_region, unit_disk, n):
+        # each block sits at one abscissa of the rule, on the Gauss rule
+        # mapped onto one of the extents that geometry._slice_extents finds
+        # there; the blocks take the extents in order, abscissa by abscissa
+        # from left to right
         bracket = Region.polygon([(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (3, 2),
                                   (3, 3), (0, 3)])
         for region in (plateau_region, unit_disk, bracket):
             rule = region_quadrature(region, n)
-            np.testing.assert_array_equal(rule.base, gauss_legendre(n).nodes)
-            assert rule.segments.shape == (len(rule.weights) // n, 3)
-            blocks = rule.nodes.reshape(len(rule.segments), n, 2)
-            for (x, lo, hi), block in zip(rule.segments, blocks):
-                assert lo < hi
-                np.testing.assert_array_equal(block[:, 0], x)
+            blocks = rule.nodes.reshape(-1, n, 2)
+            xs = blocks[:, 0, 0]
+            np.testing.assert_array_equal(blocks[..., 0], np.repeat(xs[:, None], n, axis=1))
+            assert np.all(np.diff(xs) >= 0)
+            abscissas = np.unique(xs)
+            found = [(x, lo, hi) for x, extents in
+                     zip(abscissas, geometry._slice_extents(region, abscissas))
+                     for lo, hi in extents if hi > lo]
+            assert len(found) == len(blocks)
+            for (x, lo, hi), block in zip(found, blocks):
+                assert block[0, 0] == x
                 np.testing.assert_array_equal(block[:, 1],
                                               map_rule(gauss_legendre(n), lo, hi).nodes)
         # the bracket's slices past x = 1 cut two extents each
-        assert len(np.unique(rule.segments[:, 0])) < len(rule.segments)
+        assert len(abscissas) < len(blocks)
