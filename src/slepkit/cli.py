@@ -307,7 +307,7 @@ def _build_parser():
     p = sub.add_parser("pswf1d", help="interval concentration at time-bandwidth tw")
     p.add_argument("--tw", type=float, required=True,
                    help="time-bandwidth product T*W (T = interval half-length)")
-    p.add_argument("--nodes", type=int, default=128, help="quadrature nodes")
+    p.add_argument("--nodes", type=int, default=128, help="Gauss-Legendre sample nodes")
     p.add_argument("--count", type=int, default=8, help="eigenpairs to keep")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(run=_cmd_pswf1d)

@@ -19,8 +19,6 @@ from .specialfn import _jacobi_sequence, _special
 
 # angular orders assemble_disk_basis visits at most when max_order is not given
 MAX_ORDER = 300
-# branches fixed_order_solution keeps per order at most
-MAX_BRANCHES = 48
 # phi_space and phi_bessel drop the series terms past the last coefficient
 # above this share of the largest one
 SERIES_TRIM = 1e-18
@@ -40,7 +38,7 @@ class FixedOrderBranch:
 
 @dataclass
 class FixedOrderSolution:
-    m: int
+    m: float             # a nonnegative integer, or -1/2 or +1/2 (the interval)
     c: float
     l_max: int
     branches: list       # FixedOrderBranch, lambda descending
@@ -77,12 +75,13 @@ def coeff_tridiagonal(m, c, l_max):
     of paired off-diagonal entries, so a diagonal similarity transform makes it
     symmetric and eigh_tridiagonal applies; eigenvectors are mapped back and
     normalized to sum(d) = 1.  The m = 0, l = 0 diagonal entry takes the limit
-    value 0 for the m^2/((2l+m)(2l+m+2)) term.
+    value 0 for the m^2/((2l+m)(2l+m+2)) term.  Orders -1/2 and +1/2 give the
+    interval's even and odd functions (Slepian 1964).
     """
     if c <= 0:
         raise ValueError("bandwidth parameter c must be positive")
-    if m < 0 or int(m) != m:
-        raise ValueError("order must be a nonnegative integer")
+    if m not in (-0.5, 0.5) and (m < 0 or int(m) != m):
+        raise ValueError("order must be a nonnegative integer or +-1/2")
     if l_max < 1:
         raise ValueError("l_max must be at least 1")
     l = np.arange(l_max + 1, dtype=float)
@@ -100,48 +99,49 @@ def coeff_tridiagonal(m, c, l_max):
         chi, vecs = scipy.linalg.eigh_tridiagonal(diag, sym_off)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"coefficient tridiagonal eigensolve failed: {exc}") from exc
-    out = []
-    for j in range(l_max + 1):
-        d = scale * vecs[:, j]
-        s = d.sum()
-        if abs(s) < 1e-14 * np.max(np.abs(d)):
-            raise DegenerateNormalizationError(
-                f"coefficient sum vanished for branch {j} (m={m}, c={c})")
-        out.append((float(chi[j]), d / s))
-    return out
+    # one branch per C-ordered row, so each sum runs as a 1D sum would
+    d = np.ascontiguousarray((scale[:, None] * vecs).T)
+    s = d.sum(axis=1)
+    flat = np.abs(s) < 1e-14 * np.max(np.abs(d), axis=1)
+    if np.any(flat):
+        raise DegenerateNormalizationError(
+            f"coefficient sum vanished for branch {np.argmax(flat)} (m={m}, c={c})")
+    return list(zip(chi.tolist(), d / s[:, None]))
 
 
 def gamma_lambda(d, m, c):
     """Closed-form (gamma, lambda) from normalized coefficients.
 
     gamma = c^(m+1/2) d_0 / (2^(m+1) (m+1)! sum(d)); lambda = 2 gamma^2 sqrt(N2D)
-    with N2D = c^2/4, i.e. lambda = c gamma^2.
+    with N2D = c^2/4, i.e. lambda = c gamma^2.  A 2D d holds one branch per
+    row and gives arrays.
     """
     d = np.asarray(d, dtype=float)
-    s = d.sum()
-    if abs(s) < 1e-14 * np.max(np.abs(d)):
+    s = d.sum(axis=-1)
+    if np.any(np.abs(s) < 1e-14 * np.max(np.abs(d), axis=-1)):
         raise DegenerateNormalizationError("coefficient sum too small")
-    gamma = c ** (m + 0.5) * d[0] / (2.0 ** (m + 1) * math.gamma(m + 2.0) * s)
-    return float(gamma), float(c * gamma * gamma)
+    gamma = c ** (m + 0.5) * d[..., 0] / (2.0 ** (m + 1) * math.gamma(m + 2.0) * s)
+    return gamma[()], (c * gamma * gamma)[()]
 
 
 def fixed_order_solution(m, c, l_max=None):
     """Solve the order-m radial problem from its coefficients alone.
 
     Each branch takes lambda = c gamma^2 from gamma_lambda; branches are kept
-    in chi order while lambda > 1e-16, at most MAX_BRANCHES of them, and
-    sorted by lambda descending.  norm_sq is the closed form
-    sum_l w_l^2 / (2 (2l + m + 1)) over the series weights w_l of phi_space,
-    from int_{-1}^{1} (1 - u)^m P_l^(m,0) P_l'^(m,0) du = 2^(m+1)/(2l + m + 1)
-    delta_ll' with u = 1 - 2 xi^2.  Without an explicit l_max the series
-    grows by 40 terms up to four times; if the coefficient tail is still
-    above 1e-12 a RuntimeWarning says so.
+    in chi order while lambda > 1e-16, and sorted by lambda descending.
+    norm_sq is the closed form sum_l w_l^2 / (2 (2l + m + 1)) over the series
+    weights w_l of phi_space, from int_{-1}^{1} (1 - u)^m P_l^(m,0) P_l'^(m,0)
+    du = 2^(m+1)/(2l + m + 1) delta_ll' with u = 1 - 2 xi^2.  Without an
+    explicit l_max the series grows by 40 terms up to four times; if the
+    coefficient tail of a kept branch is still above 1e-12 a RuntimeWarning
+    says so.  m = -1/2 and +1/2 (the interval) are kept as given.
     """
     lm = default_l_max(c) if l_max is None else int(l_max)
     for grow in range(5):
-        pairs = coeff_tridiagonal(m, c, lm)
-        probe = [d for _, d in pairs[:MAX_BRANCHES]]
-        worst = max(abs(d[-1]) / np.max(np.abs(d)) for d in probe)
+        chi, d = map(np.array, zip(*coeff_tridiagonal(m, c, lm)))
+        gamma, lam = gamma_lambda(d, m, c)
+        keep = int(np.argmax(np.append(lam <= 1e-16, True)))
+        worst = np.max(np.abs(d[:keep, -1]) / np.max(np.abs(d[:keep]), axis=1), initial=0.0)
         if worst < 1e-12 or l_max is not None:
             break
         if grow == 4:
@@ -151,53 +151,51 @@ def fixed_order_solution(m, c, l_max=None):
                 RuntimeWarning, stacklevel=2)
             break
         lm += 40
-    jacobi_norm = 2.0 * (2.0 * np.arange(lm + 1) + m + 1.0)
-    branches = []
-    for chi, d in pairs[:MAX_BRANCHES]:
-        gamma, lam = gamma_lambda(d, m, c)
-        if lam <= 1e-16:
-            break
-        w = _series_weights(d, m)
-        branches.append(FixedOrderBranch(
-            d=d, chi=chi, gamma=gamma, lam=lam,
-            norm_sq=float(np.sum(w * w / jacobi_norm))))
-    branches.sort(key=lambda b: -b.lam)
-    return FixedOrderSolution(m=int(m), c=float(c), l_max=lm, branches=branches)
+    order = np.argsort(-lam[:keep], kind="stable")
+    d = d[order]
+    w = _series_weights(d, m)
+    norm_sq = np.sum(w * w / (2.0 * (2.0 * np.arange(lm + 1) + m + 1.0)), axis=1)
+    branches = [FixedOrderBranch(dj, float(chi[j]), float(gamma[j]), float(lam[j]), float(nsq))
+                for j, dj, nsq in zip(order, d, norm_sq)]
+    return FixedOrderSolution(m=m, c=float(c), l_max=lm, branches=branches)
 
 
 def _series_weights(d, m):
     """Weights d_l m! l!/(l+m)! of P_l^(m,0) in phi_space (and of the Bessel
-    terms in phi_bessel)."""
-    l = np.arange(len(d))
-    gammaln = _special().gammaln
-    return d * np.exp(gammaln(m + 1.0) + gammaln(l + 1.0) - gammaln(l + m + 1.0))
+    terms in phi_bessel) along the last axis of d, from prod_{i<=l} i/(m+i)."""
+    i = np.arange(1.0, np.shape(d)[-1])
+    return d * np.concatenate([[1.0], np.cumprod(i / (m + i))])
 
 
 def _series_terms(d):
-    """How many leading terms the series of phi sum: up to the last d_l with
-    |d_l| > SERIES_TRIM max|d|.  No dropped term exceeds |d_l| in size: the
-    weight m! l!/(l+m)! cancels the bound |P_l^(m,0)| <= (l+m)!/(m! l!) on
-    [-1, 1], and |J| <= 1 with xi^(m+1/2) <= 1 inside the disk."""
-    return int(np.flatnonzero(np.abs(d) > SERIES_TRIM * np.max(np.abs(d)))[-1]) + 1
+    """How many leading terms the series of phi sum, along the last axis of d:
+    up to the last d_l with |d_l| > SERIES_TRIM max|d|.  For m >= 0 no
+    dropped term exceeds |d_l| in size: the weight m! l!/(l+m)! cancels the
+    bound |P_l^(m,0)| <= (l+m)!/(m! l!) on [-1, 1], and |J| <= 1 with
+    xi^(m+1/2) <= 1 inside the disk.  At m = -1/2, |P_l| <= 1 and the weight
+    is below sqrt(pi (l + 1))."""
+    big = np.abs(d) > SERIES_TRIM * np.max(np.abs(d), axis=-1, keepdims=True)
+    return np.shape(d)[-1] - np.argmax(big[..., ::-1], axis=-1)
 
 
 def phi_space(solution, branch, xi):
     """Jacobi series for the scaled radial eigenfunction phi on [0, 1].
 
     phi(xi) = m! xi^(m+1/2) sum_l d_l (l!/(l+m)!) P_l^(m,0)(1 - 2 xi^2),
-    summed over the _series_terms(d) leading terms.
+    summed over the _series_terms(d) leading terms.  A sequence of branches
+    gives one row each, over its own terms of one shared Jacobi sequence.
     """
-    br = solution.branches[branch]
-    m, terms = solution.m, _series_terms(br.d)
+    m, d = solution.m, np.array([solution.branches[j].d for j in np.atleast_1d(branch)])
+    terms = _series_terms(d)
+    w = np.where(np.arange(d.shape[1]) < terms[:, None], _series_weights(d, m), 0.0)
     xi = np.asarray(xi, dtype=float)
     u = 1.0 - 2.0 * xi * xi
-    seq = _jacobi_sequence(terms - 1, m, u)
-    acc = np.zeros_like(u)
-    for cl, pl in zip(_series_weights(br.d[:terms], m), seq):
-        acc += cl * pl
+    acc = np.zeros((len(d),) + u.shape)
+    for cl, pl in zip(w.T, _jacobi_sequence(terms.max() - 1, m, u)):
+        acc += cl.reshape((-1,) + (1,) * u.ndim) * pl
     with np.errstate(invalid="ignore"):
         out = xi ** (m + 0.5) * acc
-    return out[()]
+    return out if np.ndim(branch) else out[0][()]
 
 
 def phi_bessel(solution, branch, xi):

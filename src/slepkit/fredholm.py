@@ -7,7 +7,6 @@ solved and extended through A without forming the n x n kernel matrix.
 """
 
 from dataclasses import dataclass, field
-import warnings
 
 import numpy as np
 import scipy.linalg
@@ -18,8 +17,6 @@ from .errors import ExtensionError, NumericalError
 EXTEND_CHUNK = 2097152
 # smallest kept eigenvalue, relative to the largest, solved through the factor
 FACTOR_FLOOR = 1e-8
-# rounding slack on the top eigenvalue before it counts as exceeding 1
-LAMBDA_SLACK = 1e-12
 
 
 @dataclass
@@ -29,7 +26,6 @@ class NystromSolution:
     nodes: np.ndarray
     weights: np.ndarray
     kernel: object            # callable kernel(points_a, points_b)
-    kernel_tag: str = ""
     trace: float = 0.0        # sum_i w_i kernel(x_i, x_i), the full discrete trace
     extra: dict = field(default_factory=dict)   # how the spectrum was computed
 
@@ -143,15 +139,6 @@ def _canonical(vals, samples, nodes, weights):
     return vals[order], _fix_signs(samples[order], nodes, weights)
 
 
-def _warn_above_one(top, knob, value, subject):
-    """Warn that `knob`=`value` under-resolves `subject` when the top
-    concentration eigenvalue exceeds 1 + LAMBDA_SLACK."""
-    if top > 1.0 + LAMBDA_SLACK:
-        warnings.warn(
-            f"top eigenvalue exceeds 1 by {top - 1.0:.3g}: {knob}={value} "
-            f"is too coarse for {subject}; raise {knob}", RuntimeWarning, stacklevel=3)
-
-
 def _eigh(mat, count):
     """Top `count` pairs (ascending) of a symmetric matrix.
 
@@ -244,7 +231,7 @@ def _factored_eigs(kernel, nodes, sw, count):
     return _node_eigs(kernel, nodes, sw, count) + (extra,)
 
 
-def nystrom_eigs(kernel, rule, count, kernel_tag=""):
+def nystrom_eigs(kernel, rule, count):
     """Top `count` eigenpairs of the quadrature-discretized kernel operator.
 
     Diagonalizes sqrt(W) K sqrt(W) and maps eigenvectors back through
@@ -276,7 +263,7 @@ def nystrom_eigs(kernel, rule, count, kernel_tag=""):
     top, samples = _canonical(vals, (vecs / sw[:, None]).T, nodes, weights)
     return NystromSolution(
         eigenvalues=top, node_samples=samples, nodes=nodes, weights=weights,
-        kernel=kernel, kernel_tag=kernel_tag, trace=float(weights @ diag), extra=extra)
+        kernel=kernel, trace=float(weights @ diag), extra=extra)
 
 
 def eigennormalized_samples(solution):

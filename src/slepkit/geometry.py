@@ -351,12 +351,34 @@ def _polygon_matches(a, b, tol):
     return False
 
 
+def _reflect(mask):
+    """Point reflection through k = 0 of a mask on FFT-ordered axes.
+
+    Index i goes to -i mod n along each axis, so on an even side the -n/2
+    row (or column) maps to itself.
+    """
+    return np.roll(mask[::-1, ::-1], (1, 1), axis=(0, 1))
+
+
+def _is_fft_axis(k, shift):
+    """True if shift(k) is some grid's 2 pi fftfreq(n, h) axis: an integer
+    multiple of one step per FFT index, to 1e-9 of its largest |k|."""
+    index = np.fft.fftfreq(len(k), 1.0 / len(k))
+    top = np.max(np.abs(index))
+    step = np.max(np.abs(k)) / top if top else 0.0
+    return np.allclose(k, shift(step * index), rtol=0.0, atol=1e-9 * np.max(np.abs(k)))
+
+
 def hermitian_symmetrize(domain):
     """Union of a spectral domain with its point reflection through k = 0.
 
     Disks are returned unchanged; polygon sets gain reflected copies of any
-    polygon whose reflection is missing; masks are OR-ed with their reflection
-    (the k-grid must itself be symmetric about zero).  Idempotent.
+    polygon whose reflection is missing; masks are OR-ed with their
+    reflection.  A mask on a grid's 2 pi fftfreq axes, in FFT or centred
+    (fftshift) order and on any side, is reflected as build_problem reflects
+    it, periodically: on an even side the -n/2 row and column map to
+    themselves.  Other axes must be symmetric about zero, and the mask is
+    then flipped.  Idempotent.
     """
     if domain.kind == "disk":
         return domain
@@ -371,11 +393,14 @@ def hermitian_symmetrize(domain):
                 out.append(refl)
         return SpectralDomain.polygon_set(out)
     kx, ky, mask = domain.kx, domain.ky, domain.mask
+    for shift, unshift in ((np.asarray, np.asarray), (np.fft.fftshift, np.fft.ifftshift)):
+        if _is_fft_axis(kx, shift) and _is_fft_axis(ky, shift):
+            return SpectralDomain.grid_mask(mask | shift(_reflect(unshift(mask))), kx, ky)
     if not (np.allclose(kx, -kx[::-1], atol=1e-12 * (np.max(np.abs(kx)) + 1)) and
             np.allclose(ky, -ky[::-1], atol=1e-12 * (np.max(np.abs(ky)) + 1))):
-        raise ValueError("grid mask axes must be symmetric about zero")
-    sym = mask | mask[::-1, ::-1]
-    return SpectralDomain.grid_mask(sym, kx, ky)
+        raise ValueError("grid mask axes must be symmetric about zero, or a grid's "
+                         "2 pi fftfreq axes in FFT or centred order")
+    return SpectralDomain.grid_mask(mask | mask[::-1, ::-1], kx, ky)
 
 
 def wedge_domain(orientation, half_angle, k_max):

@@ -12,12 +12,13 @@ are transformed, with the same bits as the full real 2D FFT composition.
 """
 
 from dataclasses import dataclass, field
+import warnings
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .fredholm import _canonical, _eigh, _gram_eigs
-from .geometry import Region, contains_many
+from .geometry import Region, _reflect, contains_many
 from .planeslep import GridSpec, _centered_grid, _half_power, _power_field
 
 __all__ = [
@@ -74,19 +75,16 @@ class GridBasis:
     extra: dict = field(default_factory=dict)
 
 
-def _reflect(mask):
-    """Point reflection through k = 0 of an FFT-ordered mask."""
-    r = mask[::-1, ::-1]
-    return np.roll(np.roll(r, 1, axis=0), 1, axis=1)
-
-
 def build_problem(region, domain, grid_spacing, embed_factor=3.0):
     """Rasterize a region and a spectral domain onto one computation grid.
 
     The grid spans the region's bounding box scaled by embed_factor about its
     center, at the requested spacing; the spectral mask lives on the conjugate
     wavenumber grid and is forced exactly Hermitian-symmetric by OR-ing it
-    with its own point reflection.
+    with its own point reflection.  A disk whose K, or a polygon with a
+    vertex whose |kx| or |ky|, exceeds the largest |k| that axis of the grid
+    holds (pi / grid_spacing on an even side) is clipped there, with a
+    RuntimeWarning naming grid_spacing; mask domains live on the grid.
     """
     grid_spacing = float(grid_spacing)
     embed_factor = float(embed_factor)
@@ -103,6 +101,16 @@ def build_problem(region, domain, grid_spacing, embed_factor=3.0):
 
     kx = 2.0 * np.pi * np.fft.fftfreq(nx, grid_spacing)
     ky = 2.0 * np.pi * np.fft.fftfreq(ny, grid_spacing)
+    if domain.kind in ("disk", "polygons"):
+        reach = (np.full(2, domain.bandlimit) if domain.kind == "disk" else
+                 np.max([np.max(np.abs(p), axis=0) for p in domain.polygons], axis=0))
+        held = np.array([np.max(np.abs(kx)), np.max(np.abs(ky))])
+        if np.any(reach > held):
+            warnings.warn(
+                f"the spectral domain reaches |kx| = {reach[0]:.6g}, |ky| = {reach[1]:.6g}, "
+                f"past the largest |kx| = {held[0]:.6g}, |ky| = {held[1]:.6g} that "
+                f"grid_spacing={grid_spacing!r} holds, and is clipped there; "
+                "lower grid_spacing", RuntimeWarning, stacklevel=2)
     spectral = _rasterize_spectral(domain, kx, ky)
     spectral |= _reflect(spectral)
     if not spectral.any():

@@ -9,11 +9,12 @@ through a flat binary format with a text sidecar, or a headered text table.
 from array import array
 from dataclasses import dataclass
 import os
+import warnings
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .fredholm import _warn_above_one, eigennormalized_samples, nystrom_eigs, nystrom_extend
+from .fredholm import eigennormalized_samples, nystrom_eigs, nystrom_extend
 from .geometry import area, contains_many
 from .kernels import DiskBandKernel
 from .quadrature import region_quadrature
@@ -136,12 +137,11 @@ def solve_region_disk(region, k, n_quad=32, count=None):
     if k <= 0:
         raise ValueError("bandlimit must be positive")
     rule = region_quadrature(region, n_quad)
-    n = len(rule.weights)
-    if count is None:
-        count = n
-    sol = nystrom_eigs(DiskBandKernel(k), rule, count,
-                       kernel_tag=f"diskband(K={k})")
-    _warn_above_one(sol.eigenvalues[0], "n_quad", n_quad, f"K={k!r} over this region")
+    sol = nystrom_eigs(DiskBandKernel(k), rule, len(rule.weights) if count is None else count)
+    excess = sol.eigenvalues[0] - 1.0
+    if excess > 1e-12:   # past rounding
+        warnings.warn(f"top eigenvalue exceeds 1 by {excess:.3g}: n_quad={n_quad} is too coarse "
+                      f"for K={k!r} over this region; raise n_quad", RuntimeWarning, stacklevel=2)
     return SlepianBasis(
         region=region, k=k, quadrature=rule,
         eigenvalues=sol.eigenvalues.copy(),

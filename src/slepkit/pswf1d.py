@@ -1,4 +1,4 @@
-"""One-dimensional concentration: sinc-kernel Nystrom solve and DPSS."""
+"""One-dimensional concentration: the interval route and DPSS."""
 
 from dataclasses import dataclass
 from functools import partial
@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import scipy.linalg
 
-from . import fredholm, quadrature
+from . import diskanalytic, fredholm, quadrature
 from .kernels import sinc_kernel
 
 
@@ -41,25 +41,39 @@ def shannon_1d(t_half, w):
 def solve_1d(tw, n_nodes=128, count=None):
     """Concentration eigenfunctions on [-1, 1] at time-bandwidth product TW.
 
-    Nystrom solve of the sinc-kernel equation on Gauss-Legendre nodes; node
-    samples are scaled so the interval norm of eigenfunction alpha equals
-    lambda_alpha (whole-line norm 1).  Parity alternates with rank, the top
-    eigenfunction being even.  A top eigenvalue above 1 means n_nodes
-    under-resolves the kernel, and raises a RuntimeWarning naming n_nodes.
+    The even and odd eigenfunctions are the disk route's radial functions of
+    orders -1/2 and +1/2 at c = TW (Slepian 1964): lambda comes in closed form
+    and n_nodes only places the samples.  The branches of both orders, merged
+    by lambda, are sampled at the Gauss-Legendre nodes (odd ones times
+    sign(x)) and scaled to quadrature norm lambda_alpha (whole-line norm 1).
+    count=None keeps every branch (lambda > 1e-16), at most n_nodes; a larger
+    count raises.  Parity alternates with rank (top even) save among
+    eigenvalues equal to rounding: near 1 at TW >= 60, up to 4e-14 above it.
     """
     if tw <= 0:
         raise ValueError("time-bandwidth product must be positive")
-    if count is None:
-        count = n_nodes
     rule = quadrature.gauss_legendre(n_nodes)
-    sol = fredholm.nystrom_eigs(partial(sinc_kernel, tw), rule, count,
-                                kernel_tag=f"sinc1d(TW={tw})")
-    fredholm._warn_above_one(sol.eigenvalues[0], "n_nodes", n_nodes, f"TW={tw!r}")
+    x, weights = rule.nodes, rule.weights
+    sols = [diskanalytic.fixed_order_solution(m, tw) for m in (-0.5, 0.5)]
+    lam = np.array([br.lam for sol in sols for br in sol.branches])
+    kept = min(len(lam), n_nodes)
+    count = kept if count is None else count
+    if not 1 <= count <= kept:
+        raise ValueError(f"count={count} must lie in [1, {kept}]: TW={tw!r} has {len(lam)} "
+                         f"branches with lambda > 1e-16, sampled at n_nodes={n_nodes}")
+    top = np.isin(np.arange(len(lam)), np.argsort(-lam, kind="stable")[:count])
+    picks = np.split(top, [len(sols[0].branches)])
+    rows = np.concatenate([diskanalytic.phi_space(sol, np.flatnonzero(p), np.abs(x)) * sign
+                           for sol, p, sign in zip(sols, picks, (1.0, np.sign(x))) if p.any()])
+    vals, samples = fredholm._canonical(lam[top], rows / np.sqrt((rows * rows) @ weights)[:, None],
+                                        x, weights)
+    sol = fredholm.NystromSolution(
+        eigenvalues=vals, node_samples=samples, nodes=x, weights=weights,
+        kernel=partial(sinc_kernel, tw), trace=float(weights @ sinc_kernel(tw, x, x)),
+        extra={"route": "jacobi"})
     return Basis1D(
-        tw=float(tw), eigenvalues=sol.eigenvalues,
-        node_samples=fredholm.eigennormalized_samples(sol),
-        nodes=sol.nodes, weights=sol.weights,
-        shannon=2.0 * tw / np.pi, trace=sol.trace, solution=sol)
+        tw=float(tw), eigenvalues=vals, node_samples=fredholm.eigennormalized_samples(sol),
+        nodes=x, weights=weights, shannon=2.0 * tw / np.pi, trace=sol.trace, solution=sol)
 
 
 def sinc_matrix(n, w):

@@ -10,6 +10,17 @@ def boundary_path():
     return str(importlib.resources.files("slepkit") / "data" / "colorado_plateaus.xy")
 
 
+def all_pass_problem(region, spacing, embed_factor):
+    """The problem whose band is every wavenumber of the grid: an all-true
+    mask on the grid's FFT axes, which lies inside Nyquist by construction."""
+    grid = slepkit.build_problem(region, slepkit.SpectralDomain.disk(1.0), spacing,
+                                 embed_factor=embed_factor).grid
+    kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, grid.dx)
+    ky = 2.0 * np.pi * np.fft.fftfreq(grid.ny, grid.dy)
+    band = slepkit.SpectralDomain.grid_mask(np.ones((grid.ny, grid.nx), dtype=bool), kx, ky)
+    return slepkit.build_problem(region, band, spacing, embed_factor=embed_factor)
+
+
 @pytest.fixture(scope="session")
 def plateau_region():
     return slepkit.read_region(boundary_path())

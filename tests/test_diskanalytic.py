@@ -66,6 +66,15 @@ class TestDualSeries:
             b = phi_bessel(sol, j, xi)
             np.testing.assert_allclose(a, b, atol=1e-8 * np.max(np.abs(a)))
 
+    def test_branch_sequence_matches_single_branches(self):
+        # one shared Jacobi sequence, each row summed to its own trimmed length
+        sol = fixed_order_solution(1, 2 * np.sqrt(10.0))
+        xi = np.linspace(0.0, 1.0, 33)
+        rows = phi_space(sol, [2, 0, 1], xi)
+        assert rows.shape == (3, 33)
+        for row, j in zip(rows, [2, 0, 1]):
+            np.testing.assert_array_equal(row, phi_space(sol, j, xi))
+
     def test_bessel_series_extends_outside(self):
         sol = fixed_order_solution(0, 4.0)
         vals = phi_bessel(sol, 0, np.array([1.5, 3.0, 6.0]))
@@ -205,7 +214,7 @@ class TestLambdaRoutes:
     def test_lambda_and_retention_match_factor_svd(self, n2d):
         # sigma^2 of the radial factor sqrt(4N) sqrt(w xi) J_m(c p xi) sqrt(w_p p)
         # are the eigenvalues of the order-m kernel; the kept branches are
-        # exactly those with sigma^2 > 1e-16 (at most MAX_BRANCHES), and lambda
+        # exactly those with sigma^2 > 1e-16, and lambda
         # matches sigma^2 wherever the SVD resolves it
         c = 2.0 * np.sqrt(n2d)
         rule = map_rule(gauss_legendre(int(np.ceil(2.0 * c)) + 60), 0.0, 1.0)
@@ -215,17 +224,17 @@ class TestLambdaRoutes:
                  * scipy.special.jv(m, c * np.outer(x, x)) * sw[None, :])
             ref = np.linalg.svd(f, compute_uv=False) ** 2
             lam = np.array([br.lam for br in fixed_order_solution(m, c).branches])
-            want = min(diskanalytic.MAX_BRANCHES, int(np.sum(ref > 1e-16)))
+            want = int(np.sum(ref > 1e-16))
             assert len(lam) == want, f"order {m}"
             ok = ref[:want] >= 1e-13
             np.testing.assert_allclose(lam[ok], ref[:want][ok], rtol=1e-9, atol=0)
 
-    def test_branch_cap(self):
+    def test_no_branch_cap(self):
         # at N = 4000 order 0 holds 51 eigenvalues above 1e-16 by the factor
-        # SVD above; the solve keeps the top MAX_BRANCHES
+        # SVD above, and the solve keeps all of them
         sol = fixed_order_solution(0, 2.0 * np.sqrt(4000.0))
-        assert len(sol.branches) == diskanalytic.MAX_BRANCHES == 48
-        assert sol.branches[-1].lam > 1e-12
+        assert len(sol.branches) == 51
+        assert sol.branches[-1].lam > 1e-16
 
     def test_sqrt_kernel_oracle(self):
         # gammas are the eigenvalues of the square-root kernel; check
@@ -241,6 +250,56 @@ class TestLambdaRoutes:
             assert c * g[j] ** 2 == pytest.approx(sol.branches[j].lam,
                                                   abs=1e-10)
 
+
+    @pytest.mark.parametrize("m", [-0.5, 0.5])
+    @pytest.mark.parametrize("c", [0.5, 4.0, 20.0])
+    def test_half_orders_match_half_order_sqrt_kernel(self, m, c):
+        # orders -1/2 and +1/2 are the interval's even and odd functions: the
+        # oracle of acceptance 08, c sigma^2 of the half-order square-root
+        # kernel on [0, 1], gives every kept branch; m stays as given, so
+        # phi_space carries xi^0 or xi^1
+        sol = fixed_order_solution(m, c)
+        assert sol.m == m
+        rule = map_rule(gauss_legendre(180), 0.0, 1.0)
+        sw = np.sqrt(rule.weights)
+        kmat = sqrt_kernel(m, c, rule.nodes[:, None], rule.nodes[None, :])
+        sig = np.linalg.eigvalsh(sw[:, None] * kmat * sw[None, :])
+        ref = c * np.sort(sig * sig)[::-1]
+        lam = np.array([br.lam for br in sol.branches])
+        assert lam[-1] > 1e-16 and ref[len(lam)] <= 1e-16
+        np.testing.assert_allclose(lam, ref[:len(lam)], rtol=0, atol=1e-13)
+        phi = phi_space(sol, 0, np.array([0.0, 1e-3]))
+        assert (phi[0] != 0.0) if m < 0 else (phi[0] == 0.0 and phi[1] != 0.0)
+
+
+    @pytest.mark.parametrize("m", [-0.5, 0.5])
+    def test_half_orders_match_extended_precision(self, m):
+        # the same recursion in 40 digits: inverse iteration on the
+        # non-symmetric tridiagonal, shifted just off each float64 chi
+        mp = pytest.importorskip("mpmath")
+        c = 60.0
+        sol = fixed_order_solution(m, c)
+        with mp.workdps(40):
+            m_, c_ = mp.mpf(m), mp.mpf(c)
+            ls = [mp.mpf(l) for l in range(sol.l_max + 1)]
+            diag = [(2 * l + m_ + 0.5) * (2 * l + m_ + 1.5)
+                    + c_ ** 2 / 2 * (1 + m_ ** 2 / ((2 * l + m_) * (2 * l + m_ + 2))) for l in ls]
+            sub = [-c_ ** 2 * (m_ + l + 1) ** 2 / ((2 * l + m_ + 1) * (2 * l + m_ + 2)) for l in ls]
+            sup = [-c_ ** 2 * (l + 1) ** 2 / ((2 * l + m_ + 2) * (2 * l + m_ + 3)) for l in ls]
+            for br in sol.branches:
+                shift, d = br.chi + mp.mpf("1e-9"), [mp.mpf(1)] * len(ls)
+                for _ in range(3):
+                    # Thomas algorithm on (M - shift) y = d: sub below, sup above
+                    piv, rhs = [diag[0] - shift], [d[0]]
+                    for i in range(1, len(ls)):
+                        f = sub[i - 1] / piv[-1]
+                        piv.append(diag[i] - shift - f * sup[i - 1])
+                        rhs.append(d[i] - f * rhs[-1])
+                    d = [rhs[-1] / piv[-1]]
+                    for i in range(len(ls) - 2, -1, -1):
+                        d.insert(0, (rhs[i] - sup[i] * d[0]) / piv[i])
+                gamma = c_ ** (m_ + 0.5) * d[0] / (2 ** (m_ + 1) * mp.gamma(m_ + 2) * mp.fsum(d))
+                assert abs(br.lam - float(c_ * gamma ** 2)) <= 1e-13
 
 class TestClosedFormNorm:
     @pytest.mark.parametrize("n2d", (0.5, 42.0, 800.0))

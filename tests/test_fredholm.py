@@ -19,7 +19,7 @@ from slepkit import (
 from slepkit import SpectralDomain, build_problem, dpss, fredholm, kernels, wedge_domain
 from slepkit.gridprojector import solve as grid_solve
 from slepkit.fredholm import EXTEND_CHUNK, _eigh, _radius
-from conftest import boundary_path
+from conftest import all_pass_problem, boundary_path
 from test_geometry import star_polygons
 
 
@@ -209,10 +209,12 @@ def route_output(route):
     if route == "dpss":
         d = dpss(64, 0.1, 10)
         return d.eigenvalues, d.sequences, np.arange(64), np.ones(64)
-    # band side for the wedge, support side for the all-pass disk band
+    # band side for the wedge, support side for the all-pass band
     region = Region.polygon([(-1.2, -0.8), (1.0, -1.0), (1.3, 0.9), (-0.9, 1.1)])
-    domain = wedge_domain(0.5, 0.3, 6.0) if route == "grid-band" else SpectralDomain.disk(100.0)
-    p = build_problem(region, domain, 0.2, embed_factor=2.5)
+    if route == "grid-band":
+        p = build_problem(region, wedge_domain(0.5, 0.3, 6.0), 0.2, embed_factor=2.5)
+    else:
+        p = all_pass_problem(region, 0.2, 2.5)
     basis = grid_solve(p, 6)
     assert basis.extra["gram"] == route[5:]
     cells = np.flatnonzero(p.spatial_mask)
@@ -314,7 +316,7 @@ class TestShortEigensolve:
 
 
     def test_plain_kernel_solves_a_subset(self, monkeypatch):
-        # a plain kernel (the 1D route) asks LAPACK for the top pairs only
+        # a plain kernel asks LAPACK for the top pairs only
         subsets = []
         eigh = scipy.linalg.eigh
 
@@ -323,7 +325,7 @@ class TestShortEigensolve:
             return eigh(mat, subset_by_index=subset_by_index)
 
         monkeypatch.setattr(scipy.linalg, "eigh", spy)
-        sol = solve_1d(3.0, n_nodes=96, count=8).solution
+        sol = nystrom_eigs(partial(sinc_kernel, 3.0), gauss_legendre(96), 8)
         assert sol.extra == {"route": "dense"} and len(sol.eigenvalues) == 8
         assert subsets == [(96, [88, 95])]
 

@@ -363,6 +363,15 @@ class TestSpectralDomains:
         sym = hermitian_symmetrize(SpectralDomain.grid_mask(mask, kx, ky))
         assert sym.mask[0, 2] and sym.mask[2, 0]
 
+    def test_hermitian_symmetrize_mask_on_even_centred_axes(self):
+        # fftshift(2 pi fftfreq(4, 0.5)) = (-2, -1, 0, 1) pi: the reflection is
+        # periodic, so the -2 pi row and column map to themselves
+        k = np.fft.fftshift(2 * np.pi * np.fft.fftfreq(4, 0.5))
+        mask = np.zeros((4, 4), dtype=bool)
+        mask[0, 3] = mask[1, 2] = True   # (kx, ky) = (pi, -2 pi), (0, -pi)
+        sym = hermitian_symmetrize(SpectralDomain.grid_mask(mask, k, k)).mask
+        assert set(zip(*np.nonzero(sym))) == {(0, 3), (0, 1), (1, 2), (3, 2)}
+
     def test_mask_axes_must_be_symmetric(self):
         kx = np.array([0.0, 1.0])
         ky = np.array([-1.0, 0.0, 1.0])

@@ -1,5 +1,7 @@
 """Grid-discretized concentration operators for arbitrary mask pairs."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,10 +11,11 @@ from hypothesis import strategies as st
 
 from slepkit import (
     ConfigurationError, GridField, NumericalError, Region, SpectralDomain,
-    apply_operator, build_problem, periodogram, solve, wedge_domain,
+    apply_operator, build_problem, hermitian_symmetrize, periodogram, solve, wedge_domain,
     weighted_periodogram_sum,
 )
-from slepkit import fredholm, gridprojector
+from slepkit import cli, fredholm, gridprojector
+from conftest import all_pass_problem as all_pass_grid_problem, boundary_path
 from test_fredholm import assert_gram_pairs
 from test_geometry import star_polygons
 
@@ -51,8 +54,7 @@ def rfft2_apply(problem, field):
 
 
 def all_pass_problem():
-    return build_problem(SQUARE, SpectralDomain.disk(100.0), 0.2,
-                         embed_factor=2.5)
+    return all_pass_grid_problem(SQUARE, 0.2, 2.5)
 
 
 def mask_problem(spacing, seed, region=SQUARE, cells=None, embed=2.5):
@@ -136,6 +138,46 @@ class TestBuildProblem:
             mask = kx[None, :] ** 2 + ky[:, None] ** 2 <= k * k
             dom = SpectralDomain.grid_mask(mask, kx, ky)
             assert np.array_equal(build_problem(region, dom, spacing).spectral_mask, want)
+
+    @pytest.mark.parametrize("region, spacing", [
+        (Region.disk((0.0, 0.0), 1.0), 0.2),     # 31 x 31
+        (Region.disk((0.3, -0.2), 1.0), 0.16),   # 38 x 38
+    ])
+    def test_hermitian_symmetrize_reflects_as_build_problem(self, region, spacing):
+        # a random mask, on centred or FFT-ordered axes, symmetrized first or
+        # not: the same spectral mask either way
+        grid = build_problem(region, SpectralDomain.disk(1.0), spacing).grid
+        mask = np.random.default_rng(grid.nx).random((grid.ny, grid.nx)) < 0.1
+        for order in (np.fft.fftshift, lambda a: a):
+            dom = SpectralDomain.grid_mask(order(mask), *(order(a) for a in fft_axes(grid)))
+            sym = hermitian_symmetrize(dom)
+            assert not np.array_equal(sym.mask, dom.mask)
+            assert np.array_equal(hermitian_symmetrize(sym).mask, sym.mask)
+            assert np.array_equal(build_problem(region, sym, spacing).spectral_mask,
+                                  build_problem(region, dom, spacing).spectral_mask)
+
+    def test_band_past_nyquist_warns(self):
+        # the unit disk at spacing 0.1 gets a 61 x 61 grid holding |k| <= 30.9:
+        # a disk band of K = 60 fills every cell, so every eigenvalue reads 1
+        disk = Region.disk((0.0, 0.0), 1.0)
+        with pytest.warns(RuntimeWarning, match=r"grid_spacing=0\.1 holds"):
+            p = build_problem(disk, SpectralDomain.disk(60.0), 0.1)
+        assert p.spectral_mask.shape == (61, 61) and p.spectral_mask.all()
+        np.testing.assert_allclose(solve(p, 3).eigenvalues, 1.0, rtol=0, atol=1e-12)
+        # one polygon vertex past Nyquist in kx only
+        tri = SpectralDomain.polygon_set([[(0.0, 0.0), (31.0, 1.0), (1.0, 2.0)]])
+        with pytest.warns(RuntimeWarning, match=r"\|kx\| = 31,"):
+            build_problem(disk, hermitian_symmetrize(tri), 0.1)
+
+    def test_shipped_examples_stay_inside_nyquist(self, capsys):
+        # the README's grid command and the wedge demo's problem
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["grid", "--boundary", boundary_path(), "--spectral", "wedge",
+                             "0.5236", "0.26", "0.02", "--spacing", "5", "--count", "3"]) == 0
+            quad = Region.polygon([(-1.2, -0.8), (1.0, -1.0), (1.3, 0.9), (-0.9, 1.1)])
+            build_problem(quad, wedge_domain(np.pi / 6, 0.3, 6.0), grid_spacing=0.1)
+        capsys.readouterr()
 
     def test_grid_mask_other_axes_rejected(self, disk_problem):
         g = disk_problem.grid
