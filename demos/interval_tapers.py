@@ -19,7 +19,7 @@ basis = solve_1d(tw, n_nodes=128, count=8)
 
 print("interval concentration at TW =", tw)
 print(f"  shannon number 2TW/pi  : {shannon_1d(1.0, tw):.6f}")
-print(f"  trace of the kernel    : {basis.trace:.6f}")
+print(f"  sum of every lambda_a  : {basis.trace:.6f}")
 print()
 
 # the eigenvalues step from ~1 down to ~0 around the Shannon number

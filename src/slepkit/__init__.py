@@ -50,7 +50,9 @@ from .kernels import (
 from .fredholm import (
     NystromSolution, eigennormalized_samples, nystrom_eigs, nystrom_extend,
 )
-from .pswf1d import Basis1D, DpssSet, dpss, shannon_1d, sinc_matrix, solve_1d
+from .pswf1d import (
+    Basis1D, DpssSet, dpss, evaluate_1d, shannon_1d, sinc_matrix, solve_1d,
+)
 from .diskanalytic import (
     DiskBasis, DiskEntry, FixedOrderBranch, FixedOrderSolution,
     assemble_disk_basis, coeff_tridiagonal, evaluate_disk_entry,

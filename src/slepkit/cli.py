@@ -213,6 +213,11 @@ def _cmd_disk(args):
 
 
 def _cmd_region(args):
+    if args.grid is not None:
+        if args.out is None:
+            raise UsageError("--grid needs --out: the grid exports are files")
+        if args.grid <= 0:
+            raise UsageError("--grid spacing must be positive")
     region = read_region(args.boundary)
     basis = solve_region_disk(region, args.bandwidth, n_quad=args.nquad,
                               count=args.count)
@@ -227,9 +232,7 @@ def _cmd_region(args):
         eigenvalues=[float(v) for v in basis.eigenvalues],
     )
     _emit(report, args.out)
-    if args.out is not None and args.grid is not None:
-        if args.grid <= 0:
-            raise UsageError("--grid spacing must be positive")
+    if args.grid is not None:
         grid = _centered_grid(region, 2.0, args.grid)
         inside = region_mask(region, grid)
         count = len(basis.eigenvalues)
@@ -332,7 +335,7 @@ def _build_parser():
                    help="quadrature nodes per dimension")
     p.add_argument("--count", type=int, default=8, help="eigenpairs to keep")
     p.add_argument("--grid", type=float, default=None,
-                   help="export grid spacing (length units)")
+                   help="export grid spacing (length units); needs --out")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(run=_cmd_region)
 

@@ -69,14 +69,15 @@ def default_l_max(c):
 
 
 def coeff_tridiagonal(m, c, l_max):
-    """Eigenpairs (chi, d) of the radial coefficient problem, ascending chi.
+    """Eigenpairs of the radial coefficient problem as two arrays (chi, d):
+    chi ascending, and d with one branch per row.
 
     The defining tridiagonal matrix is non-symmetric but has positive products
     of paired off-diagonal entries, so a diagonal similarity transform makes it
     symmetric and eigh_tridiagonal applies; eigenvectors are mapped back and
-    normalized to sum(d) = 1.  The m = 0, l = 0 diagonal entry takes the limit
-    value 0 for the m^2/((2l+m)(2l+m+2)) term.  Orders -1/2 and +1/2 give the
-    interval's even and odd functions (Slepian 1964).
+    each row of d is normalized to sum(d) = 1.  The m = 0, l = 0 diagonal
+    entry takes the limit value 0 for the m^2/((2l+m)(2l+m+2)) term.  Orders
+    -1/2 and +1/2 give the interval's even and odd functions (Slepian 1964).
     """
     if c <= 0:
         raise ValueError("bandwidth parameter c must be positive")
@@ -106,7 +107,7 @@ def coeff_tridiagonal(m, c, l_max):
     if np.any(flat):
         raise DegenerateNormalizationError(
             f"coefficient sum vanished for branch {np.argmax(flat)} (m={m}, c={c})")
-    return list(zip(chi.tolist(), d / s[:, None]))
+    return chi, d / s[:, None]
 
 
 def gamma_lambda(d, m, c):
@@ -138,7 +139,7 @@ def fixed_order_solution(m, c, l_max=None):
     """
     lm = default_l_max(c) if l_max is None else int(l_max)
     for grow in range(5):
-        chi, d = map(np.array, zip(*coeff_tridiagonal(m, c, lm)))
+        chi, d = coeff_tridiagonal(m, c, lm)
         gamma, lam = gamma_lambda(d, m, c)
         keep = int(np.argmax(np.append(lam <= 1e-16, True)))
         worst = np.max(np.abs(d[:keep, -1]) / np.max(np.abs(d[:keep]), axis=1), initial=0.0)
@@ -306,22 +307,29 @@ def evaluate_disk_entry(basis, index, points):
 def _radial_profile(basis, index, r):
     """Radial factor of basis function `index` at radii r, amplitude included.
 
-    The Jacobi series inside the disk, the Bessel series outside, divided by
-    sqrt(xi); at xi = 0 the limit is sum(d) = 1 for m = 0 and 0 above.  Both
-    series are evaluated once per distinct radius and gathered back onto r.
+    The dual series of _phi at xi = r / R, divided by sqrt(xi); at xi = 0
+    the limit is sum(d) = 1 for m = 0 and 0 above.
     """
     entry = basis.entries[index]
     sol, j, m = entry.solution, entry.branch, entry.m
-    r = np.asarray(r, dtype=float)
-    radii, back = np.unique(r.ravel(), return_inverse=True)
-    xi = radii / basis.R
-    inside = xi <= 1.0
-    radial = np.empty_like(xi)
-    radial[inside] = phi_space(sol, j, xi[inside])
-    if np.any(~inside):
-        radial[~inside] = phi_bessel(sol, j, xi[~inside])
+    xi = np.asarray(r, dtype=float) / basis.R
+    radial = _phi(sol, j, xi)
     with np.errstate(divide="ignore", invalid="ignore"):
         psi = np.where(xi == 0.0, 1.0 if m == 0 else 0.0,
                        radial / np.sqrt(np.where(xi == 0.0, 1.0, xi)))
     amp = np.sqrt(entry.lam / (2.0 * np.pi * basis.R ** 2 * sol.branches[j].norm_sq))
-    return (amp * psi)[back].reshape(r.shape)[()]
+    return (amp * psi)[()]
+
+
+def _phi(solution, branch, xi):
+    """phi of one branch at xi >= 0: the Jacobi series (phi_space) on [0, 1]
+    and the Bessel series (phi_bessel) past it, each evaluated once per
+    distinct xi and gathered back onto the shape of xi."""
+    xi = np.asarray(xi, dtype=float)
+    uniq, back = np.unique(xi.ravel(), return_inverse=True)
+    inside = uniq <= 1.0
+    phi = np.empty_like(uniq)
+    phi[inside] = phi_space(solution, branch, uniq[inside])
+    if np.any(~inside):
+        phi[~inside] = phi_bessel(solution, branch, uniq[~inside])
+    return phi[back].reshape(xi.shape)

@@ -1,13 +1,11 @@
 """One-dimensional concentration: the interval route and DPSS."""
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.linalg
 
 from . import diskanalytic, fredholm, quadrature
-from .kernels import sinc_kernel
 
 
 @dataclass
@@ -18,8 +16,8 @@ class Basis1D:
     nodes: np.ndarray
     weights: np.ndarray
     shannon: float
-    trace: float
-    solution: fredholm.NystromSolution
+    trace: float              # sum of lambda over every kept branch
+    entries: list             # (FixedOrderSolution, branch) of each row
 
 
 @dataclass
@@ -43,9 +41,10 @@ def solve_1d(tw, n_nodes=128, count=None):
 
     The even and odd eigenfunctions are the disk route's radial functions of
     orders -1/2 and +1/2 at c = TW (Slepian 1964): lambda comes in closed form
-    and n_nodes only places the samples.  The branches of both orders, merged
-    by lambda, are sampled at the Gauss-Legendre nodes (odd ones times
-    sign(x)) and scaled to quadrature norm lambda_alpha (whole-line norm 1).
+    and n_nodes only places the samples.  The branches of both orders are
+    merged by descending lambda, exact ties even before odd and then by
+    branch, and sampled at the Gauss-Legendre nodes as evaluate_1d gives
+    them.  The trace is the sum of lambda over every kept branch.
     count=None keeps every branch (lambda > 1e-16), at most n_nodes; a larger
     count raises.  Parity alternates with rank (top even) save among
     eigenvalues equal to rounding: near 1 at TW >= 60, up to 4e-14 above it.
@@ -53,27 +52,51 @@ def solve_1d(tw, n_nodes=128, count=None):
     if tw <= 0:
         raise ValueError("time-bandwidth product must be positive")
     rule = quadrature.gauss_legendre(n_nodes)
-    x, weights = rule.nodes, rule.weights
+    x = rule.nodes
     sols = [diskanalytic.fixed_order_solution(m, tw) for m in (-0.5, 0.5)]
-    lam = np.array([br.lam for sol in sols for br in sol.branches])
+    branches = [(sol, j) for sol in sols for j in range(len(sol.branches))]
+    lam = np.array([sol.branches[j].lam for sol, j in branches])
     kept = min(len(lam), n_nodes)
     count = kept if count is None else count
     if not 1 <= count <= kept:
         raise ValueError(f"count={count} must lie in [1, {kept}]: TW={tw!r} has {len(lam)} "
                          f"branches with lambda > 1e-16, sampled at n_nodes={n_nodes}")
-    top = np.isin(np.arange(len(lam)), np.argsort(-lam, kind="stable")[:count])
-    picks = np.split(top, [len(sols[0].branches)])
-    rows = np.concatenate([diskanalytic.phi_space(sol, np.flatnonzero(p), np.abs(x)) * sign
-                           for sol, p, sign in zip(sols, picks, (1.0, np.sign(x))) if p.any()])
-    vals, samples = fredholm._canonical(lam[top], rows / np.sqrt((rows * rows) @ weights)[:, None],
-                                        x, weights)
-    sol = fredholm.NystromSolution(
-        eigenvalues=vals, node_samples=samples, nodes=x, weights=weights,
-        kernel=partial(sinc_kernel, tw), trace=float(weights @ sinc_kernel(tw, x, x)),
-        extra={"route": "jacobi"})
+    order = np.argsort(-lam, kind="stable")[:count]
+    entries = [branches[i] for i in order]
+    samples = np.empty((count, n_nodes))
+    for sol, sign in zip(sols, (1.0, np.sign(x))):
+        rows = [i for i, (s, _) in enumerate(entries) if s is sol]
+        if rows:
+            picks = [entries[i][1] for i in rows]
+            amp = np.array([_amplitude(sol, j) for j in picks])
+            samples[rows] = amp[:, None] * diskanalytic.phi_space(sol, picks, np.abs(x)) * sign
     return Basis1D(
-        tw=float(tw), eigenvalues=vals, node_samples=fredholm.eigennormalized_samples(sol),
-        nodes=x, weights=weights, shannon=2.0 * tw / np.pi, trace=sol.trace, solution=sol)
+        tw=float(tw), eigenvalues=lam[order], node_samples=samples, nodes=x,
+        weights=rule.weights, shannon=2.0 * tw / np.pi, trace=float(np.sum(lam)),
+        entries=entries)
+
+
+def evaluate_1d(basis, index, x):
+    """Interval eigenfunction `index` of a Basis1D at points x, on [-1, 1]
+    and past it.
+
+    phi of the row's order at |x| (diskanalytic._phi: the Jacobi series
+    inside, the Bessel series outside), times sign(x) for the odd order +1/2,
+    at amplitude sqrt(lambda / (2 norm_sq)): unit energy on the whole line and
+    energy lambda on [-1, 1].  The series' own normalization sum(d) = 1 fixes
+    the sign: even rows are positive at x = 0, odd rows just right of it.
+    """
+    sol, j = basis.entries[index]
+    x = np.asarray(x, dtype=float)
+    vals = _amplitude(sol, j) * diskanalytic._phi(sol, j, np.abs(x))
+    return (vals * np.sign(x) if sol.m > 0 else vals)[()]
+
+
+def _amplitude(solution, branch):
+    """sqrt(lambda / (2 norm_sq)): the scale of phi that gives unit energy on
+    the whole line, from the branch's closed-form norm on [0, 1]."""
+    br = solution.branches[branch]
+    return np.sqrt(br.lam / (2.0 * br.norm_sq))
 
 
 def sinc_matrix(n, w):

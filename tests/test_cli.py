@@ -217,6 +217,26 @@ class TestRegionCommand:
         grid = read_grid(out / "g_000.bin")[0].grid
         assert sizes.count(grid.nx * grid.ny) == 1
 
+    @pytest.mark.parametrize("grid, with_out, message", [
+        ("-5", False, "--grid needs --out"), ("5", False, "--grid needs --out"),
+        ("-5", True, "--grid spacing must be positive")])
+    def test_bad_grid_is_a_usage_error_before_the_solve(self, grid, with_out, message,
+                                                         tmp_path, capsys, monkeypatch):
+        # rejected before the solve, so no report is printed or written
+        from conftest import boundary_path
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_region_disk ran")
+
+        monkeypatch.setattr(cli, "solve_region_disk", refuse)
+        out = tmp_path / "reg"
+        assert run_cli(["region", "--boundary", boundary_path(), "--bandwidth", "0.0194",
+                        "--nquad", "16", "--count", "3", "--grid", grid]
+                       + (["--out", str(out)] if with_out else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert not out.exists()
+
     def test_malformed_boundary(self, tmp_path, capsys):
         bad = tmp_path / "bad.xy"
         bad.write_text("0.0,0.0\n1.0,0.0\nnope\n")

@@ -21,8 +21,8 @@ class TestCoefficients:
         # as c -> 0 the tridiagonal diagonal dominates and
         # chi_l -> (2l + m + 1/2)(2l + m + 3/2)
         for m in (0, 1, 3):
-            pairs = coeff_tridiagonal(m, 1e-8, 12)
-            chis = np.array([chi for chi, _ in pairs])
+            chis, d = coeff_tridiagonal(m, 1e-8, 12)
+            assert d.shape == (13, 13)
             l = np.arange(13.0)
             want = (2 * l + m + 0.5) * (2 * l + m + 1.5)
             np.testing.assert_allclose(chis, want, rtol=1e-10)
@@ -44,9 +44,9 @@ class TestCoefficients:
             assert fixed_order_solution(2, 600.0, l_max=1).l_max == 1
 
     def test_normalization(self):
-        pairs = coeff_tridiagonal(1, 5.0, 60)
-        for _, d in pairs[:6]:
-            assert d.sum() == pytest.approx(1.0, abs=1e-12)
+        chi, d = coeff_tridiagonal(1, 5.0, 60)
+        assert chi.shape == (61,) and d.shape == (61, 61)
+        np.testing.assert_allclose(d.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -58,13 +58,26 @@ class TestCoefficients:
 
 
 class TestDualSeries:
-    def test_space_and_bessel_agree_inside(self):
-        sol = fixed_order_solution(1, 2 * np.sqrt(10.0))
+    @pytest.mark.parametrize("m", [1, -0.5, 0.5])
+    def test_space_and_bessel_agree_inside(self, m):
+        sol = fixed_order_solution(m, 2 * np.sqrt(10.0))
         xi = np.linspace(0.02, 1.0, 40)
         for j in range(3):
             a = phi_space(sol, j, xi)
             b = phi_bessel(sol, j, xi)
             np.testing.assert_allclose(a, b, atol=1e-8 * np.max(np.abs(a)))
+
+    @pytest.mark.parametrize("m", [0, 1, -0.5, 0.5])
+    def test_dual_series_continuous_at_the_rim(self, m):
+        # _phi switches from the Jacobi to the Bessel series past xi = 1; the
+        # second difference across the switch cancels the slope and leaves
+        # the jump (1.8e-14 of the value at most here)
+        sol = fixed_order_solution(m, 2 * np.sqrt(10.0))
+        xi = np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12])
+        for j in range(3):
+            below, rim, above = diskanalytic._phi(sol, j, xi)
+            assert rim == phi_space(sol, j, 1.0)
+            assert abs((above - rim) - (rim - below)) <= 1e-13 * abs(rim)
 
     def test_branch_sequence_matches_single_branches(self):
         # one shared Jacobi sequence, each row summed to its own trimmed length

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from slepkit import (
     DiskBandKernel, ExtensionError, GridSpec, NumericalError, Region, RegionQuadrature,
-    disk_kernel, eigennormalized_samples, evaluate_g, gauss_legendre, map_rule,
-    nystrom_eigs, nystrom_extend, read_region, region_quadrature, sinc_kernel,
+    disk_kernel, eigennormalized_samples, evaluate_1d, evaluate_g, gauss_legendre,
+    map_rule, nystrom_eigs, nystrom_extend, read_region, region_quadrature, sinc_kernel,
     solve_1d, solve_region_disk,
 )
 from slepkit import SpectralDomain, build_problem, dpss, fredholm, kernels, wedge_domain
@@ -200,9 +200,6 @@ def assert_canonical(vals, samples, nodes, weights):
 
 def route_output(route):
     """(eigenvalues, samples, nodes, weights) of one small solve per route."""
-    if route == "solve_1d":
-        b = solve_1d(3.0, n_nodes=48, count=10)
-        return b.eigenvalues, b.node_samples, b.nodes, b.weights
     if route == "solve_region_disk":
         b = solve_region_disk(star_region(), 5.0, n_quad=10, count=12)
         return b.eigenvalues, b.node_samples, b.quadrature.nodes, b.quadrature.weights
@@ -223,12 +220,20 @@ def route_output(route):
 
 
 class TestCanonicalExit:
-    """Every route leaves its eigensolve through fredholm._canonical."""
+    """Every eigensolve leaves through fredholm._canonical; solve_1d, which
+    runs none, orders by lambda and signs by its series."""
 
     @pytest.mark.parametrize("route", ["solve_1d", "solve_region_disk", "dpss",
                                        "grid-band", "grid-support"])
     def test_descending_and_signed(self, route):
-        assert_canonical(*route_output(route))
+        if route != "solve_1d":
+            assert_canonical(*route_output(route))
+            return
+        # sum(d) = 1 makes even rows positive at x = 0, odd rows just right of it
+        b = solve_1d(3.0, n_nodes=48, count=10)
+        assert np.all(np.diff(b.eigenvalues) <= 0)
+        for i, (sol, _) in enumerate(b.entries):
+            assert evaluate_1d(b, i, 0.0 if sol.m < 0 else 1e-3) > 0
 
     def test_ties_go_by_peak_index(self):
         # three exact ties, the largest peak index first; one sign flipped

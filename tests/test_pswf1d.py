@@ -9,8 +9,8 @@ import scipy.linalg
 
 from slepkit import fredholm, pswf1d
 from slepkit import (
-    Basis1D, DpssSet, dpss, gauss_legendre, nystrom_eigs, nystrom_extend, shannon_1d,
-    sinc_kernel, sinc_matrix, solve_1d,
+    Basis1D, DpssSet, dpss, evaluate_1d, gauss_legendre, nystrom_eigs, nystrom_extend,
+    shannon_1d, sinc_kernel, sinc_matrix, solve_1d,
 )
 
 
@@ -102,21 +102,62 @@ class TestIntervalBasis:
     @pytest.mark.parametrize("tw", [3.0, 4.5, 6.0])
     def test_matches_dense_solve_on_its_rule(self, tw):
         # where 128 nodes resolve the kernel, the dense Nystrom solve on the
-        # same nodes gives the same eigenvalues and samples
+        # same nodes gives the same eigenvalues, and the same samples up to
+        # each row's sign (the dense solve signs rows at the centroid node)
         basis = solve_1d(tw, n_nodes=128, count=6)
         ref = nystrom_eigs(partial(sinc_kernel, tw), gauss_legendre(128), 6)
         np.testing.assert_allclose(basis.eigenvalues, ref.eigenvalues, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(basis.node_samples, fredholm.eigennormalized_samples(ref),
-                                   rtol=0, atol=1e-12)
+        want = fredholm.eigennormalized_samples(ref)
+        want *= np.sign(np.sum(basis.node_samples * want, axis=1))[:, None]
+        np.testing.assert_allclose(basis.node_samples, want, rtol=0, atol=1e-12)
 
-    def test_solution_extends_through_the_sinc_kernel(self):
-        basis = solve_1d(3.0, n_nodes=128, count=6)
-        sol = basis.solution
-        assert sol.extra == {"route": "jacobi"}
-        assert sol.trace == basis.trace == float(sol.weights @ sinc_kernel(3.0, sol.nodes, sol.nodes))
-        lam = sol.eigenvalues[:, None]
-        np.testing.assert_allclose(lam * nystrom_extend(sol, range(6), sol.nodes),
-                                   lam * sol.node_samples, rtol=0, atol=1e-13)
+    @pytest.mark.parametrize("tw", [20.0, 60.0, 200.0])
+    def test_evaluate_1d_extends_through_the_sinc_kernel(self, tw):
+        # oracle: the dense solve on ceil(2 TW) + 300 nodes, extended through
+        # the sinc kernel; rows with 1e-4 < lambda < 0.999 only, where the
+        # oracle's near-degenerate pairs do not mix
+        basis = solve_1d(tw, n_nodes=128)
+        lam = basis.eigenvalues
+        band = np.flatnonzero((lam > 1e-4) & (lam < 0.999))
+        ref = nystrom_eigs(partial(sinc_kernel, tw),
+                           gauss_legendre(int(np.ceil(2 * tw)) + 300), band[-1] + 1)
+        x = np.linspace(-3.0, 3.0, 61)
+        for i in band:
+            got = evaluate_1d(basis, i, x)
+            want = np.sqrt(ref.eigenvalues[i]) * nystrom_extend(ref, i, x)
+            np.testing.assert_allclose(got, np.sign(got @ want) * want, rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("tw", [3.0, 20.0, 200.0])
+    def test_rows_do_not_depend_on_n_nodes(self, tw):
+        # the nodes only place the samples: every rule gives the same
+        # functions, even rows positive at 0 and odd rows just right of it,
+        # and the samples are evaluate_1d at the nodes bit for bit
+        x = np.linspace(-1.5, 1.5, 13)
+        count = len(solve_1d(tw, n_nodes=48).eigenvalues)
+        first = None
+        for n_nodes in (48, 49, 128, 129, 256):
+            basis = solve_1d(tw, n_nodes=n_nodes, count=count)
+            vals = np.array([evaluate_1d(basis, i, x) for i in range(count)])
+            first = vals if first is None else first
+            np.testing.assert_array_equal(vals, first)
+            for i, (sol, _) in enumerate(basis.entries):
+                assert evaluate_1d(basis, i, 0.0 if sol.m < 0 else 1e-3) > 0
+                np.testing.assert_array_equal(evaluate_1d(basis, i, basis.nodes),
+                                              basis.node_samples[i])
+
+    @pytest.mark.parametrize("tw", [60.0, 120.0, 200.0])
+    def test_ties_go_even_first_then_by_branch(self, tw):
+        # eigenvalues within rounding of 1 tie exactly here; the rows then
+        # run by (-lambda, order, branch), as the disk route ranks entries
+        basis = solve_1d(tw)
+        keys = [(-lam, sol.m, j) for lam, (sol, j) in zip(basis.eigenvalues, basis.entries)]
+        assert np.any(np.diff(basis.eigenvalues) == 0)
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("tw", [0.5, 1.0, 3.0, 20.0, 60.0, 120.0, 200.0])
+    def test_trace_sums_every_branch(self, tw):
+        basis = solve_1d(tw, n_nodes=48, count=1)
+        assert basis.trace == pytest.approx(2.0 * tw / np.pi, rel=1e-14, abs=0)
 
     def test_count_past_the_kept_branches_raises(self):
         # TW = 0.5 has 6 branches with lambda > 1e-16 over both parities
