@@ -150,11 +150,12 @@ def _emit(report, out_dir):
 
 
 def _write_columns(path, header, columns):
-    cols = [np.asarray(c, dtype=float) for c in columns]
+    """A '# header' line, then one row per index of the columns, each value
+    by repr (shortest round-trip), space-separated."""
+    cols = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
     with open(path, "w") as fh:
         fh.write(f"# {header}\n")
-        for row in zip(*cols):
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        fh.writelines(" ".join(row) + "\n" for row in zip(*cols))
 
 
 def _cmd_pswf1d(args):
@@ -206,9 +207,14 @@ def _cmd_disk(args):
     _emit(report, args.out)
     if args.out is not None:
         r = np.linspace(0.0, 2.0 * radius, 201)
-        for i in range(len(basis.entries)):
+        # the cos and sin entries of one (m, branch) share their radial profile
+        profiles = {}
+        for i, e in enumerate(basis.entries):
+            key = (e.m, e.branch)
+            if key not in profiles:
+                profiles[key] = _radial_profile(basis, i, r)
             _write_columns(os.path.join(args.out, f"radial_{i:03d}.txt"),
-                           "r value", [r, _radial_profile(basis, i, r)])
+                           "r value", [r, profiles[key]])
     return 0
 
 

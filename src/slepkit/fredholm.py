@@ -17,6 +17,13 @@ from .errors import ExtensionError, NumericalError
 EXTEND_CHUNK = 2097152
 # smallest kept eigenvalue, relative to the largest, solved through the factor
 FACTOR_FLOOR = 1e-8
+# an eigensolve asks for the top `count` of m pairs only while count is below
+# SUBSET_FRACTION * m; past it the full solve is faster.  Measured with one
+# thread on a 2-core VM: dense index subsets (LAPACK evr) against the full
+# divide and conquer (evd) cross at count/m = 0.10-0.16 for m = 80-800, and
+# tridiagonal ones (stebz + stein) against the full MRRR (stemr) at 0.08-0.10
+# for n = 64-1024
+SUBSET_FRACTION = 0.1
 
 
 @dataclass
@@ -142,19 +149,22 @@ def _canonical(vals, samples, nodes, weights):
 def _eigh(mat, count):
     """Top `count` pairs (ascending) of a symmetric matrix.
 
-    LAPACK's index-subset drivers can come back short on an exact cluster
-    (the identity-like Gram of an all-pass band), so a short subset is
-    solved again in full; a solve that still misses pairs raises.
+    An index subset is asked for while count < SUBSET_FRACTION m, else the
+    full divide-and-conquer solve runs.  LAPACK's index-subset drivers can
+    come back short on an exact cluster (the identity-like Gram of an
+    all-pass band), so a short subset is solved again in full; a solve that
+    still misses pairs raises.
     """
     m = len(mat)
-    subset = None if count == m else [m - count, m - 1]
     try:
-        vals, vecs = scipy.linalg.eigh(mat, subset_by_index=subset)
-        if len(vals) < count:
-            vals, vecs = scipy.linalg.eigh(mat)
-            vals, vecs = vals[m - count:], vecs[:, m - count:]
+        if count < SUBSET_FRACTION * m:
+            vals, vecs = scipy.linalg.eigh(mat, subset_by_index=[m - count, m - 1])
+            if len(vals) >= count:
+                return vals, vecs
+        vals, vecs = scipy.linalg.eigh(mat, driver="evd")
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"dense symmetric eigensolve failed: {exc}") from exc
+    vals, vecs = vals[m - count:], vecs[:, m - count:]
     if len(vals) < count:
         raise NumericalError(
             f"dense symmetric eigensolve returned {len(vals)} of {count} pairs")

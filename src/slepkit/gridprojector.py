@@ -5,10 +5,12 @@ indicator become projection matrices, and the unitary FFT moves between the
 two.  Any region shape and any Hermitian-symmetric wavenumber set work.  The
 operator P F* L F P over the n support cells and its dual L F P F* L over the
 b band cells share their nonzero spectrum; solve() diagonalizes the smaller
-Gram, read off one DFT of the other side's mask.  apply() and the residuals
-run the operator matrix-free through a pruned FFT: only the grid rows that
-hold support cells and the half-plane wavenumber columns that hold band cells
-are transformed, with the same bits as the full real 2D FFT composition.
+Gram, read off one DFT of the other side's mask.  apply() runs the operator
+matrix-free through a pruned FFT: only the grid rows that hold support cells
+and the half-plane wavenumber columns that hold band cells are transformed,
+with the same bits as the full real 2D FFT composition.  The residuals of a
+band-side solve sum directly over the band cells instead; those of a
+support-side solve use the pruned FFT.
 """
 
 from dataclasses import dataclass, field
@@ -61,12 +63,14 @@ class GridBasis:
     fields have unit grid-l2 norm and are exactly zero outside the spatial
     mask; their signs follow the Nystrom rule (positive at the support cell
     nearest the support centroid).  residuals hold max|A f - lambda f| of each
-    field, with A applied through the pruned FFTs.  extra records how the
-    spectrum was computed: the Gram diagonalized (`gram`, "band" or
-    "support"), the band factor's rank bound `rank` (the band cell count b),
-    the band Gram's numerical rank `gram_rank` found by pivoted Cholesky (band
-    side only), and the pruned transform sizes (`rows` along x, `columns`
-    along y).
+    field: with A = B B^T applied by direct sums over the band cells when the
+    band Gram was solved, through the pruned FFTs when the support one was.
+    They agree with apply() to rounding (1e-15 on the README wedge).  extra
+    records how the spectrum was computed: the Gram diagonalized (`gram`,
+    "band" or "support"), the band factor's rank bound `rank` (the band cell
+    count b), the band Gram's numerical rank `gram_rank` found by pivoted
+    Cholesky (band side only), and the pruned transform sizes (`rows` along
+    x, `columns` along y).
     """
     problem: OperatorProblem
     eigenvalues: np.ndarray        # real, descending
@@ -209,7 +213,10 @@ def solve(problem, count):
     complement.  Either side leaves through fredholm._canonical, the
     Nystrom routes' order, tie rule and sign rule.  Eigenvalues lie in
     [0, 1] because both projections are orthogonal; null-space rounding
-    below 0 is clipped after ordering.
+    below 0 is clipped after ordering.  Each field's residual applies A one
+    field at a time: on the band side by direct sums over the b band cells
+    (_band_operator, which reads neither the Gram nor its eigenvectors), on
+    the support side through the pruned FFT of apply().
     """
     count = int(count)
     if count < 1:
@@ -223,13 +230,15 @@ def solve(problem, count):
             f"region, band factor of rank {b}")
     extra = {"gram": "band" if b <= n else "support", "rank": b, "rows": rows,
              "columns": columns}
+    iy, ix = np.divmod(cells, nx)
     if b <= n:
-        vals, samples, extra["gram_rank"] = _band_eigs(problem, count)
+        vals, samples, extra["gram_rank"], matvec = _band_eigs(problem, count)
     else:
         table = np.fft.ifft2(problem.spectral_mask).real
-        vals, vecs = _eigh(_pairwise(table, *np.divmod(cells, nx), -1), count)
+        vals, vecs = _eigh(_pairwise(table, iy, ix, -1), count)
         samples = vecs.T
-    vals, samples = _canonical(vals, samples, problem.grid.points()[cells], np.ones(n))
+    points = np.column_stack([problem.grid.x_axis()[ix], problem.grid.y_axis()[iy]])
+    vals, samples = _canonical(vals, samples, points, np.ones(n))
     vals = np.maximum(vals, 0.0)
     resid = np.array([np.max(np.abs(matvec(v) - lam * v))
                       for lam, v in zip(vals, samples)])
@@ -283,7 +292,8 @@ def _band_table(mask, kx):
 
 def _band_eigs(problem, count):
     """Top `count` pairs of B^T B, descending, as samples on the support cells,
-    and the Gram's pivoted rank.
+    the Gram's pivoted rank, and A = B B^T on the support cells as a
+    one-field product (_band_operator).
 
     B has a cos and a sin column, scaled by sqrt(2 / (nx ny)), for one cell k
     of each +-k band pair, and a cos column scaled by 1 / sqrt(nx ny) for each
@@ -326,7 +336,39 @@ def _band_eigs(problem, count):
     ex = np.exp(2j * np.pi * (np.outer(ux, np.arange(nx)) % nx) / nx)
     synth = (ey @ coef @ ex).real.reshape(count, -1)
     local = np.flatnonzero(problem.spatial_mask[support_rows])
-    return vals, np.linalg.qr(synth[:, local].T)[0].T, rank
+    samples = np.linalg.qr(synth[:, local].T)[0].T
+    return vals, samples, rank, _band_operator(ey, ex, jy, jx, scale ** 2 / (nx * ny), local)
+
+
+def _band_operator(ey, ex, jy, jx, weight, local):
+    """A = B B^T on the support cells, by direct sums over the band cells.
+
+    Forward, z_k = sum_x f(x) e^{-i k.x}; back, sum_k weight_k Re[z_k e^{i k.x}],
+    where weight is 2 / (nx ny) for a +-k pair and 1 / (nx ny) for a
+    self-conjugate cell.  Both sums run through the separable phase tables of
+    _band_eigs: ey = e^{i ky y} over the support rows and the distinct band
+    ky, ex = e^{i kx x} over the distinct band kx and every column, with
+    (jy, jx) each cell's place in them; `local` are the support cells' flat
+    indices within the support rows.  The x side runs in real arithmetic on
+    the real field: per field that is 8 r nx u_x + 16 r u_y u_x flops on r
+    support rows and u_x, u_y distinct band kx, ky, against the pruned FFT's
+    r nx log nx + q ny log ny (on the README wedge r = 128, nx = 417,
+    u_x = 6, u_y = 4).
+    """
+    cos, sin = np.ascontiguousarray(ex.real), np.ascontiguousarray(ex.imag)
+    eyh = ey.conj().T
+    rows, nx = len(ey), ex.shape[1]
+
+    def op(v):
+        block = np.zeros(rows * nx)
+        block[local] = v
+        block = block.reshape(rows, nx)
+        z = np.zeros((ey.shape[1], len(ex)), dtype=complex)
+        z[jy, jx] = weight * (eyh @ (block @ cos.T - 1j * (block @ sin.T)))[jy, jx]
+        u = ey @ z
+        return (u.real @ cos - u.imag @ sin).ravel()[local]
+
+    return op
 
 
 def weighted_periodogram_sum(basis, count):

@@ -315,22 +315,39 @@ def read_grid(path):
 
 
 def write_grid_text(field, path):
-    """Headered text export: first line '# x y value', rows space-separated."""
+    """Headered text export: first line '# x y value', rows space-separated.
+
+    Values are written by repr (shortest round-trip); rows go out one grid
+    row at a time, so the whole table is never held in memory.
+    """
     vals = np.asarray(field.values)
     if np.iscomplexobj(vals):
         raise ConfigurationError("text grid export is defined for real fields")
     g = field.grid
     vals = vals.astype(float, copy=False)
-    # every x and y is formatted once, a row goes out in one write, and +0.0,
-    # most of a field outside its region, is written without a repr call
+    # every x is formatted once; a run of +0.0 cells, most of a field outside
+    # its region, is one join over those x reprs, and only the other cells
+    # (-0.0, nan and every nonzero) call repr
     xs = [repr(x) for x in g.x_axis().tolist()]
-    plus_zero = (vals == 0.0) & ~np.signbit(vals)
+    other = np.signbit(vals)
+    other |= vals != 0.0
+    slots = []
     with open(path, "w") as fh:
         fh.write("# x y value\n")
-        for y, row, zero in zip(g.y_axis().tolist(), vals, plus_zero):
+        for y, row, keep in zip(g.y_axis().tolist(), vals, other):
             mid = f" {y!r} "
-            fh.write("".join([f"{x}{mid}0.0\n" if z else f"{x}{mid}{v!r}\n"
-                              for x, v, z in zip(xs, row.tolist(), zero.tolist())]))
+            zero = mid + "0.0\n"
+            cells = np.flatnonzero(keep).tolist()
+            slots.clear()
+            start = 0
+            for i, v in zip(cells, map(repr, row[cells].tolist())):
+                if i > start:
+                    slots += (zero.join(xs[start:i]), zero)
+                slots.append(f"{xs[i]}{mid}{v}\n")
+                start = i + 1
+            if start < len(xs):
+                slots += (zero.join(xs[start:]), zero)
+            fh.write("".join(slots))
 
 
 def read_grid_text(path):

@@ -112,10 +112,12 @@ def sinc_matrix(n, w):
 def dpss(n, w, count):
     """Discrete prolate spheroidal sequences of length n, half-bandwidth w.
 
-    Solves only the top `count` pairs of the classical symmetric tridiagonal
-    that commutes with the discrete sinc matrix (diagonal
-    ((n-1-2x)/2)^2 cos 2 pi w, off-diagonal (x+1)(n-x-1)/2; Slepian 1978),
-    ordered by descending eigenvalue chi and signed by the Nystrom rule
+    Takes the top `count` pairs of the classical symmetric tridiagonal that
+    commutes with the discrete sinc matrix (diagonal
+    ((n-1-2x)/2)^2 cos 2 pi w, off-diagonal (x+1)(n-x-1)/2; Slepian 1978):
+    only those pairs while count < fredholm.SUBSET_FRACTION n, else all n
+    from the full solve, which is then faster.  They are ordered by
+    descending eigenvalue chi and signed by the Nystrom rule
     (fredholm._canonical): positive at the midpoint (n - 1) // 2.  Each
     concentration eigenvalue is the Rayleigh quotient s^T C s of the sinc
     matrix C, summed along its Toeplitz diagonals:
@@ -133,8 +135,12 @@ def dpss(n, w, count):
     x = np.arange(n)
     diag = ((n - 1.0 - 2.0 * x) / 2.0) ** 2 * np.cos(2.0 * np.pi * w)
     off = (x[:-1] + 1.0) * (n - 1.0 - x[:-1]) / 2.0
-    chi, vecs = scipy.linalg.eigh_tridiagonal(
-        diag, off, select="i", select_range=(n - count, n - 1))
+    if count < fredholm.SUBSET_FRACTION * n:
+        chi, vecs = scipy.linalg.eigh_tridiagonal(
+            diag, off, select="i", select_range=(n - count, n - 1))
+    else:
+        chi, vecs = scipy.linalg.eigh_tridiagonal(diag, off)
+        chi, vecs = chi[n - count:], vecs[:, n - count:]
     chi, seqs = fredholm._canonical(chi, vecs.T, x, np.ones(n))
     spec = np.fft.rfft(seqs, n=2 * n, axis=1)
     r = np.fft.irfft(spec.real ** 2 + spec.imag ** 2, n=2 * n, axis=1)[:, :n]

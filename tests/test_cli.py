@@ -142,6 +142,45 @@ class TestDiskCommand:
         on_axis = np.column_stack([prof[:, 0], np.zeros(201)])
         np.testing.assert_array_equal(prof[:, 1], evaluate_disk_entry(basis, 0, on_axis))
 
+    def test_each_radial_profile_evaluated_once(self, tmp_path, monkeypatch):
+        # the cos and sin entries of one (m, branch) share a profile: it is
+        # evaluated once, and every file holds the bytes the per-entry
+        # evaluation wrote
+        calls = []
+        profile = cli._radial_profile
+
+        def spy(basis, index, r):
+            calls.append(index)
+            return profile(basis, index, r)
+
+        monkeypatch.setattr(cli, "_radial_profile", spy)
+        out = tmp_path / "disk"
+        assert run_cli(["disk", "--shannon", "6", "--count", "9", "--out", str(out)]) == 0
+        basis = assemble_disk_basis(2.0 * np.sqrt(6.0), 1.0, 9)
+        keys = [(e.m, e.branch) for e in basis.entries]
+        assert len(calls) == len(set(keys)) < len(keys)
+        r = np.linspace(0.0, 2.0, 201)
+        for i in range(len(keys)):
+            want = "# r value\n" + "".join(
+                f"{float(a)!r} {float(b)!r}\n" for a, b in zip(r, profile(basis, i, r)))
+            assert (out / f"radial_{i:03d}.txt").read_bytes() == want.encode()
+
+
+class TestWriteColumns:
+    def test_bytes_match_per_value_repr(self, tmp_path):
+        # oracle: the former per-row formatter over numpy scalars
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)
+        a[:8] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1e-310, 1.0]
+        columns = [np.linspace(-1.0, 1.0, 40), a, list(range(40)),
+                   rng.standard_normal(40).astype(np.float32)]
+        path = tmp_path / "c.txt"
+        cli._write_columns(path, "x value n single", columns)
+        cols = [np.asarray(c, dtype=float) for c in columns]
+        want = "# x value n single\n" + "".join(
+            " ".join(repr(float(v)) for v in row) + "\n" for row in zip(*cols))
+        assert path.read_bytes() == want.encode()
+
 
 class TestRegionCommand:
     def test_plateau_shannon(self, capsys):

@@ -302,23 +302,48 @@ class TestShortEigensolve:
 
     def test_short_subset_solved_in_full(self, monkeypatch):
         # LAPACK's subset drivers can miss pairs of an exact cluster; the
-        # full solve then supplies the top ones
-        a = np.random.default_rng(3).standard_normal((30, 30))
+        # full solve then supplies the top ones.  4 of 60 pairs lies below
+        # the crossover, so the subset is asked for first
+        a = np.random.default_rng(3).standard_normal((60, 60))
         mat = a @ a.T
         full_vals, full_vecs = np.linalg.eigh(mat)
         eigh = scipy.linalg.eigh
+        calls = []
 
-        def short_subsets(mat, subset_by_index=None):
+        def short_subsets(mat, subset_by_index=None, **kwargs):
+            calls.append(subset_by_index)
             if subset_by_index is not None:
                 return np.empty(0), np.empty((len(mat), 0))
-            return eigh(mat)
+            return eigh(mat, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "eigh", short_subsets)
         vals, vecs = _eigh(mat, 4)
+        assert calls == [[56, 59], None]
         np.testing.assert_allclose(vals, full_vals[-4:], rtol=1e-13)
         overlap = np.abs(np.sum(vecs * full_vecs[:, -4:], axis=0))
         np.testing.assert_allclose(overlap, 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("m,count,subset", [
+        (60, 5, True), (60, 6, False), (186, 18, True), (186, 19, False), (30, 30, False)])
+    def test_subset_below_the_crossover_only(self, monkeypatch, m, count, subset):
+        # one rule: an index subset while count < SUBSET_FRACTION m, else
+        # the full solve; both give the same top pairs
+        a = np.random.default_rng(m + count).standard_normal((m, m))
+        mat = a @ a.T
+        eigh = scipy.linalg.eigh
+        calls = []
+
+        def spy(mat, subset_by_index=None, **kwargs):
+            calls.append(subset_by_index)
+            return eigh(mat, subset_by_index=subset_by_index, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        vals, vecs = _eigh(mat, count)
+        assert calls == ([[m - count, m - 1]] if subset else [None])
+        want_vals, want_vecs = np.linalg.eigh(mat)
+        np.testing.assert_allclose(vals, want_vals[m - count:], rtol=1e-12)
+        overlap = np.abs(np.sum(vecs * want_vecs[:, m - count:], axis=0))
+        np.testing.assert_allclose(overlap, 1.0, atol=1e-10)
 
     def test_plain_kernel_solves_a_subset(self, monkeypatch):
         # a plain kernel asks LAPACK for the top pairs only

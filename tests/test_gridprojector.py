@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from slepkit import (
     ConfigurationError, GridField, NumericalError, Region, SpectralDomain,
-    apply_operator, build_problem, hermitian_symmetrize, periodogram, solve, wedge_domain,
-    weighted_periodogram_sum,
+    apply_operator, build_problem, hermitian_symmetrize, periodogram, read_region, solve,
+    wedge_domain, weighted_periodogram_sum,
 )
 from slepkit import cli, fredholm, gridprojector
 from conftest import all_pass_problem as all_pass_grid_problem, boundary_path
@@ -98,6 +98,16 @@ ORACLE_PROBLEMS = {
                                              0.19, embed_factor=2.5), (1, 0)),
     "mask-even": (lambda: mask_problem(0.2, 1), (0, 0)),
     "mask-odd": (lambda: mask_problem(0.19, 2), (1, 1)),
+}
+
+
+# band-side problems for the residual check: the README grid example (the
+# plateau under a wedge, 417 x 386) and the two disk bands above
+BAND_PROBLEMS = {
+    "readme-wedge": lambda: build_problem(
+        read_region(boundary_path()), wedge_domain(0.5236, 0.26, 0.02), 5.0),
+    "disk-even": ORACLE_PROBLEMS["disk-even"][0],
+    "disk-odd": ORACLE_PROBLEMS["disk-odd"][0],
 }
 
 
@@ -327,6 +337,41 @@ class TestSolve:
                              disk_basis.residuals):
             want = np.max(np.abs(complex_apply(p, f) - lam * f))
             assert r == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(BAND_PROBLEMS))
+    def test_band_residuals_match_apply(self, name):
+        # the band side applies A = B B^T by direct sums over the band cells
+        # (odd x even, even x even and odd x odd grids); its residuals, and
+        # its action on any field, match the pruned FFT's
+        problem = BAND_PROBLEMS[name]()
+        basis = solve(problem, 4)
+        assert basis.extra["gram"] == "band"
+        want = [np.max(np.abs(apply_operator(problem, f) - lam * f))
+                for lam, f in zip(basis.eigenvalues, basis.fields)]
+        assert np.max(np.abs(basis.residuals - want)) <= 1e-15
+        cells = np.flatnonzero(problem.spatial_mask)
+        op = gridprojector._band_eigs(problem, 1)[3]
+        v = np.zeros(problem.spatial_mask.size)
+        v[cells] = np.random.default_rng(6).standard_normal(len(cells))
+        got = op(v[cells])
+        want = apply_operator(problem, v.reshape(problem.spatial_mask.shape)).ravel()[cells]
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_band_residuals_run_no_fft(self, disk_problem, monkeypatch):
+        # past the band table, the band side's residuals transform nothing
+        gram_eigs = fredholm._gram_eigs
+
+        def then_refuse(*args):
+            out = gram_eigs(*args)
+            for name in ("fft", "ifft", "rfft", "irfft"):
+                monkeypatch.setattr(np.fft, name, refuse)
+            return out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("FFT called")
+
+        monkeypatch.setattr(gridprojector, "_gram_eigs", then_refuse)
+        assert np.all(solve(disk_problem, 3).residuals <= 1e-12)
 
     def test_deterministic(self, disk_problem):
         a = solve(disk_problem, 3)

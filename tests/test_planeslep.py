@@ -2,6 +2,7 @@
 
 import dataclasses
 from functools import partial
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -447,6 +448,81 @@ class TestGridIO:
             f"{float(xs[ix])!r} {float(ys[iy])!r} {float(vals[iy, ix])!r}\n"
             for iy in range(grid.ny) for ix in range(grid.nx))
         assert path.read_bytes() == want.encode()
+
+
+def per_cell_text(field):
+    """Oracle: the per-cell formatter write_grid_text used before it wrote
+    runs of +0.0 by one join, kept whole as the bytes it must reproduce."""
+    vals = np.asarray(field.values).astype(float, copy=False)
+    g = field.grid
+    xs = [repr(x) for x in g.x_axis().tolist()]
+    plus_zero = (vals == 0.0) & ~np.signbit(vals)
+    out = ["# x y value\n"]
+    for y, row, zero in zip(g.y_axis().tolist(), vals, plus_zero):
+        mid = f" {y!r} "
+        out.append("".join([f"{x}{mid}0.0\n" if z else f"{x}{mid}{v!r}\n"
+                            for x, v, z in zip(xs, row.tolist(), zero.tolist())]))
+    return "".join(out)
+
+
+class TestGridTextRuns:
+    GRID = GridSpec(x0=-1.2345678901, y0=0.1 + 0.2, dx=0.1 / 3, dy=np.pi / 97, nx=23, ny=11)
+
+    @staticmethod
+    def rows():
+        rng = np.random.default_rng(19)
+        vals = np.zeros((11, 23))
+        vals[1] = rng.standard_normal(23)                       # dense
+        vals[2, 9:] = rng.standard_normal(14)                   # zero run at the start
+        vals[3, :15] = rng.standard_normal(15)                  # zero run at the end
+        vals[4, ::2] = rng.standard_normal(12)                  # alternating
+        vals[5] = -0.0                                          # -0.0 is not a run
+        vals[6, [0, 3, 4, 10, 22]] = [np.nan, -0.0, np.inf, -np.inf, 5e-324]
+        vals[7, 11] = 1e-300                                    # one cell mid-row
+        vals[8, 0], vals[9, 22] = -2.5, 1e300                   # one cell at each end
+        vals[10, 5:18] = rng.standard_normal(13) * 1e-17        # a support-like block
+        return vals                                             # row 0 all +0.0
+
+    def test_rows_match_per_cell_format(self, tmp_path):
+        field = GridField(self.GRID, self.rows())
+        path = tmp_path / "f.txt"
+        write_grid_text(field, path)
+        assert path.read_bytes() == per_cell_text(field).encode()
+
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.5, 0.95, 1.0])
+    def test_random_sparsity_matches_per_cell_format(self, density, tmp_path):
+        rng = np.random.default_rng(int(density * 100))
+        vals = rng.standard_normal((11, 23)) * (rng.random((11, 23)) < density)
+        field = GridField(self.GRID, vals)
+        path = tmp_path / "f.txt"
+        write_grid_text(field, path)
+        assert path.read_bytes() == per_cell_text(field).encode()
+
+    def test_integer_values_match_per_cell_format(self, tmp_path):
+        vals = np.arange(-30, 23 * 11 - 30).reshape(11, 23) * (np.arange(23) % 3 == 0)
+        field = GridField(self.GRID, vals)
+        path = tmp_path / "f.txt"
+        write_grid_text(field, path)
+        assert path.read_bytes() == per_cell_text(field).encode()
+
+    def test_streams_rows(self, tmp_path):
+        # the README wedge grid (417 x 386) with a dense 120 x 110 block: the
+        # file is about 6 MB, and the writer holds about one row of it
+        grid = GridSpec(x0=-1040.0 - 1 / 3, y0=-965.0 + 1 / 7, dx=5.0, dy=5.0, nx=417, ny=386)
+        vals = np.zeros((386, 417))
+        vals[130:250, 150:260] = np.random.default_rng(4).standard_normal((120, 110))
+        field = GridField(grid, vals)
+        path = tmp_path / "f.txt"
+        tracemalloc.start()
+        try:
+            write_grid_text(field, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 5_000_000
+        assert peak < size / 10
+        assert path.read_bytes() == per_cell_text(field).encode()
 
 
 class TestExtensionRoutes:

@@ -263,6 +263,21 @@ class TestDpss:
             dense = np.sum((out.sequences @ conc) * out.sequences, axis=1)
             assert np.max(np.abs(out.eigenvalues - dense)) <= 1e-13
 
+    @pytest.mark.parametrize("count,subset", [(1, True), (25, True), (26, False), (256, False)])
+    def test_subset_below_the_crossover_only(self, monkeypatch, count, subset):
+        # the rule of fredholm._eigh: the top pairs alone while
+        # count < SUBSET_FRACTION n (25.6 at n = 256), else the full solve
+        selects = []
+        solve = scipy.linalg.eigh_tridiagonal
+
+        def spy(*args, **kwargs):
+            selects.append(kwargs.get("select", "a"))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+        out = dpss(256, 0.02, count)
+        assert selects == ["i" if subset else "a"] and len(out.chi) == count
+
     def test_builds_no_sinc_matrix(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("sinc_matrix built")
