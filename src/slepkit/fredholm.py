@@ -39,7 +39,7 @@ class NystromSolution:
     def kernel_apply(self, rows, x):
         """sum_j w_j kernel(x, x_j) rows[a, j] at points x, shape (m, len(rows)).
 
-        `x` is (m,) for a 1D rule and (..., 2) for a planar one; output rows
+        `x` is (...) for a 1D rule and (..., 2) for a planar one; output rows
         follow the points in C order.  A factored kernel goes through
         A(x) (A(nodes)^T W rows^T) on a k-rule sized to the largest
         query-to-node distance.  A(nodes) is never formed: the node side is
@@ -105,12 +105,6 @@ def _as_rule(rule):
         return np.asarray(rule.nodes, dtype=float), np.asarray(rule.weights, dtype=float)
     nodes, weights = rule
     return np.asarray(nodes, dtype=float), np.asarray(weights, dtype=float)
-
-
-def _kernel_matrix(kernel, nodes):
-    if nodes.ndim == 1:
-        return np.asarray(kernel(nodes[:, None], nodes[None, :]), dtype=float)
-    return np.asarray(kernel(nodes[:, None, :], nodes[None, :, :]), dtype=float)
 
 
 def _fix_signs(samples, nodes, weights):
@@ -197,19 +191,17 @@ def _gram_eigs(gram, count):
 
 
 def _node_eigs(kernel, nodes, sw, count):
-    """Top `count` pairs (ascending) of sqrt(W) K sqrt(W) from the kernel
-    matrix, and diag K."""
-    kmat = _kernel_matrix(kernel, nodes)
+    """Top `count` pairs (ascending) of sqrt(W) K sqrt(W) from the kernel matrix."""
+    kmat = np.asarray(kernel(nodes[:, None], nodes[None]), dtype=float)
     if not np.all(np.isfinite(kmat)):
         raise NumericalError("kernel matrix has non-finite entries")
     sym = kmat * sw[:, None] * sw[None, :]
     sym = 0.5 * (sym + sym.T)
-    vals, vecs = _eigh(sym, count)
-    return vals, vecs, np.diagonal(kmat)
+    return _eigh(sym, count)
 
 
 def _factored_eigs(kernel, nodes, sw, count):
-    """Top `count` pairs (ascending) of B B^T, B = sqrt(W) A, and diag K.
+    """Top `count` pairs (ascending) of B B^T, B = sqrt(W) A.
 
     B comes from `kernel.node_factor`, with sqrt(W) folded into its ky
     samples.  The factor's Gram B^T B (2q x 2q) is diagonalized while it is
@@ -236,8 +228,7 @@ def _factored_eigs(kernel, nodes, sw, count):
         vals, v, extra["gram_rank"] = _gram_eigs(b.T @ b, count)
         if vals[0] >= FACTOR_FLOOR * vals[-1]:
             extra["gram"] = "factor"
-            diag = np.asarray(kernel(nodes, nodes), dtype=float)
-            return vals, (b @ v) / np.sqrt(vals), diag, extra
+            return vals, (b @ v) / np.sqrt(vals), extra
     return _node_eigs(kernel, nodes, sw, count) + (extra,)
 
 
@@ -266,14 +257,14 @@ def nystrom_eigs(kernel, rule, count):
         raise ValueError("count must lie in [1, number of nodes]")
     sw = np.sqrt(weights)
     if hasattr(kernel, "features"):
-        vals, vecs, diag, extra = _factored_eigs(kernel, nodes, sw, count)
+        vals, vecs, extra = _factored_eigs(kernel, nodes, sw, count)
     else:
-        vals, vecs, diag = _node_eigs(kernel, nodes, sw, count)
+        vals, vecs = _node_eigs(kernel, nodes, sw, count)
         extra = {"route": "dense"}
     top, samples = _canonical(vals, (vecs / sw[:, None]).T, nodes, weights)
     return NystromSolution(
         eigenvalues=top, node_samples=samples, nodes=nodes, weights=weights,
-        kernel=kernel, trace=float(weights @ diag), extra=extra)
+        kernel=kernel, trace=float(weights @ kernel(nodes, nodes)), extra=extra)
 
 
 def eigennormalized_samples(solution):
@@ -293,24 +284,15 @@ def nystrom_extend(solution, index, x):
     f(x) = (1/lambda) sum_j w_j kernel(x, x_j) f(x_j).  Raises for eigenvalues
     at or below 1e-12, where the division amplifies quadrature noise.  A
     sequence of indices extends them all in one kernel pass; the result then
-    gains a leading axis over the indices.  Planar points keep their shape
-    on the way to `kernel_apply`, so a (ny, nx, 2) tensor grid extends
-    through the kernel's 1D phase tables.
+    gains a leading axis over the indices.  Points go to `kernel_apply` as
+    given, so a (ny, nx, 2) tensor grid extends through the kernel's 1D phase
+    tables; a single point with a single index gives a float.
     """
     lam = np.atleast_1d(solution.eigenvalues[index])
     low = lam <= 1e-12
     if np.any(low):
         raise ExtensionError(f"eigenvalue {lam[low][0]!r} too small for stable extension")
     pts = np.asarray(x, dtype=float)
-    if solution.nodes.ndim == 1:
-        scalar = pts.ndim == 0
-        shape = np.atleast_1d(pts).shape
-        pts = np.atleast_1d(pts).ravel()
-    else:
-        scalar = pts.ndim == 1
-        shape = pts.shape[:-1]
-        pts = np.atleast_2d(pts)
-    out = (solution.kernel_apply(solution.node_samples[index], pts) / lam).T
-    if np.ndim(index) == 0:
-        return float(out[0, 0]) if scalar else out[0].reshape(shape)
-    return out[:, 0] if scalar else out.reshape((len(lam),) + shape)
+    shape = np.shape(index) + pts.shape[:pts.ndim + 1 - solution.nodes.ndim]
+    out = (solution.kernel_apply(solution.node_samples[index], pts) / lam).T.reshape(shape)
+    return float(out) if out.ndim == 0 else out

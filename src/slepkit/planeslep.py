@@ -293,18 +293,29 @@ def write_grid(field, path, name="field"):
 
 
 def read_grid(path):
-    """Read a binary grid written by write_grid; returns (GridField, name)."""
-    meta = {}
-    with open(str(path) + ".hdr") as fh:
+    """Read a binary grid written by write_grid; returns (GridField, name).
+
+    A sidecar without one of the origin, spacing or dimension lines, or with
+    one that does not parse, raises ConfigurationError naming the file and key.
+    """
+    meta, hdr = {}, str(path) + ".hdr"
+    with open(hdr) as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             key, _, value = line.partition("=")
             meta[key.strip()] = value.strip()
-    spec = GridSpec(x0=float(meta["x0"]), y0=float(meta["y0"]),
-                    dx=float(meta["dx"]), dy=float(meta["dy"]),
-                    nx=int(meta["nx"]), ny=int(meta["ny"]))
+    fields = {}
+    for key, kind in (("x0", float), ("y0", float), ("dx", float), ("dy", float),
+                      ("nx", int), ("ny", int)):
+        if key not in meta:
+            raise ConfigurationError(f"{hdr}: no '{key} = ...' line")
+        try:
+            fields[key] = kind(meta[key])
+        except ValueError:
+            raise ConfigurationError(f"{hdr}: cannot read {key} = {meta[key]!r}") from None
+    spec = GridSpec(**fields)
     expected = spec.nx * spec.ny * 8
     size = os.path.getsize(path)
     if size != expected:
@@ -351,7 +362,14 @@ def write_grid_text(field, path):
 
 
 def read_grid_text(path):
-    """Read a '# x y value' table back into a GridField (row-major in y)."""
+    """Read a '# x y value' table back into a GridField (row-major in y).
+
+    Rows may come in any order: each value goes to the cell its (x, y) names.
+    Every cell must appear once, and each axis must be evenly spaced: its
+    steps may differ from the mean step by at most 8 ulps of the largest
+    |coordinate| plus 1e-9 of the span, as every write_grid_text table does.
+    Otherwise ConfigurationError is raised.
+    """
     flat = array("d")
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
@@ -364,14 +382,37 @@ def read_grid_text(path):
     if not flat:
         raise ConfigurationError(f"{path}: no data rows")
     arr = np.frombuffer(flat, dtype=float).reshape(-1, 3)
-    xs = np.unique(arr[:, 0])
-    ys = np.unique(arr[:, 1])
+    xs, ix = np.unique(arr[:, 0], return_inverse=True)
+    ys, iy = np.unique(arr[:, 1], return_inverse=True)
     nx, ny = len(xs), len(ys)
+    cell = iy * nx + ix
+    hits = np.bincount(cell, minlength=nx * ny)
+    if np.any(hits > 1):
+        i = int(np.argmax(hits > 1))
+        raise ConfigurationError(
+            f"{path}: cell ({float(xs[i % nx])!r}, {float(ys[i // nx])!r}) appears "
+            f"{hits[i]} times")
     if nx * ny != len(arr):
         raise ConfigurationError(f"{path}: rows do not form a complete grid")
+    steps = [_axis_step(path, name, axis) for name, axis in (("x", xs), ("y", ys))]
+    spec = GridSpec(x0=float(xs[0]), y0=float(ys[0]), dx=steps[0], dy=steps[1], nx=nx, ny=ny)
+    vals = np.empty(nx * ny)
+    vals[cell] = arr[:, 2]
+    return GridField(spec, vals.reshape(ny, nx))
+
+
+def _axis_step(path, name, axis):
+    """Mean step of the sorted distinct coordinates `axis` (1.0 for one point);
+    raises ConfigurationError where a step is off it by more than 8 ulps of
+    the largest |coordinate| plus 1e-9 of the span."""
+    if len(axis) == 1:
+        return 1.0
     # the span over the point count spreads the axis rounding evenly
-    dx = float(xs[-1] - xs[0]) / (nx - 1) if nx > 1 else 1.0
-    dy = float(ys[-1] - ys[0]) / (ny - 1) if ny > 1 else 1.0
-    spec = GridSpec(x0=float(xs[0]), y0=float(ys[0]), dx=dx, dy=dy, nx=nx, ny=ny)
-    vals = arr[:, 2].reshape(ny, nx)
-    return GridField(spec, vals)
+    span = float(axis[-1] - axis[0])
+    step = span / (len(axis) - 1)
+    worst = float(np.max(np.abs(np.diff(axis) - step)))
+    if worst > 8.0 * np.spacing(np.max(np.abs(axis))) + 1e-9 * span:
+        raise ConfigurationError(
+            f"{path}: {name} axis is not evenly spaced (a step is {worst!r} off "
+            f"the mean step {step!r})")
+    return step

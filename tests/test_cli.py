@@ -121,6 +121,13 @@ class TestDiskCommand:
         rb = parse_report(capsys.readouterr().out)
         np.testing.assert_allclose(ra.eigenvalues, rb.eigenvalues, atol=1e-10)
 
+    def test_lost_accuracy_is_a_numerical_failure(self, capsys):
+        # from about N = 580 the coefficient solve misses the per-order sum rule
+        assert run_cli(["disk", "--shannon", "6000", "--count", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("slepkit: numerical failure: order m=")
+        assert "Traceback" not in err
+
     def test_eigen_meta_and_profiles(self, tmp_path):
         out = tmp_path / "disk"
         assert run_cli(["disk", "--shannon", "3", "--count", "5", "--out",
@@ -340,6 +347,23 @@ class TestGridCommand:
                         "--spectral", "blob", "1.0",
                         "--spacing", "0.3"]) == 2
         assert "disk, wedge, or file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pswf1d", "--tw", "3.5", "--nodes", "32", "--count", "3"],
+    ["disk", "--shannon", "6", "--count", "5", "--orders", "2"],
+    ["region", "--bandwidth", "2.0", "--nquad", "8", "--count", "2", "--grid", "0.6"],
+], ids=lambda argv: argv[0])
+def test_rerun_writes_identical_bytes(argv, square_boundary, tmp_path):
+    # README: same inputs and SLEPKIT_THREADS give byte-identical outputs
+    if argv[0] == "region":
+        argv = argv + ["--boundary", square_boundary]
+    blobs = []
+    for sub in ("r1", "r2"):
+        out = tmp_path / sub
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(blobs[0]) > 1 and blobs[0] == blobs[1]
 
 
 class TestEnvironment:

@@ -13,7 +13,7 @@ from slepkit import (
     fixed_order_solution, fixedm_kernel, gamma_lambda, gauss_legendre, map_rule,
     n2d_m, nystrom_eigs, phi_bessel, phi_space, region_quadrature, sqrt_kernel,
 )
-from slepkit import diskanalytic, fredholm, kernels
+from slepkit import NumericalError, diskanalytic, fredholm, kernels
 
 
 class TestCoefficients:
@@ -33,15 +33,20 @@ class TestCoefficients:
             assert abs(br.d[-1]) < 1e-12 * np.max(np.abs(br.d))
 
     def test_l_max_growth_limit_warns(self, monkeypatch):
-        # from a one-term start, four growths of 40 cannot resolve c = 600
+        # the series is solved once at l_max, default or given, and a two-term
+        # series cannot resolve c = 600; it is not regrown
         monkeypatch.setattr(diskanalytic, "default_l_max", lambda c: 1)
-        with pytest.warns(RuntimeWarning, match=r"m=2 at c=600\.0: .* l_max=161"):
+        with pytest.warns(RuntimeWarning, match=r"m=2 at c=600\.0: .* l_max=1;"):
             sol = fixed_order_solution(2, 600.0)
-        assert sol.l_max == 161
-        assert all(len(br.d) == 162 for br in sol.branches)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        assert sol.l_max == 1
+        assert sol.branches and all(len(br.d) == 2 for br in sol.branches)
+        with pytest.warns(RuntimeWarning, match=r"m=2 at c=600\.0: .* l_max=1;"):
             assert fixed_order_solution(2, 600.0, l_max=1).l_max == 1
+
+    def test_gamma_overflow_raises(self):
+        # 150^200.5 and 201! overflow a double
+        with pytest.raises(NumericalError, match=r"m=200 at c=150\.0"):
+            fixed_order_solution(200, 150.0)
 
     def test_normalization(self):
         chi, d = coeff_tridiagonal(1, 5.0, 60)
@@ -362,6 +367,16 @@ class TestSumRules:
         n2d = 10.0
         total = n2d_m(0, n2d) + 2 * sum(n2d_m(m, n2d) for m in range(1, 80))
         assert total == pytest.approx(n2d, abs=1e-8)
+
+    def test_assembly_checks_each_order(self):
+        # the coefficient solve loses accuracy with N: every order's sum holds
+        # to 2e-10 at N = 400 and misses by 5e-4 at N = 1000
+        basis = assemble_disk_basis(2.0 * np.sqrt(400.0), 1.0, 10)
+        for m, sol in basis.solutions.items():
+            total = sum(br.lam for br in sol.branches)
+            assert abs(total - n2d_m(m, basis.n2d)) <= diskanalytic.SUM_RULE_TOL
+        with pytest.raises(NumericalError, match=r"per-order Shannon number .* N = 1000"):
+            assemble_disk_basis(2.0 * np.sqrt(1000.0), 1.0, 10)
 
     def test_n2d_m_validation(self):
         assert n2d_m(5, 0.0) == 0.0

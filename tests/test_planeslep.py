@@ -429,6 +429,68 @@ class TestGridIO:
         with pytest.raises(ConfigurationError, match="no data rows"):
             read_grid_text(path)
 
+    def test_text_rows_placed_by_coordinates(self, field, tmp_path):
+        # a 3 x 2 table of 10 x + y written y fastest, and a shuffled table,
+        # read back cell for cell as their x-fastest writes do
+        def table(rows):
+            return "# x y value\n" + "".join(f"{x!r} {y!r} {v!r}\n" for x, y, v in rows)
+
+        cells = [(float(x), float(y), 10.0 * x + y) for y in (0, 1) for x in (0, 1, 2)]
+        path = tmp_path / "yfast.txt"
+        path.write_text(table(sorted(cells)))
+        back = read_grid_text(path)
+        np.testing.assert_array_equal(back.values, [[0.0, 10.0, 20.0], [1.0, 11.0, 21.0]])
+        path.write_text(table(cells))
+        np.testing.assert_array_equal(read_grid_text(path).values, back.values)
+        written = tmp_path / "f.txt"
+        write_grid_text(field, written)
+        lines = written.read_text().splitlines()
+        order = np.random.default_rng(4).permutation(len(lines) - 1) + 1
+        path.write_text("\n".join([lines[0]] + [lines[i] for i in order]) + "\n")
+        shuffled = read_grid_text(path)
+        assert np.array_equal(shuffled.values, field.values)
+        assert shuffled.grid == read_grid_text(written).grid
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(0, 0), (1, 0), (3, 0)], r"x axis is not evenly spaced"),
+        ([(0, 0), (0, 1), (0, 1.5)], r"y axis is not evenly spaced"),
+        ([(0, 0), (1, 0), (1, 0), (0, 1)], r"cell \(1\.0, 0\.0\) appears 2 times"),
+        ([(0, 0), (1, 0), (0, 1), (1, 1), (1, 1), (0, 0)], r"appears 2 times"),
+    ], ids=["uneven-x", "uneven-y", "repeated", "repeated-complete"])
+    def test_text_uneven_or_repeated_rejected(self, rows, message, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("".join(f"{x} {y} 1.0\n" for x, y in rows))
+        with pytest.raises(ConfigurationError, match=message):
+            read_grid_text(path)
+
+    def test_text_axes_of_every_write_accepted(self, tmp_path):
+        # written axes are x0 + dx * i; offsets far larger than the span
+        # leave steps a few ulps of the coordinates apart
+        rng = np.random.default_rng(11)
+        path = tmp_path / "f.txt"
+        for _ in range(40):
+            grid = GridSpec(x0=rng.uniform(-1, 1) * 10.0 ** rng.uniform(-3, 7),
+                            y0=rng.uniform(-1, 1) * 10.0 ** rng.uniform(-3, 7),
+                            dx=10.0 ** rng.uniform(-4, 2), dy=10.0 ** rng.uniform(-4, 2),
+                            nx=int(rng.integers(2, 60)), ny=int(rng.integers(2, 60)))
+            vals = rng.standard_normal((grid.ny, grid.nx))
+            write_grid_text(GridField(grid, vals), path)
+            assert np.array_equal(read_grid_text(path).values, vals)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.replace("nx = 7\n", ""), r"f\.bin\.hdr: no 'nx = \.\.\.' line"),
+        (lambda t: t.replace("dy = 0.5\n", ""), r"f\.bin\.hdr: no 'dy = \.\.\.' line"),
+        (lambda t: t.replace("ny = 5", "ny = five"), r"f\.bin\.hdr: cannot read ny = 'five'"),
+        (lambda t: t.replace("x0 = -1.5", "x0 = -1.5.0"), r"cannot read x0 = '-1\.5\.0'"),
+    ], ids=["no-nx", "no-dy", "bad-ny", "bad-x0"])
+    def test_bad_sidecar_named(self, field, edit, message, tmp_path):
+        path = tmp_path / "f.bin"
+        write_grid(field, path)
+        hdr = tmp_path / "f.bin.hdr"
+        hdr.write_text(edit(hdr.read_text()))
+        with pytest.raises(ConfigurationError, match=message):
+            read_grid(path)
+
     def test_text_bytes_match_per_cell_format(self, tmp_path):
         rng = np.random.default_rng(5)
         grid = GridSpec(x0=-1.2345678901, y0=0.1 + 0.2, dx=0.1 / 3, dy=np.pi / 97,
