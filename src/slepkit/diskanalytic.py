@@ -254,7 +254,8 @@ def assemble_disk_basis(K, R, count, max_order=None):
     cos/sin doublets for m > 0 and ranks everything by lambda descending
     (cos before sin, then smaller m on exact ties).  max_order caps the
     angular orders visited when given; without it the search stops at
-    MAX_ORDER with a RuntimeWarning if the stop rule was never met.
+    MAX_ORDER with a RuntimeWarning if the stop rule was never met.  A top
+    eigenvalue above 1 by more than 1e-12 also raises a RuntimeWarning.
     """
     if K <= 0 or R <= 0:
         raise ValueError("bandlimit and radius must be positive")
@@ -296,6 +297,10 @@ def assemble_disk_basis(K, R, count, max_order=None):
     if len(entries) < count:
         raise ValueError(f"only {len(entries)} basis entries resolvable, need {count}")
     entries = entries[:count]
+    excess = entries[0].lam - 1.0
+    if excess > 1e-12:   # past rounding, the threshold of solve_region_disk
+        warnings.warn(f"top eigenvalue exceeds 1 by {excess:.3g} at N = {float(n2d):.6g}: the "
+                      f"coefficient solve is losing accuracy", RuntimeWarning, stacklevel=2)
     return DiskBasis(K=float(K), R=float(R), n2d=n2d, entries=entries,
                      eigenvalues=np.array([e.lam for e in entries]),
                      solutions=solutions)

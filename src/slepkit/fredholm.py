@@ -2,8 +2,9 @@
 
 Discretize on a positive quadrature rule, symmetrize with sqrt-weight
 similarity, solve, and extend eigenfunctions off the nodes through the
-kernel.  Kernels with a `features` factor (kernel = A A^T, A of width 2q) are
-solved and extended through A without forming the n x n kernel matrix.
+kernel.  A kernel with a `multipole_factor` is solved through that factor,
+and one with a `features` factor (kernel = A A^T, A of width 2q) is extended
+through A, without forming the n x n kernel matrix.
 """
 
 from dataclasses import dataclass, field
@@ -203,26 +204,21 @@ def _node_eigs(kernel, nodes, sw, count):
 def _factored_eigs(kernel, nodes, sw, count):
     """Top `count` pairs (ascending) of B B^T, B = sqrt(W) A.
 
-    B comes from `kernel.node_factor`, with sqrt(W) folded into its ky
-    samples.  The factor's Gram B^T B (2q x 2q) is diagonalized while it is
-    no larger than the node count and holds `count` pairs, cut first to its
-    numerical rank by pivoted Cholesky (_gram_eigs: each eigenvalue moves by
-    at most the trace of the discarded Schur complement), and its
-    eigenvectors map to u = B v / sqrt(lambda).  That map loses orthogonality as 1e-17 / lambda,
-    so when the smallest pair kept falls below FACTOR_FLOOR times the largest,
-    or the factor is the wider side, the top pairs come from the n x n kernel
-    matrix instead, which is then the cheaper and exact Gram.
+    B is `kernel.multipole_factor` about the node mean, with sqrt(W) folded
+    into its radial functions: w columns, each angular order cut to the
+    numerical rank of the disk that holds the nodes.  Its Gram B^T B (w x w)
+    is diagonalized while it is no larger than the node count and holds
+    `count` pairs, cut first to its numerical rank by pivoted Cholesky
+    (_gram_eigs: each eigenvalue moves by at most the trace of the discarded
+    Schur complement), and its eigenvectors map to u = B v / sqrt(lambda).
+    That map loses orthogonality as 1e-17 / lambda, so when the smallest pair
+    kept falls below FACTOR_FLOOR times the largest, or the factor is the
+    wider side, the top pairs come from the n x n kernel matrix instead,
+    which is then the cheaper and exact Gram.
     """
-    n = len(sw)
-    origin = np.mean(nodes, axis=0)
-    span = 2.0 * _radius(nodes, origin)
-    rank = kernel.rank(span)
-    extra = {"route": "factored", "rank": rank, "k_rule": kernel.rule_sizes(span),
-             "gram": "nodes"}
-    if count <= rank <= n:
-        # (Re, Im) pairs side by side: B with its columns permuted, same B B^T
-        f, extra["abscissas"], extra["cheb_terms"] = kernel.node_factor(nodes, origin, span, sw)
-        b = f.view(float)
+    b, kept = kernel.multipole_factor(nodes, np.mean(nodes, axis=0), sw)
+    extra = {"route": "factored", "rank": b.shape[1], "kept": kept, "gram": "nodes"}
+    if count <= b.shape[1] <= len(sw):
         if not np.all(np.isfinite(b)):
             raise NumericalError("kernel factor has non-finite entries")
         vals, v, extra["gram_rank"] = _gram_eigs(b.T @ b, count)
@@ -238,16 +234,17 @@ def nystrom_eigs(kernel, rule, count):
     Diagonalizes sqrt(W) K sqrt(W) and maps eigenvectors back through
     f = f~ / sqrt(w), which leaves them orthonormal in the weighted Gram.
     Only the top `count` pairs are computed.  A plain kernel gets a subset
-    dense eigh of the n x n matrix.  A kernel with `features` (planar nodes
-    only) is factored as sqrt(W) K sqrt(W) = B B^T, and the smaller Gram is
-    solved; `extra` records the factor's width `rank`, its k-rule sizes, the
-    side used ("factor" for B^T B, "nodes" for the n x n kernel matrix) and,
-    when B was built, the numerical rank `gram_rank` that pivoted Cholesky
-    found in B^T B, the count `abscissas` of distinct node abscissas and the
-    Chebyshev term count `cheb_terms` in ky that B was synthesized from.  The
-    trace is sum_i w_i kernel(x_i, x_i) either way.  Output is deterministic
-    (_canonical): eigenvalues descending, exact ties broken by the index of
-    the largest-magnitude node sample, signs fixed at the centroid.
+    dense eigh of the n x n matrix.  A kernel with `multipole_factor`
+    (planar nodes only) is factored as sqrt(W) K sqrt(W) = B B^T, and the
+    smaller Gram is solved; `extra` records the factor's width `rank`, the
+    radial functions `kept` at each angular order
+    (rank = kept[0] + 2 sum kept[1:]), the side used ("factor" for B^T B,
+    "nodes" for the n x n kernel matrix) and, when the factor side was
+    tried, the numerical rank `gram_rank` that pivoted Cholesky found in
+    B^T B.  The trace is sum_i w_i kernel(x_i, x_i) either way.  Output is
+    deterministic (_canonical): eigenvalues descending, exact ties broken by
+    the index of the largest-magnitude node sample, signs fixed at the
+    centroid.
     """
     nodes, weights = _as_rule(rule)
     n = len(weights)
@@ -256,7 +253,7 @@ def nystrom_eigs(kernel, rule, count):
     if not 1 <= count <= n:
         raise ValueError("count must lie in [1, number of nodes]")
     sw = np.sqrt(weights)
-    if hasattr(kernel, "features"):
+    if hasattr(kernel, "multipole_factor"):
         vals, vecs, extra = _factored_eigs(kernel, nodes, sw, count)
     else:
         vals, vecs = _node_eigs(kernel, nodes, sw, count)

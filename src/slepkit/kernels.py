@@ -4,12 +4,11 @@ All evaluators broadcast over numpy arrays so matrix assembly is one call.
 """
 
 import functools
-import math
 
 import numpy as np
 
 from . import quadrature
-from .specialfn import _special, bessel_j1_over_x
+from .specialfn import _special, bessel_j1_over_x, bessel_j_table, bessel_tail_order
 
 
 def sinc_kernel(tw, x, xp):
@@ -36,7 +35,7 @@ def disk_kernel(k, x, xp):
 
 
 class DiskBandKernel:
-    """The disk-bandlimit kernel together with its k-space factor.
+    """The disk-bandlimit kernel together with its two factors.
 
     Called as kernel(x, x') it is disk_kernel at bandlimit k.  Because
     D(x, x') = (2 pi)^-2 int_{|k'|<K} exp(i k'.(x - x')) dk', a k-space rule
@@ -45,7 +44,10 @@ class DiskBandKernel:
     every separation |x - x'| <= span.  Its angle counts and wavevectors are
     each built once per span and shared by `rule_sizes`, `rank`, `features`,
     `grid_apply`, which extends through the factor on a tensor grid, and
-    `node_factor` and `node_apply`, which synthesize A and A^T on quadrature nodes.
+    `node_apply`, which synthesizes A^T on quadrature nodes.  The eigensolve
+    reads `multipole_factor` instead: the kernel split by angular order about
+    a centre, each order cut to its numerical rank on the disk that holds the
+    nodes, about a third as wide as the polar rule.
     """
 
     def __init__(self, k):
@@ -109,34 +111,50 @@ class DiskBandKernel:
             out[..., a] = ((ey * chat[:, a]) @ ex.T).real
         return out
 
-    def node_factor(self, nodes, origin, span, weights):
-        """(F, n_x, N): features(nodes, origin, span) scaled by `weights` down its
-        rows, as (Re, Im) of a complex (n, q) F (F.view(float) pairs cos, sin).
+    def multipole_factor(self, nodes, origin, weights):
+        """(B, kept): the (n, w) factor with B B^T = W D W on (n, 2) nodes, W = diag(weights).
 
-        With d = nodes - origin, exp(i k.d) = exp(i kx d_x) exp(i ky d_y), so
-        F = X[abscissa] * (E L^T), X = scale exp(i kx d_x) at the n_x distinct
-        abscissas and E = weights exp(i w_j d_y) at the N points w_j of the ky
-        interpolation L (_ky_rule): n N q products and n_x q phases, not n 2q
-        cos/sin values.  F is built in place, its X gathers in blocks no larger than E.
+        About `origin`, with r_max the largest node radius, the kernel splits
+        by angular order (the Jacobi-Anger expansion of its k-integral):
+        D(x, x') = (2 pi)^-1 sum_m eps_m cos m(phi - phi') I_m(r, r'),
+        I_m(r, r') = int_0^K J_m(rho r) J_m(rho r') rho drho, eps_0 = 1 and
+        eps_m = 2, with I_m taken on the radial rule of a polar k-rule for
+        separations 2 r_max (_radial_rule).  Order m holds one column
+        s_j J_m(rho_j r) per radius, s_j = sqrt(eps_m w_j rho_j / 2 pi),
+        times cos m phi and sin m phi; those columns are compressed to the
+        numerical rank of the disk of radius r_max (_multipole_radial), and
+        kept[m] counts the radial functions order m keeps.  They are read at
+        the node radii from a Chebyshev table through one barycentric matrix,
+        and e^(i m phi) is ((dx + i dy) / r)^m.  B is the transpose of a
+        C-ordered (w, n) array, so B^T B is one symmetric product.
         """
-        kx, _, scale = _wavevectors(self.k, float(span))
         d = np.asarray(nodes, dtype=float) - np.asarray(origin, dtype=float)
-        xs, at = np.unique(d[:, 0], return_inverse=True)
-        omega, interp = _ky_rule(self.k, float(span), d[:, 1])
-        samples = _samples(d[:, 1], omega) * np.asarray(weights, dtype=float)[:, None]
-        out = samples @ interp.T
-        phases = scale * np.exp(1j * np.multiply.outer(xs, kx))
-        step = max(1, samples.size // len(kx))
-        for lo in range(0, len(out), step):
-            out[lo:lo + step] *= phases[at[lo:lo + step]]
-        return out, len(xs), len(omega)
+        r = np.hypot(d[:, 0], d[:, 1])
+        r_max = float(np.max(r, initial=0.0))
+        table, order, kept = _multipole_radial(self.k, r_max)
+        interp = _barycentric(r / (r_max or 1.0), *_chebyshev_points(table.shape[1], 0.0, 1.0))
+        radial = table @ (interp * np.asarray(weights, dtype=float)[:, None]).T
+        # at r = 0 only order 0 contributes: z = 0 there, and z^0 = 1
+        turn = np.zeros((len(kept), len(r)), dtype=complex)
+        turn[0] = 1.0
+        np.divide(d[:, 0] + 1j * d[:, 1], r, out=turn[1:], where=r > 0)
+        np.cumprod(turn, axis=0, out=turn)
+        n0, wrad = kept[0], len(order)
+        out = np.empty((2 * wrad - n0, len(r)))
+        np.multiply(radial, turn.real[order], out=out[:wrad])
+        np.multiply(radial[n0:], turn.imag[order[n0:]], out=out[wrad:])
+        return out.T, kept
 
     def node_apply(self, values, nodes, origin, span, chunk):
         """features(nodes, origin, span)^T @ values, (2q, r), without forming the factor.
 
-        In node_factor's terms, column pair k is (Re, Im) of
-        sum_x X_x[k] (L Z_x)[k], Z_x summing E[p] (x) values[p] over the nodes
-        at abscissa x: n N r + q N n_x r products and n_x q phases.  Blocks of
+        With d = nodes - origin, exp(i k.d) = exp(i kx d_x) exp(i ky d_y).
+        X_x = scale exp(i kx d_x) at each of the n_x distinct abscissas x, and
+        E = exp(i w_j d_y) at the N points w_j of the ky interpolation L
+        (_ky_rule).  Column pair k is (Re, Im) of sum_x X_x[k] (L Z_x)[k],
+        Z_x summing E[p] (x) values[p] over the nodes at abscissa x:
+        n N r + q N n_x r products and n_x q phases, not n 2q cos/sin
+        values.  Blocks of
         whole abscissas hold at most `chunk` entries (one abscissa at least),
         so blocking changes only the order of the sum over abscissas.
         """
@@ -176,18 +194,68 @@ def _ky_rule(k, span, dy):
     holds the barycentric weights from the w_j to each wavevector's ky.  It
     costs q N divisions, so it is rebuilt per call rather than kept.
     """
-    x, terms = 0.5 * k * np.max(np.abs(dy), initial=0.0), 1
-    while x > 0.0 and terms * math.log(0.5 * x) - math.lgamma(terms + 1) > math.log(1e-17):
-        terms += 1
-    angle = (2 * np.arange(terms) + 1) * np.pi / (2 * terms)
-    omega = 0.5 * k * (1.0 + np.cos(angle))
-    diff = _wavevectors(k, span)[1][:, None] - omega
+    omega, bary = _chebyshev_points(
+        bessel_tail_order(0.5 * k * np.max(np.abs(dy), initial=0.0), 1e-17), 0.0, k)
+    return omega, _barycentric(_wavevectors(k, span)[1], omega, bary)
+
+
+def _chebyshev_points(count, lo, hi):
+    """The `count` first-kind Chebyshev points of [lo, hi] and their barycentric weights."""
+    angle = (2 * np.arange(count) + 1) * np.pi / (2 * count)
+    return lo + 0.5 * (hi - lo) * (1.0 + np.cos(angle)), (-1.0) ** np.arange(count) * np.sin(angle)
+
+
+def _barycentric(t, points, bary):
+    """The (len(t), len(points)) matrix interpolating from `points` to the points t."""
+    diff = np.asarray(t)[:, None] - points
     with np.errstate(divide="ignore", invalid="ignore"):
-        interp = (-1.0) ** np.arange(terms) * np.sin(angle) / diff
+        interp = bary / diff
         interp /= np.sum(interp, axis=1, keepdims=True)
-    hit = np.any(diff == 0.0, axis=1)   # a ky on a point takes that point's sample
+    hit = np.any(diff == 0.0, axis=1)   # a t on a point takes that point's value
     interp[hit] = diff[hit] == 0.0
-    return omega, interp
+    return interp
+
+
+def _multipole_radial(k, r_max):
+    """(H, order, kept): the compressed radial functions of the multipole factor.
+
+    In t = r / r_max, order m's columns have the Gram over the unit disk
+    G_m = A_m^T A_m, A_m[i, j] = sqrt(v_i u_i) J_m(rho_j r_max u_i) sqrt(w_j rho_j)
+    on a Gauss rule (u_i, v_i) in t: the disk Gram of radius r_max over
+    r_max^2, in which eps_m cancels.  Its integrand is entire in t with
+    Chebyshev coefficients below (K r_max / 2)^n / n!, so with n the 1e-17
+    bound the rule takes ceil((n + 2) / 2) points, exact through degree
+    n + 1.  The eigenvectors V_m with mu > 1e-16 K^2 / 4, 1e-16 of the disk
+    operator's trace over r_max^2, are kept; kept[m] counts them, and the
+    orders end at the first that keeps none.  mu <= trace G_m <=
+    (K^2 / 4) max|J_m|^2, so no order whose J_m stays below 1e-9 on
+    [0, K r_max] can keep one, and the Bessel tables stop there; only the
+    orders before the first whose trace is below the cut are diagonalized.
+    Each kept column's radial function sum_j s_j V_m[j, b] J_m(rho_j r) is
+    tabulated on the P first-kind Chebyshev points of t in [0, 1], P the
+    1e-17 bound at K r_max / 2 (its Chebyshev coefficients fall as
+    J_n(K r_max / 2)):
+    H is (w_radial, P), rows in order of m, and order[b] is row b's order.
+    """
+    x = k * r_max
+    radial = _radial_rule(k, 2.0 * r_max)
+    scaled = radial.nodes * r_max
+    rule = quadrature.map_rule(quadrature.gauss_legendre((bessel_tail_order(x, 1e-17) + 3) // 2),
+                               0.0, 1.0)
+    a = bessel_j_table(bessel_tail_order(x, 1e-9), np.multiply.outer(rule.nodes, scaled))
+    a *= np.sqrt(rule.nodes * rule.weights)[:, None] * np.sqrt(radial.weights * radial.nodes)
+    floor = 1e-16 * k * k / 4.0
+    a = a[:np.argmin(np.einsum("mij,mij->m", a, a) > floor)]   # mu <= trace G_m
+    mu, vecs = np.linalg.eigh(np.matmul(a.transpose(0, 2, 1), a))
+    keep = mu > floor
+    keep = keep[:np.argmin(np.append(np.any(keep, axis=1), False))]
+    eps = np.where(np.arange(len(keep)) == 0, 1.0, 2.0)[:, None]
+    scale = np.sqrt(eps * radial.weights * radial.nodes / (2.0 * np.pi))    # s_j of order m
+    coef = vecs[:len(keep)] * scale[..., None]
+    points = _chebyshev_points(bessel_tail_order(0.5 * x, 1e-17), 0.0, 1.0)[0]
+    table = np.matmul(coef.transpose(0, 2, 1),
+                      bessel_j_table(len(keep) - 1, np.multiply.outer(scaled, points)))
+    return table[keep], np.nonzero(keep)[0], tuple(np.sum(keep, axis=1).tolist())
 
 
 def _radial_rule(k, span):

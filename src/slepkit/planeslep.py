@@ -40,6 +40,8 @@ class GridSpec:
         self.x0, self.y0 = float(self.x0), float(self.y0)
         self.dx, self.dy = float(self.dx), float(self.dy)
         self.nx, self.ny = int(self.nx), int(self.ny)
+        if not np.all(np.isfinite([self.x0, self.y0, self.dx, self.dy])):
+            raise ConfigurationError("grid origin and spacings must be finite")
         if self.dx <= 0 or self.dy <= 0:
             raise ConfigurationError("grid spacings must be positive")
         if self.nx < 1 or self.ny < 1:
@@ -117,15 +119,15 @@ def solve_region_disk(region, k, n_quad=32, count=None):
     """Diagonalize the disk-bandlimit kernel over a region's quadrature.
 
     Keeps the top `count` eigenpairs (all nodes' worth when count is None).
-    The kernel is factored through a polar k-space rule sized from K times
-    the node spread D, so the cost grows linearly in the node count n (as
-    n (K D)^4 for the factor's Gram) rather than as n^3.  The factor on the
-    nodes is synthesized from one phase row per distinct abscissa and an
-    N-term Chebyshev interpolation in ky (DiskBandKernel.node_factor;
-    `solution.extra` records `abscissas` and `cheb_terms`), in place of
-    n 2q cos/sin values.  The 2q x 2q Gram is cut to its numerical rank r
+    The kernel is factored by angular order about the node mean
+    (DiskBandKernel.multipole_factor): each order's radial functions are cut
+    to the numerical rank of the disk that holds the nodes, which leaves w
+    columns, about a third of a polar k-rule's, so the cost grows linearly
+    in the node count n (n w^2 for the factor's Gram) rather than as n^3.
+    `solution.extra` records w as `rank` and the radial functions kept at
+    each order as `kept`.  The w x w Gram is cut to its numerical rank r
     by pivoted Cholesky before the eigensolve (fredholm._gram_eigs), which
-    then costs 2q r^2 + r^3 rather than (2q)^3 and lowers each eigenvalue by
+    then costs w r^2 + r^3 rather than w^3 and lowers each eigenvalue by
     at most the trace of the discarded Schur complement;
     `solution.extra["gram_rank"]` records r.  The
     stored trace is the full quadrature trace of the kernel, which estimates

@@ -3,6 +3,8 @@
 All evaluators accept scalars or numpy arrays and broadcast like ufuncs.
 """
 
+import math
+
 import numpy as np
 
 
@@ -55,6 +57,44 @@ def bessel_j1_over_x(x):
     xs = np.where(small, 1.0, x)
     out = np.where(small, 0.5 - x * x / 16.0, _special().j1(xs) / xs)
     return out[()]
+
+
+def bessel_tail_order(x, tol):
+    """Smallest n >= 1 with (x/2)^n / n! <= tol.
+
+    |J_m(y)| <= (y/2)^m / m!, so |J_m(y)| <= tol for every order m >= n and
+    every 0 <= y <= x.
+    """
+    n = 1
+    while x > 0.0 and n * math.log(0.5 * x) - math.lgamma(n + 1) > math.log(tol):
+        n += 1
+    return n
+
+
+def bessel_j_table(m_max, x):
+    """J_0(x) .. J_m_max(x) for x >= 0, shape (m_max + 1,) + x.shape.
+
+    Miller's backward recurrence (Numerical Recipes 6.5), run on the ratios
+    r_k = J_k / J_(k-1) = x / (2k - x r_(k+1)) so that nothing overflows at
+    small x, from r = 0 at an even order N past both m_max and the order
+    where (x/2)^N / N! falls below 1e-17 for the largest x.  J_0 then follows
+    from J_0 + 2 sum_k J_2k = 1 and J_k = J_0 r_1 ... r_k.  One pass serves
+    every order and argument: N (len(x)) divisions instead of a jv call per
+    value.  A ratio whose denominator rounds to exactly zero is taken at a
+    denominator of one rounding unit; the products through it are unchanged
+    to rounding.
+    """
+    x = _check_finite_nonneg(x)
+    start = max(int(m_max), bessel_tail_order(float(np.max(x, initial=0.0)), 1e-17))
+    start += start % 2
+    ratio = np.empty((start + 1,) + x.shape)
+    ratio[0] = 1.0
+    r = np.zeros_like(x)
+    for k in range(start, 0, -1):
+        den = 2.0 * k - x * r
+        r = ratio[k] = x / np.where(den == 0.0, 2.0 * k * np.finfo(float).eps, den)
+    np.cumprod(ratio, axis=0, out=ratio)            # J_k / J_0
+    return ratio[:m_max + 1] / (1.0 + 2.0 * np.sum(ratio[2::2], axis=0))
 
 
 def jacobi_p(l, m, x):

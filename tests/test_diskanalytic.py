@@ -378,6 +378,17 @@ class TestSumRules:
         with pytest.raises(NumericalError, match=r"per-order Shannon number .* N = 1000"):
             assemble_disk_basis(2.0 * np.sqrt(1000.0), 1.0, 10)
 
+    def test_top_eigenvalue_past_one_warns(self):
+        # lambda_0 - 1 grows with N: +2.4e-13 at N = 400 passes, +1.4e-12 at
+        # N = 500 is past the 1e-12 that solve_region_disk allows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            basis = assemble_disk_basis(2.0 * np.sqrt(400.0), 1.0, 10)
+        assert basis.eigenvalues[0] - 1.0 <= 1e-12
+        with pytest.warns(RuntimeWarning, match="top eigenvalue exceeds 1 .* N = 500"):
+            basis = assemble_disk_basis(2.0 * np.sqrt(500.0), 1.0, 10)
+        assert basis.eigenvalues[0] - 1.0 > 1e-12
+
     def test_n2d_m_validation(self):
         assert n2d_m(5, 0.0) == 0.0
         with pytest.raises(ValueError):

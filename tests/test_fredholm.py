@@ -433,11 +433,10 @@ class TestGramEigs:
                   "plateau": lambda: read_region(boundary_path()),
                   "star": star_region}[name]()
         rule = region_quadrature(region, n_quad)
-        origin = np.mean(rule.nodes, axis=0)
-        span = 2.0 * _radius(rule.nodes, origin)
-        # the Gram the solve forms: the synthesized factor, (cos, sin) pairs side by side
-        b = DiskBandKernel(k).node_factor(rule.nodes, origin, span, np.sqrt(rule.weights))[0]
-        gram = b.view(float).T @ b.view(float)
+        # the Gram the solve forms: the multipole factor about the node mean
+        b = DiskBandKernel(k).multipole_factor(rule.nodes, np.mean(rule.nodes, axis=0),
+                                               np.sqrt(rule.weights))[0]
+        gram = b.T @ b
         vals, vecs, rank = fredholm._gram_eigs(gram, count)
         assert count <= rank < len(gram) and sizes == [rank]
         assert_gram_pairs(gram, vals, vecs, count)
@@ -477,9 +476,9 @@ class TestFactoredKernel:
         dense = nystrom_eigs(partial(disk_kernel, k), rule, count)
         assert fact.extra["route"] == "factored" and dense.extra == {"route": "dense"}
         assert fact.extra["gram"] == "factor"
-        n_radial, n_angles = fact.extra["k_rule"]
-        assert len(n_angles) == n_radial
-        assert fact.extra["rank"] == 2 * sum(n_angles) < len(rule.weights)
+        kept = fact.extra["kept"]
+        assert min(kept) >= 1
+        assert fact.extra["rank"] == kept[0] + 2 * sum(kept[1:]) < len(rule.weights)
         np.testing.assert_allclose(fact.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-12)
         assert fact.trace == pytest.approx(dense.trace, rel=1e-13)
         assert exact_residual(fact, k) <= 1e-8
@@ -494,7 +493,7 @@ class TestFactoredKernel:
         k = 2.0
         rule = region_quadrature(Region.disk((0.0, 0.0), 1.0), 20)
         n = len(rule.weights)
-        rank = DiskBandKernel(k).rank(2.0 * np.max(np.hypot(*rule.nodes.T)))
+        rank = nystrom_eigs(DiskBandKernel(k), rule, 1).extra["rank"]
         dense = nystrom_eigs(partial(disk_kernel, k), rule, n)
         for count, side in ((10, "factor"), (rank - 10, "nodes"), (rank + 10, "nodes"),
                             (n, "nodes")):
@@ -510,32 +509,32 @@ class TestFactoredKernel:
         np.testing.assert_allclose(basis.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-12)
 
     def test_rule_built_once_per_span(self):
-        # the solve reads one k-rule for its rank, sizes and factor, and an
-        # extension one more, however many chunks its points take
+        # the solve builds no polar k-rule, and an extension builds one,
+        # however many chunks its points take
         builds = (kernels._angle_counts, kernels._wavevectors)
         for build in builds:
             build.cache_clear()
         rule = region_quadrature(star_region(), 16)
         sol = nystrom_eigs(DiskBandKernel(6.0), rule, 6)
         assert sol.extra["gram"] == "factor"
-        assert [build.cache_info().misses for build in builds] == [1, 1]
+        assert [build.cache_info().misses for build in builds] == [0, 0]
         x = np.random.default_rng(2).uniform(-1.0, 1.0, (60000, 2))
         nystrom_extend(sol, 0, x)
         origin = np.mean(rule.nodes, axis=0)
         width = sol.kernel.rank(_radius(x, origin) + _radius(rule.nodes, origin))
         assert width <= len(rule.weights) and len(x) * width > 10 * EXTEND_CHUNK
-        assert [build.cache_info().misses for build in builds] == [2, 2]
+        assert [build.cache_info().misses for build in builds] == [1, 1]
         # a far query point needs a rule wider than the nodes: the extension
         # sizes it and goes through the kernel without building its wavevectors
         far = nystrom_extend(sol, 0, np.array([[400.0, 0.0]]))
-        assert [build.cache_info().misses for build in builds] == [3, 2]
+        assert [build.cache_info().misses for build in builds] == [2, 1]
         plain = dataclasses.replace(sol, kernel=partial(disk_kernel, 6.0))
         np.testing.assert_array_equal(far, nystrom_extend(plain, 0, np.array([[400.0, 0.0]])))
 
     def test_rank_beyond_node_count(self):
         # a coarse rule under a high bandlimit: the node side is the smaller Gram
         k = 2.0 * np.sqrt(42.0)
-        rule = region_quadrature(Region.disk((0.0, 0.0), 1.0), 16)
+        rule = region_quadrature(Region.disk((0.0, 0.0), 1.0), 12)
         fact = nystrom_eigs(DiskBandKernel(k), rule, 10)
         assert fact.extra["rank"] > len(rule.weights) and fact.extra["gram"] == "nodes"
         dense = nystrom_eigs(partial(disk_kernel, k), rule, 10)
@@ -671,42 +670,82 @@ def bound_terms(x):
     return n
 
 
-def synthesized_factor(kernel, nodes, origin, span, weights):
-    """node_factor as a plain (n, 2q) array in the column order of features."""
-    f = kernel.node_factor(nodes, origin, span, weights)[0]
-    return np.concatenate([f.real, f.imag], axis=1)
+def assert_reproduces_kernel(kernel, nodes, weights):
+    """The multipole factor B about the node mean against sqrt(W) D sqrt(W)
+    from the Bessel kernel, to 1e-13 of its largest diagonal; returns B, kept."""
+    sw = np.sqrt(weights)
+    b, kept = kernel.multipole_factor(nodes, np.mean(nodes, axis=0), sw)
+    want = sw[:, None] * disk_kernel(kernel.k, nodes[:, None], nodes[None]) * sw
+    assert b.shape == (len(nodes), kept[0] + 2 * sum(kept[1:]))
+    np.testing.assert_allclose(b @ b.T, want, rtol=0, atol=1e-13 * np.max(np.diag(want)))
+    return b, kept
+
+
+class TestMultipoleFactor:
+    """DiskBandKernel.multipole_factor, the factor the region solve reads,
+    against the Bessel kernel and against the polar k-rule's width."""
+
+    @pytest.mark.parametrize("name, k, n_quad", [
+        ("disk", 2.0 * np.sqrt(20.0), 32),
+        ("plateau", 0.0194, 24),          # km-scale coordinates
+        ("star", 6.0, 24),
+        ("disk", 2.0 * np.sqrt(42.0), 32),
+        ("sliver", 3.0, 16),              # 10:1, most of its disk empty
+        ("disk", 30.0, 32),               # K D = 60
+    ])
+    def test_reproduces_kernel_narrower_than_polar_rule(self, name, k, n_quad):
+        region = {"disk": lambda: Region.disk((0.0, 0.0), 1.0),
+                  "plateau": lambda: read_region(boundary_path()),
+                  "star": star_region,
+                  "sliver": lambda: Region.polygon([(0, 0), (10, 0), (10, 1), (0, 1)])}[name]()
+        rule = region_quadrature(region, n_quad)
+        kernel = DiskBandKernel(k)
+        b, kept = assert_reproduces_kernel(kernel, rule.nodes, rule.weights)
+        assert min(kept) >= 1
+        origin = np.mean(rule.nodes, axis=0)
+        assert b.shape[1] <= kernel.rank(2.0 * _radius(rule.nodes, origin))
+
+    def test_node_at_the_centre(self):
+        # the mean is a node, where only order 0 contributes
+        nodes = np.array([[-1.0, 0.5], [0.0, 0.5], [1.0, 0.5], [0.0, -0.5], [0.0, 1.5]])
+        b, kept = assert_reproduces_kernel(DiskBandKernel(4.0), nodes, np.full(5, 0.3))
+        assert np.all(b[1, kept[0]:] == 0.0) and np.any(b[1, :kept[0]] != 0.0)
+
+    def test_coincident_nodes(self):
+        # r_max = 0: one column, sqrt(w_i) K / sqrt(4 pi) at every node
+        nodes = np.tile([[2.5, -1.0]], (3, 1))
+        b, kept = assert_reproduces_kernel(DiskBandKernel(3.0), nodes, np.array([0.1, 0.2, 0.3]))
+        assert kept == (1,) and b.shape == (3, 1)
 
 
 class TestSegmentContraction:
-    """The node-side synthesis (DiskBandKernel.node_factor and node_apply: one
+    """The node side: the multipole factor the solve reads against the Bessel
+    kernel, and the extension's synthesis (DiskBandKernel.node_apply: one
     phase per abscissa and a Chebyshev expansion in ky) against the
     node-by-node factor."""
 
     @staticmethod
     def check(sol):
-        """Check both node products; returns (abscissas, terms) of the synthesis."""
+        """Check the factor and both node products; returns (abscissas, terms)
+        of the node_apply synthesis at the nodes' own span."""
         kernel, nodes = sol.kernel, sol.nodes
+        b, kept = assert_reproduces_kernel(kernel, nodes, sol.weights)
+        assert (sol.extra["rank"], sol.extra["kept"]) == (b.shape[1], kept)
         origin = np.mean(nodes, axis=0)
         radius = _radius(nodes, origin)
-        # the solve's span and one 1.5x wider; r = 1 and r = count
+        # the nodes' own span and one 1.5x wider; r = 1 and r = count
         for span in (2.0 * radius, 3.0 * radius):
-            want = np.sqrt(sol.weights)[:, None] * kernel.features(nodes, origin, span)
-            got = synthesized_factor(kernel, nodes, origin, span, np.sqrt(sol.weights))
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
             for rows in (sol.node_samples[:1], sol.node_samples):
                 got = kernel.node_apply((sol.weights * rows).T, nodes, origin, span,
                                         fredholm.EXTEND_CHUNK)
                 want = node_coef_reference(sol, rows, origin, span)
                 np.testing.assert_allclose(got, want, rtol=0,
                                            atol=1e-14 * np.max(np.abs(want)))
-        # the distinct abscissas and the N of the bound, as the solve records them
+        # the distinct abscissas and the N of the bound that node_apply reads
         d = nodes - origin
-        sizes = kernel.node_factor(nodes, origin, 2.0 * radius, sol.weights)[1:]
-        assert sizes == (len(np.unique(d[:, 0])),
-                         bound_terms(0.5 * kernel.k * np.max(np.abs(d[:, 1]))))
-        if sol.extra["gram"] == "factor":
-            assert (sol.extra["abscissas"], sol.extra["cheb_terms"]) == sizes
-        return sizes
+        terms = len(kernels._ky_rule(kernel.k, 2.0 * radius, d[:, 1])[0])
+        assert terms == bound_terms(0.5 * kernel.k * np.max(np.abs(d[:, 1])))
+        return len(np.unique(d[:, 0])), terms
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(verts=star_polygons(), n_quad=st.integers(1, 10), kd=st.floats(1.0, 12.0))

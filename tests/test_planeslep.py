@@ -35,6 +35,14 @@ class TestGridSpec:
             GridSpec(x0=0, y0=0, dx=-0.1, dy=0.1, nx=4, ny=4)
         with pytest.raises(ValueError):
             GridSpec(x0=0, y0=0, dx=0.1, dy=0.1, nx=0, ny=4)
+        # NaN passes dx <= 0, and an infinite origin leaves every point infinite
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            GridSpec(x0=0, y0=np.inf, dx=np.nan, dy=1, nx=2, ny=2)
+        for key in ("x0", "y0", "dx", "dy"):
+            for bad in (np.nan, np.inf, -np.inf):
+                fields = {**dict(x0=0.0, y0=0.0, dx=0.1, dy=0.1, nx=2, ny=2), key: bad}
+                with pytest.raises(ConfigurationError, match="must be finite"):
+                    GridSpec(**fields)
         with pytest.raises(ValueError):
             GridField(GridSpec(x0=0, y0=0, dx=1, dy=1, nx=3, ny=3),
                       np.zeros((2, 3)))
@@ -99,11 +107,14 @@ class TestRegionSolve:
     def test_records_factor(self, disk42_nystrom):
         extra = disk42_nystrom.solution.extra
         assert extra["route"] == "factored"
-        n_radial, n_angles = extra["k_rule"]
-        assert len(n_angles) == n_radial
-        assert extra["rank"] == 2 * sum(n_angles)
-        # 1024 nodes, a 720-column tapered factor: its Gram is the smaller one
-        assert extra["rank"] == 720 < len(disk42_nystrom.quadrature.weights)
+        kept = extra["kept"]
+        assert extra["rank"] == kept[0] + 2 * sum(kept[1:])
+        # 1024 nodes, a 248-column multipole factor, against 720 columns of
+        # the polar k-rule: its Gram is the smaller one
+        nodes = disk42_nystrom.solution.nodes
+        span = 2.0 * _radius(nodes, np.mean(nodes, axis=0))
+        assert disk42_nystrom.solution.kernel.rank(span) == 720
+        assert extra["rank"] == 248 < len(disk42_nystrom.quadrature.weights)
         assert extra["gram"] == "factor"
 
 
@@ -482,7 +493,8 @@ class TestGridIO:
         (lambda t: t.replace("dy = 0.5\n", ""), r"f\.bin\.hdr: no 'dy = \.\.\.' line"),
         (lambda t: t.replace("ny = 5", "ny = five"), r"f\.bin\.hdr: cannot read ny = 'five'"),
         (lambda t: t.replace("x0 = -1.5", "x0 = -1.5.0"), r"cannot read x0 = '-1\.5\.0'"),
-    ], ids=["no-nx", "no-dy", "bad-ny", "bad-x0"])
+        (lambda t: t.replace("dx = 0.125", "dx = nan"), "must be finite"),
+    ], ids=["no-nx", "no-dy", "bad-ny", "bad-x0", "nan-dx"])
     def test_bad_sidecar_named(self, field, edit, message, tmp_path):
         path = tmp_path / "f.bin"
         write_grid(field, path)

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from slepkit import bessel_j, bessel_j1_over_x, jacobi_p
+from slepkit.specialfn import bessel_j_table
 
 
 def bessel_series(m, x, terms=60):
@@ -87,6 +89,38 @@ class TestBesselJ:
             h = 1e-6
             lhs = ((x + h) * bessel_j(1, x + h) - (x - h) * bessel_j(1, x - h)) / (2 * h)
             assert lhs == pytest.approx(x * bessel_j(0, x), abs=1e-6)
+
+
+class TestBesselTable:
+    """Miller's backward recurrence against scipy's jv and against mpmath."""
+
+    XS = np.concatenate([[0.0, 1e-300, 1e-20, 1e-8], np.linspace(0.0, 40.0, 801)[1:],
+                         np.random.default_rng(6).uniform(0.0, 40.0, 400)])
+
+    def test_matches_jv(self):
+        got = bessel_j_table(60, self.XS)
+        assert got.shape == (61, len(self.XS))
+        # jv itself (AMOS) is off by up to 1.2e-15 near orders 40 at x = 38;
+        # the 1e-15 bound is held against mpmath below
+        want = scipy.special.jv(np.arange(61)[:, None], self.XS)
+        np.testing.assert_allclose(got, want, rtol=0, atol=2e-15)
+        # exact at x = 0, and the leading term at 1e-300 without overflow
+        assert np.array_equal(got[:, 0], np.eye(61)[0])
+        assert got[0, 1] == 1.0 and got[1, 1] == 5e-301 and np.all(got[2:, 1] == 0.0)
+
+    def test_within_1e_15_of_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        xs = np.concatenate([[0.0, 1e-300, 2.404825557695773, 38.25183505955069],
+                             np.random.default_rng(7).uniform(0.0, 40.0, 36)])
+        want = np.array([[float(mp.besselj(m, mp.mpf(float(x)))) for x in xs]
+                         for m in range(61)])
+        np.testing.assert_allclose(bessel_j_table(60, xs), want, rtol=0, atol=1e-15)
+
+    def test_shapes_and_domain(self):
+        assert bessel_j_table(3, 2.0).shape == (4,)
+        assert bessel_j_table(0, np.ones((2, 3))).shape == (1, 2, 3)
+        with pytest.raises(ValueError):
+            bessel_j_table(2, -1.0)
 
 
 class TestJ1OverX:
