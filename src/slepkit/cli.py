@@ -158,7 +158,14 @@ def _write_columns(path, header, columns):
         fh.writelines(" ".join(row) + "\n" for row in zip(*cols))
 
 
+def _require_positive(value, flag):
+    """Reject a non-positive, infinite or NaN value of a numeric flag."""
+    if not (np.isfinite(value) and value > 0):
+        raise UsageError(f"{flag} must be positive and finite")
+
+
 def _cmd_pswf1d(args):
+    _require_positive(args.tw, "--tw")
     basis = solve_1d(args.tw, n_nodes=args.nodes, count=args.count)
     report = RunReport(
         command="pswf1d",
@@ -178,16 +185,15 @@ def _cmd_disk(args):
     if args.shannon is not None:
         if args.bandwidth is not None or args.radius is not None:
             raise UsageError("--shannon conflicts with --bandwidth/--radius")
-        if args.shannon <= 0:
-            raise UsageError("--shannon must be positive")
+        _require_positive(args.shannon, "--shannon")
         radius = 1.0
         bandwidth = 2.0 * np.sqrt(args.shannon)
     else:
         if args.bandwidth is None or args.radius is None:
             raise UsageError("give either --shannon or both --bandwidth and --radius")
         bandwidth, radius = args.bandwidth, args.radius
-        if bandwidth <= 0 or radius <= 0:
-            raise UsageError("--bandwidth and --radius must be positive")
+        _require_positive(bandwidth, "--bandwidth")
+        _require_positive(radius, "--radius")
     basis = assemble_disk_basis(bandwidth, radius, args.count,
                                 max_order=args.orders)
     meta = []
@@ -219,11 +225,11 @@ def _cmd_disk(args):
 
 
 def _cmd_region(args):
+    _require_positive(args.bandwidth, "--bandwidth")
     if args.grid is not None:
         if args.out is None:
             raise UsageError("--grid needs --out: the grid exports are files")
-        if args.grid <= 0:
-            raise UsageError("--grid spacing must be positive")
+        _require_positive(args.grid, "--grid spacing")
     region = read_region(args.boundary)
     basis = solve_region_disk(region, args.bandwidth, n_quad=args.nquad,
                               count=args.count)

@@ -86,8 +86,8 @@ def coeff_tridiagonal(m, c, l_max):
     entry takes the limit value 0 for the m^2/((2l+m)(2l+m+2)) term.  Orders
     -1/2 and +1/2 give the interval's even and odd functions (Slepian 1964).
     """
-    if c <= 0:
-        raise ValueError("bandwidth parameter c must be positive")
+    if not (np.isfinite(c) and c > 0):
+        raise ValueError("bandwidth parameter c must be positive and finite")
     if m not in (-0.5, 0.5) and (m < 0 or int(m) != m):
         raise ValueError("order must be a nonnegative integer or +-1/2")
     if l_max < 1:
@@ -257,8 +257,8 @@ def assemble_disk_basis(K, R, count, max_order=None):
     MAX_ORDER with a RuntimeWarning if the stop rule was never met.  A top
     eigenvalue above 1 by more than 1e-12 also raises a RuntimeWarning.
     """
-    if K <= 0 or R <= 0:
-        raise ValueError("bandlimit and radius must be positive")
+    if not (np.isfinite(K) and np.isfinite(R) and K > 0 and R > 0):
+        raise ValueError("bandlimit and radius must be positive and finite")
     if count < 1:
         raise ValueError("count must be positive")
     m_cap = MAX_ORDER if max_order is None else int(max_order)

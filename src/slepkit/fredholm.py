@@ -14,8 +14,11 @@ import scipy.linalg
 
 from .errors import ExtensionError, NumericalError
 
-# kernel or factor entries evaluated at once when extending to many points
+# kernel or factor entries evaluated at once when extending to many points; a
+# kernel block holds its output plus about 1.3 times that in scratch
 EXTEND_CHUNK = 2097152
+# side of the square tiles in which the n x n kernel matrix is symmetrized
+SYM_TILE = 256
 # smallest kept eigenvalue, relative to the largest, solved through the factor
 FACTOR_FLOOR = 1e-8
 # an eigensolve asks for the top `count` of m pairs only while count is below
@@ -192,13 +195,27 @@ def _gram_eigs(gram, count):
 
 
 def _node_eigs(kernel, nodes, sw, count):
-    """Top `count` pairs (ascending) of sqrt(W) K sqrt(W) from the kernel matrix."""
-    kmat = np.asarray(kernel(nodes[:, None], nodes[None]), dtype=float)
+    """Top `count` pairs (ascending) of sqrt(W) K sqrt(W) from the kernel matrix.
+
+    The weights and the symmetrization 0.5 (S + S^T) are applied in place
+    on the kernel's result (copied first only if read-only), the latter a
+    SYM_TILE square of each triangle at a time, so the matrix is the only
+    n x n array.
+    """
+    kmat = np.require(kernel(nodes[:, None], nodes[None]), dtype=float, requirements="W")
     if not np.all(np.isfinite(kmat)):
         raise NumericalError("kernel matrix has non-finite entries")
-    sym = kmat * sw[:, None] * sw[None, :]
-    sym = 0.5 * (sym + sym.T)
-    return _eigh(sym, count)
+    kmat *= sw[:, None]
+    kmat *= sw
+    for lo in range(0, len(kmat), SYM_TILE):
+        rows = slice(lo, lo + SYM_TILE)
+        for col in range(lo, len(kmat), SYM_TILE):
+            cols = slice(col, col + SYM_TILE)
+            tile = kmat[rows, cols] + kmat[cols, rows].T
+            tile *= 0.5
+            kmat[rows, cols] = tile
+            kmat[cols, rows] = tile.T
+    return _eigh(kmat, count)
 
 
 def _factored_eigs(kernel, nodes, sw, count):
@@ -214,11 +231,16 @@ def _factored_eigs(kernel, nodes, sw, count):
     That map loses orthogonality as 1e-17 / lambda, so when the smallest pair
     kept falls below FACTOR_FLOOR times the largest, or the factor is the
     wider side, the top pairs come from the n x n kernel matrix instead,
-    which is then the cheaper and exact Gram.
+    which is then the cheaper and exact Gram.  w comes from the factor's
+    plan (`kernel.multipole_plan`), so B is built only when its Gram is used.
     """
-    b, kept = kernel.multipole_factor(nodes, np.mean(nodes, axis=0), sw)
-    extra = {"route": "factored", "rank": b.shape[1], "kept": kept, "gram": "nodes"}
-    if count <= b.shape[1] <= len(sw):
+    origin = np.mean(nodes, axis=0)
+    plan = kernel.multipole_plan(nodes, origin)
+    kept = plan[2]
+    width = 2 * sum(kept) - kept[0]
+    extra = {"route": "factored", "rank": width, "kept": kept, "gram": "nodes"}
+    if count <= width <= len(sw):
+        b = kernel.multipole_factor(nodes, origin, sw, plan)[0]
         if not np.all(np.isfinite(b)):
             raise NumericalError("kernel factor has non-finite entries")
         vals, v, extra["gram_rank"] = _gram_eigs(b.T @ b, count)

@@ -25,13 +25,24 @@ def disk_kernel(k, x, xp):
     """Isotropic bandlimiting kernel K J_1(K r) / (2 pi r), r = |x - x'|.
 
     Points are arrays with a trailing axis of length 2; the diagonal value is
-    K^2 / (4 pi).
+    K^2 / (4 pi).  Besides its output the call holds one working array:
+    x - x' per coordinate, with r by hypot and K r taken in place in the
+    first, so its peak is about 2.3 times the output.
     """
-    if k <= 0:
-        raise ValueError("bandlimit must be positive")
-    d = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
-    r = np.hypot(d[..., 0], d[..., 1])
-    return (k * k / (2.0 * np.pi)) * bessel_j1_over_x(k * r)
+    _check_bandlimit(k)
+    x, xp = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
+    r = np.empty(np.broadcast_shapes(x.shape, xp.shape)[:-1])   # 0-d for two points
+    np.subtract(x[..., 0], xp[..., 0], out=r)
+    np.hypot(r, x[..., 1] - xp[..., 1], out=r)
+    r *= k
+    out = bessel_j1_over_x(r)
+    out *= k * k / (2.0 * np.pi)
+    return out
+
+
+def _check_bandlimit(k):
+    if not (np.isfinite(k) and k > 0):
+        raise ValueError("bandlimit must be positive and finite")
 
 
 class DiskBandKernel:
@@ -42,36 +53,32 @@ class DiskBandKernel:
     turns it into A(x) A(x')^T with real cos/sin columns; `features` builds A
     on a tapered polar rule that reproduces the kernel to ~1e-13 relative for
     every separation |x - x'| <= span.  Its angle counts and wavevectors are
-    each built once per span and shared by `rule_sizes`, `rank`, `features`,
-    `grid_apply`, which extends through the factor on a tensor grid, and
-    `node_apply`, which synthesizes A^T on quadrature nodes.  The eigensolve
-    reads `multipole_factor` instead: the kernel split by angular order about
-    a centre, each order cut to its numerical rank on the disk that holds the
-    nodes, about a third as wide as the polar rule.
+    each built once per span and shared by `rank`, `features`, `grid_apply`,
+    which extends through the factor on a tensor grid, and `node_apply`,
+    which synthesizes A^T on quadrature nodes.  The eigensolve reads
+    `multipole_factor` instead: the kernel split by angular order about a
+    centre, each order cut to its numerical rank on the disk that holds the
+    nodes, about a third as wide as the polar rule; `multipole_plan` gives
+    its width before it is built.
     """
 
     def __init__(self, k):
-        if k <= 0:
-            raise ValueError("bandlimit must be positive")
+        _check_bandlimit(k)
         self.k = float(k)
 
     def __call__(self, x, xp):
         return disk_kernel(self.k, x, xp)
 
-    def rule_sizes(self, span):
-        """(radial count, per-radius angle counts) of the k-rule for separations <= span.
-
-        Gauss-Legendre in |k| takes ceil(0.4 K span) + 8 nodes rho_j.  The M_j
-        uniform angles on [0, pi) at radius rho_j pair with their antipodes
-        into a 2M_j-point trapezoid rule on that circle, whose error is
-        2 J_2M_j(rho_j r); M_j is the smallest value with 2M_j >= rho_j span
-        and |J_2M_j(rho_j span)| < 1e-15.
-        """
-        n_angles = _angle_counts(self.k, float(span))
-        return len(n_angles), n_angles
-
     def rank(self, span):
-        """Column count 2q = 2 sum_j M_j of the factor sized for separations <= span."""
+        """Column count 2q = 2 sum_j M_j of the factor sized for separations <= span.
+
+        Gauss-Legendre in |k| takes ceil(0.4 K span) + 8 nodes rho_j
+        (_radial_rule).  The M_j uniform angles on [0, pi) at radius rho_j
+        pair with their antipodes into a 2M_j-point trapezoid rule on that
+        circle, whose error is 2 J_2M_j(rho_j r); M_j is the smallest value
+        with 2M_j >= rho_j span and |J_2M_j(rho_j span)| < 1e-15
+        (_angle_counts).
+        """
         return 2 * sum(_angle_counts(self.k, float(span)))
 
     def features(self, points, origin, span):
@@ -111,7 +118,15 @@ class DiskBandKernel:
             out[..., a] = ((ey * chat[:, a]) @ ex.T).real
         return out
 
-    def multipole_factor(self, nodes, origin, weights):
+    def multipole_plan(self, nodes, origin):
+        """(H, order, kept) of `multipole_factor` about `origin` for (n, 2) nodes.
+
+        The factor's width w = 2 sum(kept) - kept[0] is known from the plan
+        before the factor is built.
+        """
+        return _multipole_radial(self.k, _node_radii(nodes, origin)[2])
+
+    def multipole_factor(self, nodes, origin, weights, plan=None):
         """(B, kept): the (n, w) factor with B B^T = W D W on (n, 2) nodes, W = diag(weights).
 
         About `origin`, with r_max the largest node radius, the kernel splits
@@ -126,12 +141,11 @@ class DiskBandKernel:
         kept[m] counts the radial functions order m keeps.  They are read at
         the node radii from a Chebyshev table through one barycentric matrix,
         and e^(i m phi) is ((dx + i dy) / r)^m.  B is the transpose of a
-        C-ordered (w, n) array, so B^T B is one symmetric product.
+        C-ordered (w, n) array, so B^T B is one symmetric product.  `plan`
+        is `multipole_plan(nodes, origin)` when the caller already has it.
         """
-        d = np.asarray(nodes, dtype=float) - np.asarray(origin, dtype=float)
-        r = np.hypot(d[:, 0], d[:, 1])
-        r_max = float(np.max(r, initial=0.0))
-        table, order, kept = _multipole_radial(self.k, r_max)
+        d, r, r_max = _node_radii(nodes, origin)
+        table, order, kept = _multipole_radial(self.k, r_max) if plan is None else plan
         interp = _barycentric(r / (r_max or 1.0), *_chebyshev_points(table.shape[1], 0.0, 1.0))
         radial = table @ (interp * np.asarray(weights, dtype=float)[:, None]).T
         # at r = 0 only order 0 contributes: z = 0 there, and z^0 = 1
@@ -176,6 +190,13 @@ class DiskBandKernel:
             phases = scale * np.exp(1j * np.multiply.outer(xs[block], kx))
             c = c + np.einsum("xk,kxr->kr", phases, lz.reshape((q,) + z.shape[1:]))
         return np.concatenate([c.real, c.imag])
+
+
+def _node_radii(nodes, origin):
+    """(offsets, their lengths, the largest length or 0) of (n, 2) nodes from origin."""
+    d = np.asarray(nodes, dtype=float) - np.asarray(origin, dtype=float)
+    r = np.hypot(d[:, 0], d[:, 1])
+    return d, r, float(np.max(r, initial=0.0))
 
 
 def _samples(dy, omega):

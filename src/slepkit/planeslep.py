@@ -110,8 +110,8 @@ class SlepianBasis:
 def shannon_2d(k, region_area):
     """Expected count of well-concentrated functions: K^2 A / (4 pi)."""
     k, region_area = float(k), float(region_area)
-    if k <= 0 or region_area <= 0:
-        raise ValueError("bandlimit and area must be positive")
+    if not (np.isfinite(k) and np.isfinite(region_area) and k > 0 and region_area > 0):
+        raise ValueError("bandlimit and area must be positive and finite")
     return k * k * region_area / (4.0 * np.pi)
 
 
@@ -135,11 +135,10 @@ def solve_region_disk(region, k, n_quad=32, count=None):
     above 1 means the quadrature under-resolves the kernel; that is reported
     as a RuntimeWarning naming n_quad.
     """
-    k = float(k)
-    if k <= 0:
-        raise ValueError("bandlimit must be positive")
+    kernel = DiskBandKernel(k)      # rejects a bandlimit that is not positive and finite
+    k = kernel.k
     rule = region_quadrature(region, n_quad)
-    sol = nystrom_eigs(DiskBandKernel(k), rule, len(rule.weights) if count is None else count)
+    sol = nystrom_eigs(kernel, rule, len(rule.weights) if count is None else count)
     excess = sol.eigenvalues[0] - 1.0
     if excess > 1e-12:   # past rounding
         warnings.warn(f"top eigenvalue exceeds 1 by {excess:.3g}: n_quad={n_quad} is too coarse "

@@ -49,8 +49,8 @@ def solve_1d(tw, n_nodes=128, count=None):
     count raises.  Parity alternates with rank (top even) save among
     eigenvalues equal to rounding: near 1 at TW >= 60, up to 4e-14 above it.
     """
-    if tw <= 0:
-        raise ValueError("time-bandwidth product must be positive")
+    if not (np.isfinite(tw) and tw > 0):
+        raise ValueError("time-bandwidth product must be positive and finite")
     rule = quadrature.gauss_legendre(n_nodes)
     x = rule.nodes
     sols = [diskanalytic.fixed_order_solution(m, tw) for m in (-0.5, 0.5)]

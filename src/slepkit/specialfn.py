@@ -51,11 +51,20 @@ def bessel_j(order, x):
 
 
 def bessel_j1_over_x(x):
-    """J_1(x)/x, continued to 1/2 at x = 0."""
+    """J_1(x)/x, continued to 1/2 at x = 0.
+
+    One working array besides x: it starts as x with the cells below 1e-4
+    set to 1, takes J_1 and the division by x in place (those cells skipped),
+    and the series 1/2 - x^2/16 is evaluated on just those cells.
+    """
     x = _check_finite_nonneg(x)
     small = x < 1e-4
-    xs = np.where(small, 1.0, x)
-    out = np.where(small, 0.5 - x * x / 16.0, _special().j1(xs) / xs)
+    out = np.where(small, 1.0, x)
+    _special().j1(out, out=out)
+    np.divide(out, x, out=out, where=~small)
+    if small.any():
+        xs = x[small]
+        out[small] = 0.5 - xs * xs / 16.0
     return out[()]
 
 

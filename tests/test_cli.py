@@ -173,6 +173,27 @@ class TestDiskCommand:
             assert (out / f"radial_{i:03d}.txt").read_bytes() == want.encode()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["pswf1d", "--tw", "nan"], "--tw"),
+    (["pswf1d", "--tw", "inf"], "--tw"),
+    (["disk", "--shannon", "nan"], "--shannon"),
+    (["disk", "--shannon", "inf"], "--shannon"),
+    (["disk", "--bandwidth", "inf", "--radius", "1"], "--bandwidth"),
+    (["disk", "--bandwidth", "2", "--radius", "nan"], "--radius"),
+    (["region", "--bandwidth", "nan"], "--bandwidth"),
+    (["region", "--bandwidth", "inf"], "--bandwidth"),
+    (["region", "--bandwidth", "2", "--grid", "nan", "--out", "OUT"], "--grid spacing"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_non_finite_values_are_usage_errors(argv, flag, square_boundary, tmp_path, capsys):
+    if argv[0] == "region":
+        argv = argv[:1] + ["--boundary", square_boundary] + argv[1:]
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{flag} must be positive and finite" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 class TestWriteColumns:
     def test_bytes_match_per_value_repr(self, tmp_path):
         # oracle: the former per-row formatter over numpy scalars

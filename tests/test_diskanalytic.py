@@ -61,6 +61,11 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             coeff_tridiagonal(0, 2.0, 0)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_rejects_non_finite_bandwidth(self, c):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            coeff_tridiagonal(0, c, 10)
+
 
 class TestDualSeries:
     @pytest.mark.parametrize("m", [1, -0.5, 0.5])
@@ -449,6 +454,12 @@ class TestAssembledBasis:
             assemble_disk_basis(-1.0, 1.0, 4)
         with pytest.raises(ValueError):
             assemble_disk_basis(2.0, 1.0, 0)
+
+    @pytest.mark.parametrize("k, r", [(np.nan, 1.0), (np.inf, 1.0), (2.0, np.nan),
+                                      (2.0, np.inf)])
+    def test_rejects_non_finite_sizes(self, k, r):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            assemble_disk_basis(k, r, 4)
 
 
 class TestEvaluation:

@@ -1,6 +1,7 @@
 """Nystrom eigensolver: analytic rank-one oracles, Gram, extension, signs."""
 
 import dataclasses
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -531,6 +532,33 @@ class TestFactoredKernel:
         plain = dataclasses.replace(sol, kernel=partial(disk_kernel, 6.0))
         np.testing.assert_array_equal(far, nystrom_extend(plain, 0, np.array([[400.0, 0.0]])))
 
+    def test_no_factor_built_past_node_count(self, monkeypatch):
+        # the plan gives the width w = 248 > 144 nodes before any factor is
+        # assembled, so the solve goes straight to the kernel matrix
+        built = []
+        factor = DiskBandKernel.multipole_factor
+
+        def spy(self, *args, **kwargs):
+            built.append(len(args[0]))
+            return factor(self, *args, **kwargs)
+
+        monkeypatch.setattr(DiskBandKernel, "multipole_factor", spy)
+        k = 2.0 * np.sqrt(42.0)
+        rule = region_quadrature(Region.disk((0.0, 0.0), 1.0), 12)
+        fact = nystrom_eigs(DiskBandKernel(k), rule, 10)
+        assert built == [] and fact.extra["gram"] == "nodes"
+        assert fact.extra["rank"] == 248 and len(rule.weights) == 144
+        assert "gram_rank" not in fact.extra
+        dense = nystrom_eigs(partial(disk_kernel, k), rule, 10)
+        np.testing.assert_array_equal(fact.eigenvalues, dense.eigenvalues)
+        np.testing.assert_array_equal(fact.node_samples, dense.node_samples)
+        # a count past the width skips the factor as well
+        low = region_quadrature(Region.disk((0.0, 0.0), 1.0), 20)
+        width = nystrom_eigs(DiskBandKernel(2.0), low, 1).extra["rank"]
+        assert built == [len(low.weights)]
+        assert nystrom_eigs(DiskBandKernel(2.0), low, width + 1).extra["gram"] == "nodes"
+        assert built == [len(low.weights)]
+
     def test_rank_beyond_node_count(self):
         # a coarse rule under a high bandlimit: the node side is the smaller Gram
         k = 2.0 * np.sqrt(42.0)
@@ -705,6 +733,21 @@ class TestMultipoleFactor:
         origin = np.mean(rule.nodes, axis=0)
         assert b.shape[1] <= kernel.rank(2.0 * _radius(rule.nodes, origin))
 
+    @pytest.mark.parametrize("name, k, n_quad", [
+        ("disk", 2.0 * np.sqrt(42.0), 12), ("plateau", 0.0194, 16), ("star", 6.0, 16)])
+    def test_plan_fixes_the_width(self, name, k, n_quad):
+        region = {"disk": lambda: Region.disk((0.0, 0.0), 1.0),
+                  "plateau": lambda: read_region(boundary_path()),
+                  "star": star_region}[name]()
+        rule = region_quadrature(region, n_quad)
+        kernel, origin = DiskBandKernel(k), np.mean(rule.nodes, axis=0)
+        sw = np.sqrt(rule.weights)
+        plan = kernel.multipole_plan(rule.nodes, origin)
+        b, kept = kernel.multipole_factor(rule.nodes, origin, sw, plan)
+        assert kept == plan[2] and b.shape[1] == 2 * sum(kept) - kept[0]
+        again, _ = kernel.multipole_factor(rule.nodes, origin, sw)
+        np.testing.assert_array_equal(b, again)
+
     def test_node_at_the_centre(self):
         # the mean is a node, where only order 0 contributes
         nodes = np.array([[-1.0, 0.5], [0.0, 0.5], [1.0, 0.5], [0.0, -0.5], [0.0, 1.5]])
@@ -856,3 +899,45 @@ class TestSegmentContraction:
         nodes = basis.solution.nodes
         assert not any(np.shares_memory(p, nodes) or
                        (p.shape == nodes.shape and np.array_equal(p, nodes)) for p in seen)
+
+
+def unfused_node_matrix(kernel, nodes, sw):
+    """sqrt(W) K sqrt(W), symmetrized, as written with full-size temporaries."""
+    kmat = np.asarray(kernel(nodes[:, None], nodes[None]), dtype=float)
+    sym = kmat * sw[:, None] * sw[None, :]
+    return 0.5 * (sym + sym.T)
+
+
+class TestNodeMatrix:
+    """_node_eigs weights and symmetrizes the kernel matrix in place."""
+
+    @pytest.mark.parametrize("n", [5, 2 * fredholm.SYM_TILE, 1100])
+    def test_same_bits_in_under_three_matrices(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        nodes = np.array([4.1e5, -3.7e5]) + rng.uniform(-2.5e4, 2.5e4, (n, 2))
+        sw = np.sqrt(rng.uniform(1e6, 4e6, n))
+        kernel = DiskBandKernel(0.0194)
+        seen = {}
+
+        def capture(mat, count):
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+            seen["mat"] = mat.copy()
+            return _eigh(mat, count)
+
+        monkeypatch.setattr(fredholm, "_eigh", capture)
+        tracemalloc.start()
+        try:
+            fredholm._node_eigs(kernel, nodes, sw, 3)
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(seen["mat"], unfused_node_matrix(kernel, nodes, sw))
+        if n > 1000:     # below that, fixed allocations outweigh the matrix
+            assert seen["peak"] <= 3 * 8 * n * n
+
+    def test_leaves_a_read_only_kernel_result_alone(self):
+        nodes = np.linspace(-1.0, 1.0, 7)
+        frozen = sinc_kernel(3.0, nodes[:, None], nodes[None])
+        frozen.flags.writeable = False
+        vals, _ = fredholm._node_eigs(lambda x, xp: frozen, nodes, np.ones(7), 2)
+        np.testing.assert_array_equal(frozen, sinc_kernel(3.0, nodes[:, None], nodes[None]))
+        np.testing.assert_allclose(vals, np.linalg.eigvalsh(frozen)[-2:], rtol=1e-12)

@@ -1,14 +1,17 @@
 """Concentration kernels: closed forms, diagonals, reproducing property."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.special
 from scipy.special import jv
 
 from slepkit import (
-    DiskBandKernel, bessel_j, disk_kernel, fixedm_kernel, gauss_legendre,
+    DiskBandKernel, bessel_j, bessel_j1_over_x, disk_kernel, fixedm_kernel, gauss_legendre,
     map_rule, sinc_kernel, sqrt_kernel,
 )
+from slepkit.kernels import _angle_counts, _radial_rule
 
 J1_FIRST_ROOT = 3.8317059702075125  # first positive zero of J_1
 
@@ -57,16 +60,19 @@ class TestDiskBandKernel:
 
     def test_rule_grows_with_span(self):
         kern = DiskBandKernel(2.0)
-        sizes = [kern.rule_sizes(s) for s in (0.5, 5.0, 50.0)]
-        assert sizes[0][0] < sizes[1][0] < sizes[2][0]
-        for n_radial, n_angles in sizes:
+        sizes = [_angle_counts(2.0, s) for s in (0.5, 5.0, 50.0)]
+        radial = [len(_radial_rule(2.0, s).nodes) for s in (0.5, 5.0, 50.0)]
+        assert radial[0] < radial[1] < radial[2]
+        for n_radial, n_angles in zip(radial, sizes):
             # one angle count per radius, tapering towards the origin
             assert len(n_angles) == n_radial
             assert list(n_angles) == sorted(n_angles)
-        assert max(sizes[0][1]) < max(sizes[1][1]) < max(sizes[2][1])
+        assert max(sizes[0]) < max(sizes[1]) < max(sizes[2])
         assert kern.rank(0.5) < kern.rank(5.0) < kern.rank(50.0)
-        assert kern.rank(5.0) == 2 * sum(sizes[1][1])
-        assert kern.rule_sizes(0.0) == (8, (1,) * 8)
+        assert kern.rank(5.0) == 2 * sum(sizes[1])
+        assert len(_radial_rule(2.0, 0.0).nodes) == 8
+        assert _angle_counts(2.0, 0.0) == (1,) * 8
+        assert kern.rank(0.0) == 16
 
     @pytest.mark.parametrize("z, rank", [(10.0, 288), (26.0, 720), (60.0, 1962),
                                          (100.0, 4154)])
@@ -76,10 +82,13 @@ class TestDiskBandKernel:
         # |J_2M_j(rho_j span)| < 1e-15 (k = 2 keeps K span exactly z)
         k = 2.0
         kern = DiskBandKernel(k)
-        n_radial, n_angles = kern.rule_sizes(z / k)
-        assert n_radial == int(np.ceil(0.4 * z)) + 8
+        radial = _radial_rule(k, z / k)
+        n_angles = _angle_counts(k, z / k)
+        assert len(radial.nodes) == len(n_angles) == int(np.ceil(0.4 * z)) + 8
         assert kern.rank(z / k) == 2 * sum(n_angles) == rank
-        x = map_rule(gauss_legendre(n_radial), 0.0, k).nodes * (z / k)
+        x = radial.nodes * (z / k)
+        np.testing.assert_array_equal(
+            x, map_rule(gauss_legendre(len(n_angles)), 0.0, k).nodes * (z / k))
         m = np.array(n_angles)
         assert np.all(2 * m >= x) and np.all(np.abs(jv(2 * m, x)) < 1e-15)
         fewer = m - 1
@@ -89,6 +98,13 @@ class TestDiskBandKernel:
     def test_validation(self):
         with pytest.raises(ValueError):
             DiskBandKernel(0.0)
+
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_bandlimit(self, k):
+        with pytest.raises(ValueError, match="bandlimit must be positive and finite"):
+            DiskBandKernel(k)
+        with pytest.raises(ValueError, match="bandlimit must be positive and finite"):
+            disk_kernel(k, np.zeros(2), np.ones(2))
 
 
 class TestDiskKernel:
@@ -135,6 +151,80 @@ class TestDiskKernel:
         got = np.sum(v1 * v2) * dx * dx
         want = disk_kernel(k, x1, x2)
         assert got == pytest.approx(want, rel=0.01)
+
+
+def unfused_j1_over_x(x):
+    """J_1(x)/x as written before the evaluator kept one working array."""
+    x = np.asarray(x, dtype=float)
+    small = x < 1e-4
+    xs = np.where(small, 1.0, x)
+    return np.where(small, 0.5 - x * x / 16.0, scipy.special.j1(xs) / xs)[()]
+
+
+def unfused_disk_kernel(k, x, xp):
+    """disk_kernel as written with a (..., 2) difference array and full temporaries."""
+    d = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
+    r = np.hypot(d[..., 0], d[..., 1])
+    return (k * k / (2.0 * np.pi)) * unfused_j1_over_x(k * r)
+
+
+def plateau_nodes(n):
+    """n points spread like a region rule's nodes: km-scale, ~50 km across."""
+    rng = np.random.default_rng(n)
+    return np.array([4.1e5, -3.7e5]) + rng.uniform(-2.5e4, 2.5e4, (n, 2))
+
+
+class TestOneWorkingArray:
+    """disk_kernel and bessel_j1_over_x work in place, bit for bit as the
+    unfused formulas, in a fraction of their memory."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("x", [
+        0.0, 0, 3, np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0), 1e3,
+        np.array(0.0), np.array(7.5),
+        np.array([0.0, 5e-5, np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0), 2.0]),
+        np.linspace(0.0, 1e3, 20001).reshape(1, 20001),
+        np.arange(12).reshape(3, 4),
+    ], ids=["zero", "int zero", "int", "below 1e-4", "1e-4", "above 1e-4", "1e3", "0-d zero",
+            "0-d", "across 1e-4", "up to 1e3", "int block"])
+    def test_j1_over_x_bits(self, x):
+        self.assert_same(bessel_j1_over_x(x), unfused_j1_over_x(x))
+
+    @pytest.mark.parametrize("case", ["block", "diagonal", "point", "same point", "integer",
+                                      "row", "mixed"])
+    def test_disk_kernel_bits(self, case):
+        pts = plateau_nodes(300)
+        k = 0.0194
+        x, xp = {"block": (pts[:40, None], pts[None]),
+                 "diagonal": (pts, pts),
+                 "point": (pts[0], pts[1]),
+                 "same point": (pts[3], pts[3]),
+                 "integer": (np.array([[3, 1], [0, 0]]), np.array([2, -5])),
+                 "row": (pts[7][None, :], pts),
+                 "mixed": (pts[:5, None, None], pts[None, :6])}[case]
+        k = 2.0 if case == "integer" else k
+        self.assert_same(disk_kernel(k, x, xp), unfused_disk_kernel(k, x, xp))
+        self.assert_same(DiskBandKernel(k)(x, xp), unfused_disk_kernel(k, x, xp))
+
+    def test_block_peak_below_three_outputs(self):
+        # a residual-check block: 312 rows against a 3360-node rule, whose
+        # unfused evaluation peaks at about 8 times its output
+        pts = plateau_nodes(3360)
+        x, xp = pts[:312, None], pts[None]
+        tracemalloc.start()
+        try:
+            out = disk_kernel(0.0194, x, xp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (312, 3360)
+        assert peak <= 3 * out.nbytes
+        np.testing.assert_array_equal(out, unfused_disk_kernel(0.0194, x, xp))
 
 
 def pairwise_fixedm_kernel(m, n2d, xi, xip):

@@ -58,12 +58,23 @@ class TestShannon2d:
         with pytest.raises(ValueError):
             shannon_2d(1.0, -2.0)
 
+    @pytest.mark.parametrize("k, a", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan),
+                                      (1.0, np.inf)])
+    def test_rejects_non_finite(self, k, a):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            shannon_2d(k, a)
+
     def test_plateau_boundary(self, plateau_region):
         got = shannon_2d(0.0194, area(plateau_region))
         assert got == pytest.approx(10.0, abs=0.05)
 
 
 class TestRegionSolve:
+    @pytest.mark.parametrize("k", [np.nan, np.inf])
+    def test_rejects_non_finite_bandlimit(self, k, unit_disk):
+        with pytest.raises(ValueError, match="bandlimit must be positive and finite"):
+            solve_region_disk(unit_disk, k, n_quad=8, count=2)
+
     def test_trace_matches_shannon(self, plateau_region):
         basis = solve_region_disk(plateau_region, 0.0194, n_quad=24, count=8)
         assert basis.trace == pytest.approx(basis.shannon, rel=1e-3)

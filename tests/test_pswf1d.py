@@ -27,6 +27,11 @@ class TestShannonNumber:
 
 
 class TestIntervalBasis:
+    @pytest.mark.parametrize("tw", [np.nan, np.inf])
+    def test_rejects_non_finite_tw(self, tw):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            solve_1d(tw)
+
     def test_eigenvalue_ladder(self):
         basis = solve_1d(4.0, n_nodes=128, count=10)
         lam = basis.eigenvalues
