@@ -280,6 +280,9 @@ def _parse_spectral(spec):
 
 
 def _cmd_grid(args):
+    _require_positive(args.spacing, "--spacing")
+    if not (np.isfinite(args.embed) and args.embed >= 1):
+        raise UsageError("--embed must be finite and at least 1")
     region = read_region(args.boundary)
     domain = _parse_spectral(args.spectral)
     problem = build_problem(region, domain, args.spacing,

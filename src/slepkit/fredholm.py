@@ -14,11 +14,9 @@ import scipy.linalg
 
 from .errors import ExtensionError, NumericalError
 
-# kernel or factor entries evaluated at once when extending to many points; a
-# kernel block holds its output plus about 1.3 times that in scratch
+# entries per block when extending to many points or building a lower triangle;
+# a kernel block holds its output plus about 1.3 times that in scratch
 EXTEND_CHUNK = 2097152
-# side of the square tiles in which the n x n kernel matrix is symmetrized
-SYM_TILE = 256
 # smallest kept eigenvalue, relative to the largest, solved through the factor
 FACTOR_FLOOR = 1e-8
 # an eigensolve asks for the top `count` of m pairs only while count is below
@@ -194,28 +192,33 @@ def _gram_eigs(gram, count):
     return vals, vecs / np.linalg.norm(vecs, axis=0), rank
 
 
-def _node_eigs(kernel, nodes, sw, count):
-    """Top `count` pairs (ascending) of sqrt(W) K sqrt(W) from the kernel matrix.
+def _lower_matrix(n, rows):
+    """The n x n matrix whose lower triangle rows(lo, hi) gives, zeros above.
 
-    The weights and the symmetrization 0.5 (S + S^T) are applied in place
-    on the kernel's result (copied first only if read-only), the latter a
-    SYM_TILE square of each triangle at a time, so the matrix is the only
-    n x n array.
+    rows(lo, hi) gives rows lo..hi-1 over columns 0..hi-1, in blocks of at
+    most EXTEND_CHUNK entries; its entries above the diagonal are dropped.
+    LAPACK's symmetric eigensolvers, and so _eigh, read the lower triangle only.
     """
-    kmat = np.require(kernel(nodes[:, None], nodes[None]), dtype=float, requirements="W")
-    if not np.all(np.isfinite(kmat)):
-        raise NumericalError("kernel matrix has non-finite entries")
-    kmat *= sw[:, None]
-    kmat *= sw
-    for lo in range(0, len(kmat), SYM_TILE):
-        rows = slice(lo, lo + SYM_TILE)
-        for col in range(lo, len(kmat), SYM_TILE):
-            cols = slice(col, col + SYM_TILE)
-            tile = kmat[rows, cols] + kmat[cols, rows].T
-            tile *= 0.5
-            kmat[rows, cols] = tile
-            kmat[cols, rows] = tile.T
-    return _eigh(kmat, count)
+    out, step = np.zeros((n, n)), max(1, EXTEND_CHUNK // n)
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        np.copyto(out[lo:hi, :hi], rows(lo, hi), where=np.arange(hi) <= np.arange(lo, hi)[:, None])
+    return out
+
+
+def _node_eigs(kernel, nodes, sw, count):
+    """Top `count` pairs (ascending) of sqrt(W) K sqrt(W) from the kernel matrix,
+    the only n x n array: its lower triangle alone, in row blocks of kernel
+    entries weighted as (K sw_i) sw_j (_lower_matrix)."""
+    def rows(lo, hi):
+        block = kernel(nodes[lo:hi, None], nodes[None, :hi])
+        if not np.all(np.isfinite(block)):
+            raise NumericalError("kernel matrix has non-finite entries")
+        block = block * sw[lo:hi, None]
+        block *= sw[:hi]
+        return block
+
+    return _eigh(_lower_matrix(len(sw), rows), count)
 
 
 def _factored_eigs(kernel, nodes, sw, count):

@@ -342,13 +342,8 @@ class SpectralDomain:
 
 def _polygon_matches(a, b, tol):
     """True if vertex cycles a and b coincide up to a cyclic shift."""
-    if len(a) != len(b):
-        return False
-    n = len(a)
-    for s in range(n):
-        if np.all(np.abs(np.roll(b, -s, axis=0) - a) <= tol):
-            return True
-    return False
+    return len(a) == len(b) and any(np.all(np.abs(np.roll(b, -s, axis=0) - a) <= tol)
+                                    for s in range(len(a)))
 
 
 def _reflect(mask):

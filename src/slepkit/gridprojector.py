@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigurationError
-from .fredholm import _canonical, _eigh, _gram_eigs
+from .fredholm import _canonical, _eigh, _gram_eigs, _lower_matrix
 from .geometry import Region, _reflect, contains_many
 from .planeslep import GridSpec, _centered_grid, _half_power, _power_field
 
@@ -92,10 +92,10 @@ def build_problem(region, domain, grid_spacing, embed_factor=3.0):
     """
     grid_spacing = float(grid_spacing)
     embed_factor = float(embed_factor)
-    if grid_spacing <= 0:
-        raise ConfigurationError("grid spacing must be positive")
-    if embed_factor < 1:
-        raise ConfigurationError("embed factor must be at least 1")
+    if not (np.isfinite(grid_spacing) and grid_spacing > 0):
+        raise ConfigurationError("grid spacing must be positive and finite")
+    if not (np.isfinite(embed_factor) and embed_factor >= 1):
+        raise ConfigurationError("embed factor must be finite and at least 1")
     grid = _centered_grid(region, embed_factor, grid_spacing)
     nx, ny = grid.nx, grid.ny
 
@@ -206,17 +206,18 @@ def solve(problem, count):
     A = P F* L F P on the n support cells equals B B^T for a real band factor
     B of b columns (b band cells), which is never built: the b x b Gram
     B^T B comes from the DFT of spatial_mask, taken only on the columns it
-    reads, when b <= n, else A itself from ifft2(spectral_mask), each read
-    at index differences.  The band Gram is cut to its numerical rank by
-    pivoted Cholesky before its eigensolve (fredholm._gram_eigs), which
-    lowers each eigenvalue by at most the trace of the discarded Schur
-    complement.  Either side leaves through fredholm._canonical, the
-    Nystrom routes' order, tie rule and sign rule.  Eigenvalues lie in
-    [0, 1] because both projections are orthogonal; null-space rounding
-    below 0 is clipped after ordering.  Each field's residual applies A one
-    field at a time: on the band side by direct sums over the b band cells
-    (_band_operator, which reads neither the Gram nor its eigenvectors), on
-    the support side through the pruned FFT of apply().
+    reads, when b <= n, else A itself from ifft2(spectral_mask), its lower
+    triangle only (fredholm._lower_matrix), each read at index differences.
+    The band Gram is cut to its numerical rank by pivoted Cholesky before
+    its eigensolve (fredholm._gram_eigs), which lowers each eigenvalue by at
+    most the trace of the discarded Schur complement.  Either side leaves
+    through fredholm._canonical, the Nystrom routes' order, tie rule and
+    sign rule.  Eigenvalues lie in [0, 1] because both projections are
+    orthogonal; null-space rounding below 0 is clipped after ordering.  Each
+    field's residual applies A one field at a time: on the band side by
+    direct sums over the b band cells (_band_operator, which reads neither
+    the Gram nor its eigenvectors), on the support side through the pruned
+    FFT of apply().
     """
     count = int(count)
     if count < 1:
@@ -234,8 +235,10 @@ def solve(problem, count):
     if b <= n:
         vals, samples, extra["gram_rank"], matvec = _band_eigs(problem, count)
     else:
+        # read at (iy_a - iy_b, ix_a - ix_b), whose negative indices wrap mod (ny, nx)
         table = np.fft.ifft2(problem.spectral_mask).real
-        vals, vecs = _eigh(_pairwise(table, iy, ix, -1), count)
+        vals, vecs = _eigh(_lower_matrix(n, lambda lo, hi: table[
+            np.subtract.outer(iy[lo:hi], iy[:hi]), np.subtract.outer(ix[lo:hi], ix[:hi])]), count)
         samples = vecs.T
     points = np.column_stack([problem.grid.x_axis()[ix], problem.grid.y_axis()[iy]])
     vals, samples = _canonical(vals, samples, points, np.ones(n))

@@ -299,14 +299,10 @@ def read_grid(path):
     A sidecar without one of the origin, spacing or dimension lines, or with
     one that does not parse, raises ConfigurationError naming the file and key.
     """
-    meta, hdr = {}, str(path) + ".hdr"
+    hdr = str(path) + ".hdr"
     with open(hdr) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
+        pairs = [line.partition("=") for line in fh if line.strip()]
+    meta = {key.strip(): value.strip() for key, _, value in pairs}
     fields = {}
     for key, kind in (("x0", float), ("y0", float), ("dx", float), ("dy", float),
                       ("nx", int), ("ny", int)):

@@ -363,6 +363,24 @@ class TestGridCommand:
         assert rb.eigenvalues[0] == pytest.approx(ra.eigenvalues[0], abs=0.01)
         np.testing.assert_allclose(rb.eigenvalues, ra.eigenvalues, atol=0.05)
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--spacing", "nan", "--spacing must be positive and finite"),
+        ("--spacing", "inf", "--spacing must be positive and finite"),
+        ("--embed", "nan", "--embed must be finite and at least 1"),
+        ("--embed", "inf", "--embed must be finite and at least 1"),
+        ("--embed", "0.5", "--embed must be finite and at least 1"),
+    ])
+    def test_bad_spacing_or_embed_is_a_usage_error(self, flag, value, message,
+                                                   square_boundary, tmp_path, capsys):
+        argv = {"--spacing": "0.35", "--embed": "3.0", flag: value}
+        out = tmp_path / "out"
+        assert run_cli(["grid", "--boundary", square_boundary, "--spectral", "disk", "2.0",
+                        "--count", "3", "--out", str(out)]
+                       + [a for kv in argv.items() for a in kv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert not out.exists()
+
     def test_bad_spectral_kind(self, square_boundary, capsys):
         assert run_cli(["grid", "--boundary", square_boundary,
                         "--spectral", "blob", "1.0",

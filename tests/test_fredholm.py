@@ -361,6 +361,49 @@ class TestShortEigensolve:
         assert subsets == [(96, [88, 95])]
 
 
+class TestLowerTriangle:
+    """_eigh reads the lower triangle only, which _lower_matrix alone fills."""
+
+    @pytest.mark.parametrize("count, short, solves", [
+        (4, False, [[56, 59]]), (30, False, [None]), (4, True, [[56, 59], None])])
+    def test_upper_triangle_unread(self, count, short, solves, monkeypatch):
+        # the subset solve, the full one, and the full retry of a short
+        # subset all ignore 1e300 above the diagonal
+        a = np.random.default_rng(count).standard_normal((60, 60))
+        mat = np.tril(a @ a.T)
+        junk = mat + np.triu(np.full_like(mat, 1e300), 1)
+        mat += np.tril(mat, -1).T
+        eigh = scipy.linalg.eigh
+        calls = []
+
+        def spy(mat, subset_by_index=None, **kwargs):
+            calls.append(subset_by_index)
+            if short and subset_by_index is not None:
+                return np.empty(0), np.empty((len(mat), 0))
+            return eigh(mat, subset_by_index=subset_by_index, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        for got, want in zip(_eigh(junk, count), _eigh(mat, count)):
+            np.testing.assert_array_equal(got, want)
+        assert calls == 2 * solves
+
+    @pytest.mark.parametrize("chunk", [1, 50, 10 ** 6])
+    def test_row_blocks_fill_the_lower_triangle(self, chunk, monkeypatch):
+        full = np.random.default_rng(chunk).standard_normal((23, 23))
+        blocks = []
+
+        def rows(lo, hi):
+            blocks.append((lo, hi))
+            return full[lo:hi, :hi].copy()
+
+        monkeypatch.setattr(fredholm, "EXTEND_CHUNK", chunk)
+        np.testing.assert_array_equal(fredholm._lower_matrix(23, rows), np.tril(full))
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == 23
+        # EXTEND_CHUNK entries of a full row each, and at least one row
+        assert all(hi - lo == 1 or (hi - lo) * 23 <= chunk for lo, hi in blocks)
+
+
 def assert_gram_pairs(gram, vals, vecs, count):
     """Top `count` pairs of a symmetric Gram against numpy.linalg.eigh of it.
 
@@ -428,11 +471,13 @@ class TestGramEigs:
         ("disk", 2.0 * np.sqrt(20.0), 32, 40),
         ("plateau", 0.0194, 24, 20),
         ("star", 6.0, 24, 30),
+        ("rectangle", np.sqrt(20.0), 24, 20),
     ])
     def test_region_factor_grams(self, name, k, n_quad, count, sizes):
         region = {"disk": lambda: Region.disk((0.0, 0.0), 1.0),
                   "plateau": lambda: read_region(boundary_path()),
-                  "star": star_region}[name]()
+                  "star": star_region,
+                  "rectangle": lambda: rectangle_region(10.0, 4.0 * np.pi)}[name]()
         rule = region_quadrature(region, n_quad)
         # the Gram the solve forms: the multipole factor about the node mean
         b = DiskBandKernel(k).multipole_factor(rule.nodes, np.mean(rule.nodes, axis=0),
@@ -440,9 +485,18 @@ class TestGramEigs:
         gram = b.T @ b
         vals, vecs, rank = fredholm._gram_eigs(gram, count)
         assert count <= rank < len(gram) and sizes == [rank]
+        if name == "rectangle":     # an elongated region: the cut pays most
+            assert 2 * rank < len(gram)
         assert_gram_pairs(gram, vals, vecs, count)
         sol = nystrom_eigs(DiskBandKernel(k), rule, count)
         assert sol.extra["gram"] == "factor" and sol.extra["gram_rank"] == rank
+
+
+def rectangle_region(aspect, area):
+    """An aspect:1 rectangle of the given area, centred on the origin."""
+    half = 0.5 * np.sqrt(area * aspect)
+    return Region.polygon([(-half, -half / aspect), (half, -half / aspect),
+                           (half, half / aspect), (-half, half / aspect)])
 
 
 def star_region():
@@ -901,18 +955,12 @@ class TestSegmentContraction:
                        (p.shape == nodes.shape and np.array_equal(p, nodes)) for p in seen)
 
 
-def unfused_node_matrix(kernel, nodes, sw):
-    """sqrt(W) K sqrt(W), symmetrized, as written with full-size temporaries."""
-    kmat = np.asarray(kernel(nodes[:, None], nodes[None]), dtype=float)
-    sym = kmat * sw[:, None] * sw[None, :]
-    return 0.5 * (sym + sym.T)
-
-
 class TestNodeMatrix:
-    """_node_eigs weights and symmetrizes the kernel matrix in place."""
+    """_node_eigs builds the lower triangle of the weighted kernel matrix only."""
 
-    @pytest.mark.parametrize("n", [5, 2 * fredholm.SYM_TILE, 1100])
+    @pytest.mark.parametrize("n", [5, 512, 1100, 2600])
     def test_same_bits_in_under_three_matrices(self, n, monkeypatch):
+        # 2600 nodes take several row blocks, fewer take one
         rng = np.random.default_rng(n)
         nodes = np.array([4.1e5, -3.7e5]) + rng.uniform(-2.5e4, 2.5e4, (n, 2))
         sw = np.sqrt(rng.uniform(1e6, 4e6, n))
@@ -921,18 +969,23 @@ class TestNodeMatrix:
 
         def capture(mat, count):
             seen["peak"] = tracemalloc.get_traced_memory()[1]
-            seen["mat"] = mat.copy()
+            seen["mat"] = mat
             return _eigh(mat, count)
 
         monkeypatch.setattr(fredholm, "_eigh", capture)
         tracemalloc.start()
         try:
-            fredholm._node_eigs(kernel, nodes, sw, 3)
+            vals, _ = fredholm._node_eigs(kernel, nodes, sw, 3)
         finally:
             tracemalloc.stop()
-        np.testing.assert_array_equal(seen["mat"], unfused_node_matrix(kernel, nodes, sw))
+        # the plain formula with full-size temporaries: weighted, then symmetrized
+        sym = kernel(nodes[:, None], nodes[None]) * sw[:, None] * sw
+        np.testing.assert_array_equal(np.tril(seen["mat"]), np.tril(sym))
+        assert not np.any(np.triu(seen["mat"], 1))
+        want = _eigh(0.5 * (sym + sym.T), 3)[0]
+        assert np.max(np.abs(vals - want)) <= 1e-15 * want[-1]
         if n > 1000:     # below that, fixed allocations outweigh the matrix
-            assert seen["peak"] <= 3 * 8 * n * n
+            assert seen["peak"] <= 8 * n * n + 3 * 8 * EXTEND_CHUNK
 
     def test_leaves_a_read_only_kernel_result_alone(self):
         nodes = np.linspace(-1.0, 1.0, 7)

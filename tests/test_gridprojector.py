@@ -246,6 +246,16 @@ class TestBuildProblem:
             build_problem(SQUARE, SpectralDomain.disk(2.0), 0.2,
                           embed_factor=0.5)
 
+    @pytest.mark.parametrize("spacing, embed, message", [
+        (np.nan, 2.5, "grid spacing must be positive and finite"),
+        (np.inf, 2.5, "grid spacing must be positive and finite"),
+        (0.2, np.nan, "embed factor must be finite and at least 1"),
+        (0.2, np.inf, "embed factor must be finite and at least 1"),
+    ])
+    def test_non_finite_parameters(self, spacing, embed, message):
+        with pytest.raises(ConfigurationError, match=message):
+            build_problem(SQUARE, SpectralDomain.disk(2.0), spacing, embed_factor=embed)
+
 
 class TestApply:
     def test_output_vanishes_off_region(self, disk_problem):
@@ -506,6 +516,25 @@ class TestSolve:
             v = np.where(p.spatial_mask, np.fft.ifft2(s, norm="ortho"), 0.0)
             ls = np.where(l, np.fft.fft2(v, norm="ortho"), 0.0)
             assert np.linalg.norm(ls - lam * s) <= 1e-10
+
+    @pytest.mark.parametrize("chunk", [fredholm.EXTEND_CHUNK, 4096])
+    @pytest.mark.parametrize("name", ["all-pass", "disk-45"])
+    def test_support_gram_same_bits_as_the_full_gather(self, name, chunk, monkeypatch):
+        # the support Gram's lower triangle, built in row blocks, solves to
+        # the bits of the whole n x n Gram gathered at once
+        problem = (all_pass_problem() if name == "all-pass" else build_problem(
+            Region.disk((0.0, 0.0), 1.0), SpectralDomain.disk(45.0), 0.06))
+        cells = np.flatnonzero(problem.spatial_mask)
+        assert problem.spectral_mask.sum() > len(cells)
+        monkeypatch.setattr(fredholm, "EXTEND_CHUNK", chunk)
+        got = solve(problem, 6)
+        table = np.fft.ifft2(problem.spectral_mask).real
+        full = gridprojector._pairwise(table, *np.divmod(cells, problem.grid.nx), -1)
+        monkeypatch.setattr(gridprojector, "_lower_matrix", lambda n, rows: full)
+        want = solve(problem, 6)
+        assert got.extra["gram"] == want.extra["gram"] == "support"
+        for attr in ("eigenvalues", "fields", "residuals"):
+            np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
 
     def test_count_validation(self, disk_problem):
         n = int(disk_problem.spatial_mask.sum())
