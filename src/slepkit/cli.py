@@ -28,8 +28,8 @@ from .geometry import (
 )
 from .gridprojector import build_problem, solve, weighted_periodogram_sum
 from .planeslep import (
-    GridField, _centered_grid, evaluate_g, evaluate_h, periodogram, region_mask,
-    solve_region_disk, weighted_sumsq, write_grid,
+    GridField, _centered_grid, evaluate_g, evaluate_h, periodogram, solve_region_disk,
+    weighted_sumsq, write_grid,
 )
 from .pswf1d import solve_1d
 
@@ -246,17 +246,14 @@ def _cmd_region(args):
     _emit(report, args.out)
     if args.grid is not None:
         grid = _centered_grid(region, 2.0, args.grid)
-        inside = region_mask(region, grid)
-        count = len(basis.eigenvalues)
-        gs = evaluate_g(basis, list(range(count)), grid)
-        for i, g in enumerate(gs):
-            h = evaluate_h(basis, i, grid, g=g, inside=inside)
+        indices = list(range(len(basis.eigenvalues)))
+        gs = evaluate_g(basis, indices, grid)
+        hs = evaluate_h(basis, indices, grid, g=gs)
+        for i, (g, h) in enumerate(zip(gs, hs)):
             write_grid(g, os.path.join(args.out, f"g_{i:03d}.bin"), name=f"g_{i:03d}")
             write_grid(h, os.path.join(args.out, f"h_{i:03d}.bin"), name=f"h_{i:03d}")
-            if i == 0:
-                pg = periodogram(h)
-        write_grid(pg, os.path.join(args.out, "pgram_000.bin"), name="pgram_000")
-        ss = weighted_sumsq(basis, grid, count, g=gs)
+        write_grid(periodogram(hs[0]), os.path.join(args.out, "pgram_000.bin"), name="pgram_000")
+        ss = weighted_sumsq(basis, grid, len(indices), g=gs)
         write_grid(ss, os.path.join(args.out, "sumsq.bin"), name="sumsq")
     return 0
 

@@ -2,9 +2,12 @@
 
 Discretize on a positive quadrature rule, symmetrize with sqrt-weight
 similarity, solve, and extend eigenfunctions off the nodes through the
-kernel.  A kernel with a `multipole_factor` is solved through that factor,
-and one with a `features` factor (kernel = A A^T, A of width 2q) is extended
-through A, without forming the n x n kernel matrix.
+kernel.  A kernel may offer two methods: `factor(nodes, sw)`, a factor B with
+B B^T = diag(sw) K diag(sw) for sw = sqrt(weights), whose Gram the solve
+diagonalizes, and `extend(values, nodes, points)`, the kernel applied from
+the nodes to points, or None where the kernel must be evaluated.  Every choice behind either is
+the kernel's; this module checks only that the factor holds the pairs asked
+for and keeps them orthonormal.
 """
 
 from dataclasses import dataclass, field
@@ -42,54 +45,21 @@ class NystromSolution:
         """sum_j w_j kernel(x, x_j) rows[a, j] at points x, shape (m, len(rows)).
 
         `x` is (...) for a 1D rule and (..., 2) for a planar one; output rows
-        follow the points in C order.  A factored kernel goes through
-        A(x) (A(nodes)^T W rows^T) on a k-rule sized to the largest
-        query-to-node distance.  A(nodes) is never formed: the node side is
-        `DiskBandKernel.node_apply`.  When `x` is a (ny, nx, 2) tensor grid
-        (x constant down every column, y along every row, compared exactly),
-        A(x) is not formed either: the kernel's 1D phase tables synthesize
-        it, and the factor is taken while its width 2q is at most max(n, m).  Other points take it while 2q <= n.  Past those
-        widths, and for plain kernels, the extension goes through the kernel
-        itself.  Node blocks (their samples, phases and sums), query blocks
-        and kernel blocks each hold at most EXTEND_CHUNK entries; only the
-        grid's (nx, q) x table is built whole.
+        follow the points in C order.  A kernel with an `extend` method gets
+        the points as given and the weighted rows (n, r), and returns the
+        block itself or None (DiskBandKernel.extend: through its k-space
+        factor).  Otherwise the kernel is evaluated on blocks of at most
+        EXTEND_CHUNK entries.
         """
         kernel, nodes = self.kernel, self.nodes
         wr = (self.weights * np.atleast_2d(rows)).T            # (n, r)
         x = np.asarray(x, dtype=float)
-        axes = _grid_axes(x) if nodes.ndim == 2 else None
+        out = kernel.extend(wr, nodes, x) if hasattr(kernel, "extend") else None
+        if out is not None:
+            return out
         x = x.reshape(-1, 2) if nodes.ndim == 2 else x.ravel()
-        if hasattr(kernel, "features"):
-            origin = np.mean(nodes, axis=0)
-            span = _radius(x, origin) + _radius(nodes, origin)
-            width = kernel.rank(span)
-            if width <= (len(nodes) if axes is None else max(len(nodes), len(x))):
-                coef = kernel.node_apply(wr, nodes, origin, span, EXTEND_CHUNK)
-                if axes is None:
-                    return _chunked(lambda p: kernel.features(p, origin, span) @ coef,
-                                    x, width, wr.shape[1:])
-                # a grid row costs q phases of E_y and nx synthesized values
-                xs, ys = axes
-                grid = _chunked(lambda y: kernel.grid_apply(coef, xs, y, origin, span),
-                                ys, max(width // 2, len(xs)), (len(xs), wr.shape[1]))
-                return grid.reshape(len(x), -1)
         return _chunked(lambda p: kernel(p[:, None], nodes[None]) @ wr, x, len(nodes),
                         wr.shape[1:])
-
-
-def _grid_axes(x):
-    """(x axis, y axis) of a (ny, nx, 2) array that is a tensor grid, else None."""
-    if x.ndim != 3 or x.shape[-1] != 2 or x.size == 0:
-        return None
-    xs, ys = x[0, :, 0], x[:, 0, 1]
-    if np.all(x[..., 0] == xs) and np.all(x[..., 1] == ys[:, None]):
-        return xs, ys
-    return None
-
-
-def _radius(points, origin):
-    """Largest distance from origin over (m, 2) points, 0 for none."""
-    return float(np.max(np.hypot(*(points - origin).T), initial=0.0))
 
 
 def _chunked(block, x, width, tail):
@@ -224,28 +194,20 @@ def _node_eigs(kernel, nodes, sw, count):
 def _factored_eigs(kernel, nodes, sw, count):
     """Top `count` pairs (ascending) of B B^T, B = sqrt(W) A.
 
-    B is `kernel.multipole_factor` about the node mean, with sqrt(W) folded
-    into its radial functions: w columns, each angular order cut to the
-    numerical rank of the disk that holds the nodes.  Its Gram B^T B (w x w)
-    is diagonalized while it is no larger than the node count and holds
-    `count` pairs, cut first to its numerical rank by pivoted Cholesky
-    (_gram_eigs: each eigenvalue moves by at most the trace of the discarded
-    Schur complement), and its eigenvectors map to u = B v / sqrt(lambda).
-    That map loses orthogonality as 1e-17 / lambda, so when the smallest pair
-    kept falls below FACTOR_FLOOR times the largest, or the factor is the
-    wider side, the top pairs come from the n x n kernel matrix instead,
-    which is then the cheaper and exact Gram.  w comes from the factor's
-    plan (`kernel.multipole_plan`), so B is built only when its Gram is used.
+    B is `kernel.factor(nodes, sw)`, with sqrt(W) folded in, w columns.  Its
+    Gram B^T B (w x w) is diagonalized whenever it holds `count` pairs, cut
+    first to its numerical rank by pivoted Cholesky (_gram_eigs: each
+    eigenvalue moves by at most the trace of the discarded Schur
+    complement), and its eigenvectors map to u = B v / sqrt(lambda).  That
+    map loses orthogonality as 1e-17 / lambda, so when the smallest pair
+    kept falls below FACTOR_FLOOR times the largest, or count > w, the top
+    pairs come from the n x n kernel matrix instead.
     """
-    origin = np.mean(nodes, axis=0)
-    plan = kernel.multipole_plan(nodes, origin)
-    kept = plan[2]
-    width = 2 * sum(kept) - kept[0]
-    extra = {"route": "factored", "rank": width, "kept": kept, "gram": "nodes"}
-    if count <= width <= len(sw):
-        b = kernel.multipole_factor(nodes, origin, sw, plan)[0]
-        if not np.all(np.isfinite(b)):
-            raise NumericalError("kernel factor has non-finite entries")
+    b, kept = kernel.factor(nodes, sw)
+    if not np.all(np.isfinite(b)):
+        raise NumericalError("kernel factor has non-finite entries")
+    extra = {"route": "factored", "rank": b.shape[1], "kept": kept, "gram": "nodes"}
+    if count <= b.shape[1]:
         vals, v, extra["gram_rank"] = _gram_eigs(b.T @ b, count)
         if vals[0] >= FACTOR_FLOOR * vals[-1]:
             extra["gram"] = "factor"
@@ -259,17 +221,15 @@ def nystrom_eigs(kernel, rule, count):
     Diagonalizes sqrt(W) K sqrt(W) and maps eigenvectors back through
     f = f~ / sqrt(w), which leaves them orthonormal in the weighted Gram.
     Only the top `count` pairs are computed.  A plain kernel gets a subset
-    dense eigh of the n x n matrix.  A kernel with `multipole_factor`
-    (planar nodes only) is factored as sqrt(W) K sqrt(W) = B B^T, and the
-    smaller Gram is solved; `extra` records the factor's width `rank`, the
-    radial functions `kept` at each angular order
-    (rank = kept[0] + 2 sum kept[1:]), the side used ("factor" for B^T B,
-    "nodes" for the n x n kernel matrix) and, when the factor side was
-    tried, the numerical rank `gram_rank` that pivoted Cholesky found in
-    B^T B.  The trace is sum_i w_i kernel(x_i, x_i) either way.  Output is
-    deterministic (_canonical): eigenvalues descending, exact ties broken by
-    the index of the largest-magnitude node sample, signs fixed at the
-    centroid.
+    dense eigh of the n x n matrix.  A kernel with a `factor` method is
+    factored as sqrt(W) K sqrt(W) = B B^T (_factored_eigs); `extra` records
+    the factor's width `rank`, the kernel's record `kept` of how it was
+    built, the side used ("factor" for B^T B, "nodes" for the n x n kernel
+    matrix) and, when the factor side was tried, the numerical rank
+    `gram_rank` that pivoted Cholesky found in B^T B.  The trace is
+    sum_i w_i kernel(x_i, x_i) either way.  Output is deterministic
+    (_canonical): eigenvalues descending, exact ties broken by the index of
+    the largest-magnitude node sample, signs fixed at the centroid.
     """
     nodes, weights = _as_rule(rule)
     n = len(weights)
@@ -278,7 +238,7 @@ def nystrom_eigs(kernel, rule, count):
     if not 1 <= count <= n:
         raise ValueError("count must lie in [1, number of nodes]")
     sw = np.sqrt(weights)
-    if hasattr(kernel, "multipole_factor"):
+    if hasattr(kernel, "factor"):
         vals, vecs, extra = _factored_eigs(kernel, nodes, sw, count)
     else:
         vals, vecs = _node_eigs(kernel, nodes, sw, count)

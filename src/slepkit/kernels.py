@@ -1,13 +1,16 @@
 """Reproducing kernels: 1D sinc, planar disk, fixed-order radial, square-root.
 
 All evaluators broadcast over numpy arrays so matrix assembly is one call.
+DiskBandKernel also answers the Nystrom layer's two questions, `factor`
+for the eigensolve and `extend` for the extension, and makes every choice
+behind them: the origin, the span, the rules and their widths.
 """
 
 import functools
 
 import numpy as np
 
-from . import quadrature
+from . import fredholm, quadrature
 from .specialfn import _special, bessel_j1_over_x, bessel_j_table, bessel_tail_order
 
 
@@ -46,20 +49,17 @@ def _check_bandlimit(k):
 
 
 class DiskBandKernel:
-    """The disk-bandlimit kernel together with its two factors.
+    """The disk-bandlimit kernel and the two factors the Nystrom layer reads.
 
-    Called as kernel(x, x') it is disk_kernel at bandlimit k.  Because
+    Called as kernel(x, x') it is disk_kernel at bandlimit k.  `factor` is
+    the eigensolve's factor: the kernel split by angular order about the
+    node mean, each order cut to its numerical rank on the disk that holds
+    the nodes.  `extend` applies the kernel from the nodes to query points
+    through a second factor: since
     D(x, x') = (2 pi)^-2 int_{|k'|<K} exp(i k'.(x - x')) dk', a k-space rule
-    turns it into A(x) A(x')^T with real cos/sin columns; `features` builds A
-    on a tapered polar rule that reproduces the kernel to ~1e-13 relative for
-    every separation |x - x'| <= span.  Its angle counts and wavevectors are
-    each built once per span and shared by `rank`, `features`, `grid_apply`,
-    which extends through the factor on a tensor grid, and `node_apply`,
-    which synthesizes A^T on quadrature nodes.  The eigensolve reads
-    `multipole_factor` instead: the kernel split by angular order about a
-    centre, each order cut to its numerical rank on the disk that holds the
-    nodes, about a third as wide as the polar rule; `multipole_plan` gives
-    its width before it is built.
+    turns it into A(x) A(x')^T with real cos/sin columns, on a tapered polar
+    rule (_polar_rule, built once per span) that reproduces the kernel to
+    ~1e-13 relative for every separation |x - x'| <= span.
     """
 
     def __init__(self, k):
@@ -69,68 +69,11 @@ class DiskBandKernel:
     def __call__(self, x, xp):
         return disk_kernel(self.k, x, xp)
 
-    def rank(self, span):
-        """Column count 2q = 2 sum_j M_j of the factor sized for separations <= span.
-
-        Gauss-Legendre in |k| takes ceil(0.4 K span) + 8 nodes rho_j
-        (_radial_rule).  The M_j uniform angles on [0, pi) at radius rho_j
-        pair with their antipodes into a 2M_j-point trapezoid rule on that
-        circle, whose error is 2 J_2M_j(rho_j r); M_j is the smallest value
-        with 2M_j >= rho_j span and |J_2M_j(rho_j span)| < 1e-15
-        (_angle_counts).
-        """
-        return 2 * sum(_angle_counts(self.k, float(span)))
-
-    def features(self, points, origin, span):
-        """The (n, 2q) factor A with A A^T = kernel on (n, 2) points.
-
-        Phases are taken relative to `origin`, so far-off coordinates keep
-        full precision when the origin sits among the points.
-        """
-        kx, ky, scale = _wavevectors(self.k, float(span))
-        d = np.asarray(points, dtype=float) - np.asarray(origin, dtype=float)
-        phase = np.multiply.outer(d[:, 0], kx) + np.multiply.outer(d[:, 1], ky)
-        q = len(kx)
-        out = np.empty((len(d), 2 * q))
-        np.cos(phase, out=out[:, :q])
-        np.sin(phase, out=out[:, q:])
-        out[:, :q] *= scale
-        out[:, q:] *= scale
-        return out
-
-    def grid_apply(self, coef, x_axis, y_axis, origin, span):
-        """features(p, origin, span) @ coef at the tensor grid points p, shaped (ny, nx, r).
-
-        A factor column pair is scale (cos, sin) of (x - o_x) kx + (y - o_y) ky,
-        so with the 1D phase tables E_x = exp(i (x - o_x) kx) (nx, q) and
-        E_y = exp(i (y - o_y) ky) (ny, q), column a of the (2q, r) `coef` gives
-        Re[E_y diag(c_a) E_x^T], c_a = scale (coef[:q, a] - i coef[q:, a]): one
-        complex GEMM per column and (nx + ny) q phases instead of nx ny 2q.
-        """
-        kx, ky, scale = _wavevectors(self.k, float(span))
-        q = len(kx)
-        ox, oy = np.asarray(origin, dtype=float)
-        ex = np.exp(1j * np.multiply.outer(np.asarray(x_axis, dtype=float) - ox, kx))
-        ey = np.exp(1j * np.multiply.outer(np.asarray(y_axis, dtype=float) - oy, ky))
-        chat = scale[:, None] * (coef[:q] - 1j * coef[q:])
-        out = np.empty((len(ey), len(ex), coef.shape[1]))
-        for a in range(coef.shape[1]):
-            out[..., a] = ((ey * chat[:, a]) @ ex.T).real
-        return out
-
-    def multipole_plan(self, nodes, origin):
-        """(H, order, kept) of `multipole_factor` about `origin` for (n, 2) nodes.
-
-        The factor's width w = 2 sum(kept) - kept[0] is known from the plan
-        before the factor is built.
-        """
-        return _multipole_radial(self.k, _node_radii(nodes, origin)[2])
-
-    def multipole_factor(self, nodes, origin, weights, plan=None):
+    def factor(self, nodes, weights):
         """(B, kept): the (n, w) factor with B B^T = W D W on (n, 2) nodes, W = diag(weights).
 
-        About `origin`, with r_max the largest node radius, the kernel splits
-        by angular order (the Jacobi-Anger expansion of its k-integral):
+        About the node mean, with r_max the largest node radius, the kernel
+        splits by angular order (the Jacobi-Anger expansion of its k-integral):
         D(x, x') = (2 pi)^-1 sum_m eps_m cos m(phi - phi') I_m(r, r'),
         I_m(r, r') = int_0^K J_m(rho r) J_m(rho r') rho drho, eps_0 = 1 and
         eps_m = 2, with I_m taken on the radial rule of a polar k-rule for
@@ -138,14 +81,14 @@ class DiskBandKernel:
         s_j J_m(rho_j r) per radius, s_j = sqrt(eps_m w_j rho_j / 2 pi),
         times cos m phi and sin m phi; those columns are compressed to the
         numerical rank of the disk of radius r_max (_multipole_radial), and
-        kept[m] counts the radial functions order m keeps.  They are read at
-        the node radii from a Chebyshev table through one barycentric matrix,
-        and e^(i m phi) is ((dx + i dy) / r)^m.  B is the transpose of a
-        C-ordered (w, n) array, so B^T B is one symmetric product.  `plan`
-        is `multipole_plan(nodes, origin)` when the caller already has it.
+        kept[m] counts the radial functions order m keeps, so
+        w = 2 sum(kept) - kept[0].  They are read at the node radii from a
+        Chebyshev table through one barycentric matrix, and e^(i m phi) is
+        ((dx + i dy) / r)^m.  B is the transpose of a C-ordered (w, n)
+        array, so B^T B is one symmetric product.
         """
-        d, r, r_max = _node_radii(nodes, origin)
-        table, order, kept = _multipole_radial(self.k, r_max) if plan is None else plan
+        d, r, r_max = _radii(nodes, np.mean(nodes, axis=0))
+        table, order, kept = _multipole_radial(self.k, r_max)
         interp = _barycentric(r / (r_max or 1.0), *_chebyshev_points(table.shape[1], 0.0, 1.0))
         radial = table @ (interp * np.asarray(weights, dtype=float)[:, None]).T
         # at r = 0 only order 0 contributes: z = 0 there, and z^0 = 1
@@ -159,44 +102,128 @@ class DiskBandKernel:
         np.multiply(radial[n0:], turn.imag[order[n0:]], out=out[wrad:])
         return out.T, kept
 
-    def node_apply(self, values, nodes, origin, span, chunk):
-        """features(nodes, origin, span)^T @ values, (2q, r), without forming the factor.
+    def extend(self, values, nodes, points):
+        """A(x) (A(nodes)^T values) at the points x, (m, r) for (n, r) values, or None.
 
-        With d = nodes - origin, exp(i k.d) = exp(i kx d_x) exp(i ky d_y).
-        X_x = scale exp(i kx d_x) at each of the n_x distinct abscissas x, and
-        E = exp(i w_j d_y) at the N points w_j of the ky interpolation L
-        (_ky_rule).  Column pair k is (Re, Im) of sum_x X_x[k] (L Z_x)[k],
-        Z_x summing E[p] (x) values[p] over the nodes at abscissa x:
-        n N r + q N n_x r products and n_x q phases, not n 2q cos/sin
-        values.  Blocks of
-        whole abscissas hold at most `chunk` entries (one abscissa at least),
-        so blocking changes only the order of the sum over abscissas.
+        The polar rule is sized to the largest query-to-node distance about
+        the node mean.  A(nodes) is never formed (_node_apply).  When
+        `points` is a (ny, nx, 2) tensor grid (x constant down every column,
+        y along every row, compared exactly), A(x) is not formed either: 1D
+        phase tables synthesize it (_grid_apply), and the factor is taken
+        while its width 2q is at most max(n, m).  Other points take it while
+        2q <= n.  Past those widths the result is None, and the caller
+        evaluates the kernel itself.  Node blocks (their samples, phases and
+        sums), query blocks and factor blocks each hold at most
+        fredholm.EXTEND_CHUNK entries; only the grid's (nx, q) x table is
+        built whole.
         """
-        kx, _, scale = _wavevectors(self.k, float(span))
-        d = np.asarray(nodes, dtype=float) - np.asarray(origin, dtype=float)
-        xs, at, counts = np.unique(d[:, 0], return_inverse=True, return_counts=True)
-        omega, interp = _ky_rule(self.k, float(span), d[:, 1])
-        (q, terms), r = interp.shape, values.shape[1]
-        order, ends = np.argsort(at, kind="stable"), np.cumsum(counts)
-        # an abscissa holds its nodes' E and E (x) V rows and its X, Z and L Z rows
-        step, c = max(1, chunk // (2 * (counts.max() * terms * (r + 1) + (terms + q) * r + q))), 0
-        for lo in range(0, len(xs), step):
-            block, first = slice(lo, lo + step), ends[lo] - counts[lo]
-            rows = order[first:ends[block][-1]]
-            # (N, abscissas, r): the Z_x side by side, for one real GEMM with L
-            z = np.add.reduceat(_samples(d[rows, 1], omega).T[:, :, None] * values[rows],
-                                ends[block] - counts[block] - first, axis=1)
-            lz = (interp @ z.reshape(terms, -1).view(float)).view(complex)
-            phases = scale * np.exp(1j * np.multiply.outer(xs[block], kx))
-            c = c + np.einsum("xk,kxr->kr", phases, lz.reshape((q,) + z.shape[1:]))
-        return np.concatenate([c.real, c.imag])
+        points = np.asarray(points, dtype=float)
+        flat, axes = points.reshape(-1, 2), _grid_axes(points)
+        origin = np.mean(nodes, axis=0)
+        d, _, radius = _radii(nodes, origin)
+        span = _radii(flat, origin)[2] + radius
+        limit = len(d) if axes is None else max(len(d), len(flat))
+        # 2 M_j >= rho_j span and the n_r > 0.4 K span Gauss radii on [0, K]
+        # sum to n_r K / 2, so 2q > 0.2 (K span)^2: no rule past that is built
+        if 0.2 * (self.k * span) ** 2 > limit:
+            return None
+        rule = _polar_rule(self.k, span)
+        width = 2 * len(rule[0])
+        if width > limit:
+            return None
+        coef = _node_apply(self.k, rule, values, d, fredholm.EXTEND_CHUNK)
+        if axes is None:
+            return fredholm._chunked(lambda p: _features(rule, p - origin) @ coef,
+                                     flat, width, values.shape[1:])
+        # a grid row costs q phases of E_y and nx synthesized values
+        xs, ys = axes
+        dx = xs - origin[0]
+        grid = fredholm._chunked(lambda y: _grid_apply(rule, coef, dx, y - origin[1]),
+                                 ys, max(width // 2, len(xs)), (len(xs), values.shape[1]))
+        return grid.reshape(len(flat), -1)
 
 
-def _node_radii(nodes, origin):
-    """(offsets, their lengths, the largest length or 0) of (n, 2) nodes from origin."""
-    d = np.asarray(nodes, dtype=float) - np.asarray(origin, dtype=float)
+def _grid_axes(x):
+    """(x axis, y axis) of a (ny, nx, 2) array that is a tensor grid, else None."""
+    if x.ndim != 3 or x.shape[-1] != 2 or x.size == 0:
+        return None
+    xs, ys = x[0, :, 0], x[:, 0, 1]
+    if np.all(x[..., 0] == xs) and np.all(x[..., 1] == ys[:, None]):
+        return xs, ys
+    return None
+
+
+def _radii(points, origin):
+    """(offsets, their lengths, the largest length or 0) of (m, 2) points from origin."""
+    d = np.asarray(points, dtype=float) - np.asarray(origin, dtype=float)
     r = np.hypot(d[:, 0], d[:, 1])
     return d, r, float(np.max(r, initial=0.0))
+
+
+def _features(rule, d):
+    """The (m, 2q) factor A with A A^T = kernel at the (m, 2) offsets d from the
+    origin, on the polar rule (kx, ky, scale).  Taking phases about an origin
+    among the points keeps far-off coordinates at full precision."""
+    kx, ky, scale = rule
+    phase = np.multiply.outer(d[:, 0], kx) + np.multiply.outer(d[:, 1], ky)
+    q = len(kx)
+    out = np.empty((len(d), 2 * q))
+    np.cos(phase, out=out[:, :q])
+    np.sin(phase, out=out[:, q:])
+    out[:, :q] *= scale
+    out[:, q:] *= scale
+    return out
+
+
+def _grid_apply(rule, coef, dx, dy):
+    """_features(rule, d) @ coef at the tensor grid of axis offsets dx, dy, shaped (ny, nx, r).
+
+    A factor column pair is scale (cos, sin) of dx kx + dy ky, so with the 1D
+    phase tables E_x = exp(i dx kx) (nx, q) and E_y = exp(i dy ky) (ny, q),
+    column a of the (2q, r) `coef` gives Re[E_y diag(c_a) E_x^T],
+    c_a = scale (coef[:q, a] - i coef[q:, a]): one complex GEMM per column and
+    (nx + ny) q phases instead of nx ny 2q.
+    """
+    kx, ky, scale = rule
+    q = len(kx)
+    ex = np.exp(1j * np.multiply.outer(dx, kx))
+    ey = np.exp(1j * np.multiply.outer(dy, ky))
+    chat = scale[:, None] * (coef[:q] - 1j * coef[q:])
+    out = np.empty((len(ey), len(ex), coef.shape[1]))
+    for a in range(coef.shape[1]):
+        out[..., a] = ((ey * chat[:, a]) @ ex.T).real
+    return out
+
+
+def _node_apply(k, rule, values, d, chunk):
+    """_features(rule, d)^T @ values, (2q, r), without forming the factor.
+
+    exp(i k.d) = exp(i kx d_x) exp(i ky d_y) at the (n, 2) node offsets d.
+    X_x = scale exp(i kx d_x) at each of the n_x distinct abscissas x, and
+    E = exp(i w_j d_y) at the N points w_j of the ky interpolation L
+    (_ky_rule).  Column pair k is (Re, Im) of sum_x X_x[k] (L Z_x)[k], Z_x
+    summing E[p] (x) values[p] over the nodes at abscissa x: n N r + q N n_x r
+    products and n_x q phases, not n 2q cos/sin values.  Blocks of whole
+    abscissas hold at most `chunk` entries (one abscissa at least), so
+    blocking changes only the order of the sum over abscissas.
+    """
+    kx, ky, scale = rule
+    xs, at, counts = np.unique(d[:, 0], return_inverse=True, return_counts=True)
+    omega, interp = _ky_rule(k, ky, d[:, 1])
+    (q, terms), r = interp.shape, values.shape[1]
+    order, ends = np.argsort(at, kind="stable"), np.cumsum(counts)
+    # an abscissa holds its nodes' E and E (x) V rows and its X, Z and L Z rows
+    step, c = max(1, chunk // (2 * (counts.max() * terms * (r + 1) + (terms + q) * r + q))), 0
+    for lo in range(0, len(xs), step):
+        block, first = slice(lo, lo + step), ends[lo] - counts[lo]
+        rows = order[first:ends[block][-1]]
+        # (N, abscissas, r): the Z_x side by side, for one real GEMM with L
+        z = np.add.reduceat(_samples(d[rows, 1], omega).T[:, :, None] * values[rows],
+                            ends[block] - counts[block] - first, axis=1)
+        lz = (interp @ z.reshape(terms, -1).view(float)).view(complex)
+        phases = scale * np.exp(1j * np.multiply.outer(xs[block], kx))
+        c = c + np.einsum("xk,kxr->kr", phases, lz.reshape((q,) + z.shape[1:]))
+    return np.concatenate([c.real, c.imag])
 
 
 def _samples(dy, omega):
@@ -205,7 +232,7 @@ def _samples(dy, omega):
     return np.cos(angle) + 1j * np.sin(angle)
 
 
-def _ky_rule(k, span, dy):
+def _ky_rule(k, ky, dy):
     """(w, L) interpolating exp(i ky dy) in ky to about 1e-16 for the offsets dy.
 
     ky lies in [0, k], where exp(i w dy) is entire in w with Chebyshev
@@ -217,7 +244,7 @@ def _ky_rule(k, span, dy):
     """
     omega, bary = _chebyshev_points(
         bessel_tail_order(0.5 * k * np.max(np.abs(dy), initial=0.0), 1e-17), 0.0, k)
-    return omega, _barycentric(_wavevectors(k, span)[1], omega, bary)
+    return omega, _barycentric(ky, omega, bary)
 
 
 def _chebyshev_points(count, lo, hi):
@@ -286,18 +313,25 @@ def _radial_rule(k, span):
 
 
 @functools.lru_cache(maxsize=16)
-def _angle_counts(k, span):
-    """Angle count M_j of each radius of the tapered polar k-rule, as a tuple.
+def _polar_rule(k, span):
+    """(kx, ky, scale) of the tapered polar k-rule for separations <= span,
+    read-only as the cache shares them; its factor has 2q = 2 len(kx) columns.
 
-    One jv search covers all radii at once: candidate orders 2M from
-    ceil(rho_j span / 2) up, in a window that doubles until every radius
-    meets the 1e-15 bound (|J_2M(x)| decreases in M once 2M >= x).  The bound
-    falls within about 5 (rho_j span)^(1/3) orders of the start, the width of
-    the Bessel transition, so the first window nearly always suffices.  Kept
-    apart from the wavevectors so that `rank` stays cheap for spans whose
-    factor is never built.
+    Radius rho_j of _radial_rule carries M_j angles pi m / M_j on [0, pi),
+    the first at ky = 0.  With their antipodes they form a 2M_j-point
+    trapezoid rule on that circle, whose error is 2 J_2M_j(rho_j r), so M_j
+    is the smallest count with 2M_j >= rho_j span and
+    |J_2M_j(rho_j span)| < 1e-15.  One jv search covers all radii at once:
+    candidate orders 2M from ceil(rho_j span / 2) up, in a window that
+    doubles until every radius meets the bound (|J_2M(x)| decreases in M
+    once 2M >= x).  The bound falls within about 5 (rho_j span)^(1/3)
+    orders of the start, the width of the Bessel transition, so the first
+    window nearly always suffices.  Each wavevector's scale is
+    sqrt(rho_j w_j / (2 pi M_j)): (2 pi)^-2 rho_j w_j (pi / M_j), times 2
+    for its antipode.
     """
-    x = _radial_rule(k, span).nodes * span
+    radial = _radial_rule(k, span)
+    x = radial.nodes * span
     first = np.maximum(1.0, np.ceil(0.5 * x))[:, None]
     width = 8 + int(6.0 * np.cbrt(np.max(x)))
     jv = _special().jv
@@ -307,18 +341,7 @@ def _angle_counts(k, span):
         if np.all(small[:, -1]):
             break
         width *= 2
-    return tuple(m[np.arange(len(x)), np.argmax(small, axis=1)].astype(int).tolist())
-
-
-@functools.lru_cache(maxsize=16)
-def _wavevectors(k, span):
-    """(kx, ky, scale) of the tapered polar k-rule, read-only as the cache shares them.
-
-    Radius rho_j carries M_j angles pi m / M_j on [0, pi); each wavevector's
-    scale is sqrt(rho_j w_j / (2 pi M_j)): (2 pi)^-2 rho_j w_j (pi / M_j),
-    times 2 for its antipode.
-    """
-    radial, n_angles = _radial_rule(k, span), np.array(_angle_counts(k, span))
+    n_angles = m[np.arange(len(x)), np.argmax(small, axis=1)].astype(int)
     theta = np.concatenate([np.pi * np.arange(count) / count for count in n_angles])
     rho = np.repeat(radial.nodes, n_angles)
     scale = np.repeat(np.sqrt(radial.nodes * radial.weights / (2.0 * np.pi * n_angles)),

@@ -39,6 +39,9 @@ class GridSpec:
     def __post_init__(self):
         self.x0, self.y0 = float(self.x0), float(self.y0)
         self.dx, self.dy = float(self.dx), float(self.dy)
+        for count in (self.nx, self.ny):
+            if isinstance(count, (bool, np.bool_)) or not float(count).is_integer():
+                raise ConfigurationError(f"grid dimensions must be integers, not {count!r}")
         self.nx, self.ny = int(self.nx), int(self.ny)
         if not np.all(np.isfinite([self.x0, self.y0, self.dx, self.dy])):
             raise ConfigurationError("grid origin and spacings must be finite")
@@ -120,7 +123,7 @@ def solve_region_disk(region, k, n_quad=32, count=None):
 
     Keeps the top `count` eigenpairs (all nodes' worth when count is None).
     The kernel is factored by angular order about the node mean
-    (DiskBandKernel.multipole_factor): each order's radial functions are cut
+    (DiskBandKernel.factor): each order's radial functions are cut
     to the numerical rank of the disk that holds the nodes, which leaves w
     columns, about a third of a polar k-rule's, so the cost grows linearly
     in the node count n (n w^2 for the factor's Gram) rather than as n^3.
@@ -178,16 +181,19 @@ def _extend_on_grid(basis, index, grid, pts):
 def evaluate_h(basis, index, grid, g=None, inside=None):
     """The space-limited twin: equal to g inside the region, exactly 0 outside.
 
-    `g` (the evaluate_g field) and `inside` (the region mask on the grid,
-    shaped (ny, nx)) are computed here, from one set of grid points, unless
-    the caller already has them.
+    As in evaluate_g, a sequence of indices gives a list of fields.  `g` (the
+    evaluate_g result for `index`) and `inside` (the region mask on the
+    grid, shaped (ny, nx)) are computed here, from one set of grid points,
+    unless the caller already has them.
     """
     pts = _grid_points(grid) if g is None or inside is None else None
     if g is None:
         g = _extend_on_grid(basis, index, grid, pts)
     if inside is None:
         inside = contains_many(basis.region, pts.reshape(-1, 2)).reshape(grid.ny, grid.nx)
-    return GridField(grid, np.where(inside, g.values, 0.0))
+    one = np.ndim(index) == 0
+    h = [GridField(grid, np.where(inside, f.values, 0.0)) for f in ([g] if one else g)]
+    return h[0] if one else h
 
 
 def region_mask(region, grid):
@@ -244,22 +250,19 @@ def weighted_sumsq(basis, grid, count, g=None):
 
     Deep inside the region this plateaus near shannon / area; far outside it
     collapses toward zero.  `g` (the evaluate_g fields of indices 0..count-1)
-    is computed here unless the caller already has it.
+    is computed here unless the caller already has it, so a count that
+    reaches an eigenvalue at or below 1e-12 raises ExtensionError either way.
     """
     count = int(count)
     if not 1 <= count <= len(basis.eigenvalues):
         raise ValueError("count must lie in [1, number of eigenpairs]")
-    if g is not None:
-        if len(g) != count:
-            raise ValueError(f"g holds {len(g)} fields, count is {count}")
-        lam = np.clip(basis.eigenvalues[:count], 0.0, None)
-        vals = np.stack([f.values for f in g])
-        return GridField(grid, np.tensordot(lam, vals * vals, axes=1))
-    # region-orthonormal rows f give sum_j w_j k(x, x_j) f_aj = sqrt(lam_a) g_a,
-    # so the plain squared sum of these extensions is the weighted sum wanted
-    block = basis.solution.kernel_apply(basis.solution.node_samples[:count],
-                                        _grid_points(grid))
-    return GridField(grid, np.sum(block * block, axis=1).reshape(grid.ny, grid.nx))
+    if g is None:
+        g = evaluate_g(basis, list(range(count)), grid)
+    if len(g) != count:
+        raise ValueError(f"g holds {len(g)} fields, count is {count}")
+    lam = np.clip(basis.eigenvalues[:count], 0.0, None)
+    vals = np.stack([f.values for f in g])
+    return GridField(grid, np.tensordot(lam, vals * vals, axes=1))
 
 
 def write_grid(field, path, name="field"):

@@ -25,8 +25,10 @@ def run_demo(name, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=300)
+    # the suite's own warning policy: a demo that warns fails
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-W", "error::DeprecationWarning", str(ROOT / "demos" / name)],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
 
 
 def test_every_demo_listed():

@@ -19,9 +19,19 @@ from slepkit import (
 )
 from slepkit import SpectralDomain, build_problem, dpss, fredholm, kernels, wedge_domain
 from slepkit.gridprojector import solve as grid_solve
-from slepkit.fredholm import EXTEND_CHUNK, _eigh, _radius
+from slepkit.fredholm import EXTEND_CHUNK, _eigh
 from conftest import all_pass_problem, boundary_path
 from test_geometry import star_polygons
+
+
+def radius(points, origin):
+    """Largest distance from origin over (m, 2) points, 0 for none."""
+    return kernels._radii(points, origin)[2]
+
+
+def rule_width(k, span):
+    """Column count 2q of the polar k-rule for separations <= span."""
+    return 2 * len(kernels._polar_rule(k, float(span))[0])
 
 
 def constant_kernel(x, xp):
@@ -155,9 +165,9 @@ class TestExtension:
         # through the plain kernel; the error scales with rounding / lambda
         rule = region_quadrature(Region.polygon(verts), 16)
         origin = np.mean(rule.nodes, axis=0)
-        k = kd / (2.0 * _radius(rule.nodes, origin))
+        k = kd / (2.0 * radius(rule.nodes, origin))
         sol = nystrom_eigs(DiskBandKernel(k), rule, 6)
-        assert sol.kernel.rank(2.0 * _radius(rule.nodes, origin)) <= len(rule.weights)
+        assert rule_width(k, 2.0 * radius(rule.nodes, origin)) <= len(rule.weights)
         keep = [i for i, lam in enumerate(sol.eigenvalues) if lam > 1e-8]
         plain = dataclasses.replace(sol, kernel=partial(disk_kernel, k))
         for s in (sol, plain):
@@ -480,8 +490,7 @@ class TestGramEigs:
                   "rectangle": lambda: rectangle_region(10.0, 4.0 * np.pi)}[name]()
         rule = region_quadrature(region, n_quad)
         # the Gram the solve forms: the multipole factor about the node mean
-        b = DiskBandKernel(k).multipole_factor(rule.nodes, np.mean(rule.nodes, axis=0),
-                                               np.sqrt(rule.weights))[0]
+        b = DiskBandKernel(k).factor(rule.nodes, np.sqrt(rule.weights))[0]
         gram = b.T @ b
         vals, vecs, rank = fredholm._gram_eigs(gram, count)
         assert count <= rank < len(gram) and sizes == [rank]
@@ -566,61 +575,44 @@ class TestFactoredKernel:
     def test_rule_built_once_per_span(self):
         # the solve builds no polar k-rule, and an extension builds one,
         # however many chunks its points take
-        builds = (kernels._angle_counts, kernels._wavevectors)
-        for build in builds:
-            build.cache_clear()
+        misses = lambda: kernels._polar_rule.cache_info().misses
+        kernels._polar_rule.cache_clear()
         rule = region_quadrature(star_region(), 16)
         sol = nystrom_eigs(DiskBandKernel(6.0), rule, 6)
-        assert sol.extra["gram"] == "factor"
-        assert [build.cache_info().misses for build in builds] == [0, 0]
+        assert sol.extra["gram"] == "factor" and misses() == 0
         x = np.random.default_rng(2).uniform(-1.0, 1.0, (60000, 2))
         nystrom_extend(sol, 0, x)
+        assert misses() == 1
         origin = np.mean(rule.nodes, axis=0)
-        width = sol.kernel.rank(_radius(x, origin) + _radius(rule.nodes, origin))
+        width = rule_width(6.0, radius(x, origin) + radius(rule.nodes, origin))
         assert width <= len(rule.weights) and len(x) * width > 10 * EXTEND_CHUNK
-        assert [build.cache_info().misses for build in builds] == [1, 1]
-        # a far query point needs a rule wider than the nodes: the extension
-        # sizes it and goes through the kernel without building its wavevectors
-        far = nystrom_extend(sol, 0, np.array([[400.0, 0.0]]))
-        assert [build.cache_info().misses for build in builds] == [2, 1]
+        assert misses() == 1
+        # a query point at distance 4 builds its rule, wider than the nodes,
+        # and goes through the kernel; one at 400 is too far for any rule
+        # under 0.2 (K span)^2 columns to fit, so none is built for it
         plain = dataclasses.replace(sol, kernel=partial(disk_kernel, 6.0))
-        np.testing.assert_array_equal(far, nystrom_extend(plain, 0, np.array([[400.0, 0.0]])))
-
-    def test_no_factor_built_past_node_count(self, monkeypatch):
-        # the plan gives the width w = 248 > 144 nodes before any factor is
-        # assembled, so the solve goes straight to the kernel matrix
-        built = []
-        factor = DiskBandKernel.multipole_factor
-
-        def spy(self, *args, **kwargs):
-            built.append(len(args[0]))
-            return factor(self, *args, **kwargs)
-
-        monkeypatch.setattr(DiskBandKernel, "multipole_factor", spy)
-        k = 2.0 * np.sqrt(42.0)
-        rule = region_quadrature(Region.disk((0.0, 0.0), 1.0), 12)
-        fact = nystrom_eigs(DiskBandKernel(k), rule, 10)
-        assert built == [] and fact.extra["gram"] == "nodes"
-        assert fact.extra["rank"] == 248 and len(rule.weights) == 144
-        assert "gram_rank" not in fact.extra
-        dense = nystrom_eigs(partial(disk_kernel, k), rule, 10)
-        np.testing.assert_array_equal(fact.eigenvalues, dense.eigenvalues)
-        np.testing.assert_array_equal(fact.node_samples, dense.node_samples)
-        # a count past the width skips the factor as well
-        low = region_quadrature(Region.disk((0.0, 0.0), 1.0), 20)
-        width = nystrom_eigs(DiskBandKernel(2.0), low, 1).extra["rank"]
-        assert built == [len(low.weights)]
-        assert nystrom_eigs(DiskBandKernel(2.0), low, width + 1).extra["gram"] == "nodes"
-        assert built == [len(low.weights)]
+        for point, built in (([4.0, 0.0], 2), ([400.0, 0.0], 2)):
+            pts = np.array([point])
+            span = radius(pts, origin) + radius(rule.nodes, origin)
+            got = nystrom_extend(sol, 0, pts)
+            assert misses() == built
+            np.testing.assert_array_equal(got, nystrom_extend(plain, 0, pts))
+        assert rule_width(6.0, span) > 0.2 * (6.0 * span) ** 2 > len(rule.weights)
 
     def test_rank_beyond_node_count(self):
-        # a coarse rule under a high bandlimit: the node side is the smaller Gram
+        # a coarse rule under a high bandlimit: the 248-column factor is wider
+        # than the 64, 100 and 144 nodes, and its Gram, cut to its numerical
+        # rank, still gives the top pairs
         k = 2.0 * np.sqrt(42.0)
-        rule = region_quadrature(Region.disk((0.0, 0.0), 1.0), 12)
-        fact = nystrom_eigs(DiskBandKernel(k), rule, 10)
-        assert fact.extra["rank"] > len(rule.weights) and fact.extra["gram"] == "nodes"
-        dense = nystrom_eigs(partial(disk_kernel, k), rule, 10)
-        np.testing.assert_allclose(fact.eigenvalues, dense.eigenvalues, atol=1e-12)
+        for n_quad in (8, 10, 12):
+            rule = region_quadrature(Region.disk((0.0, 0.0), 1.0), n_quad)
+            fact = nystrom_eigs(DiskBandKernel(k), rule, 10)
+            assert fact.extra["rank"] == 248 > len(rule.weights) == n_quad ** 2
+            assert fact.extra["gram"] == "factor" and fact.extra["gram_rank"] <= n_quad ** 2
+            dense = nystrom_eigs(partial(disk_kernel, k), rule, 10)
+            np.testing.assert_allclose(fact.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-12)
+            gram = fact.node_samples @ (rule.weights[:, None] * fact.node_samples.T)
+            np.testing.assert_allclose(gram, np.eye(10), rtol=0, atol=1e-10)
 
 
 def tensor_grid(nx, ny, center, spacing):
@@ -636,9 +628,9 @@ def factor_reference(sol, rows, points):
     scattered factor extension, unchunked."""
     nodes = sol.nodes
     origin = np.mean(nodes, axis=0)
-    span = _radius(points, origin) + _radius(nodes, origin)
-    coef = sol.kernel.features(nodes, origin, span).T @ (sol.weights * rows).T
-    return sol.kernel.features(points, origin, span) @ coef
+    rule = kernels._polar_rule(sol.kernel.k, radius(points, origin) + radius(nodes, origin))
+    coef = kernels._features(rule, nodes - origin).T @ (sol.weights * rows).T
+    return kernels._features(rule, points - origin) @ coef
 
 
 class TestGridExtension:
@@ -654,13 +646,13 @@ class TestGridExtension:
     @staticmethod
     def spy(monkeypatch, name):
         calls = []
-        method = getattr(DiskBandKernel, name)
+        helper = getattr(kernels, name)
 
-        def counting(self, *args):
+        def counting(*args):
             calls.append(args)
-            return method(self, *args)
+            return helper(*args)
 
-        monkeypatch.setattr(DiskBandKernel, name, counting)
+        monkeypatch.setattr(kernels, name, counting)
         return calls
 
     @pytest.mark.parametrize("seed, nx, ny, offset", [
@@ -677,9 +669,9 @@ class TestGridExtension:
         pts = tensor_grid(nx, ny, center, rng.uniform(0.01, 0.1, 2))
         flat = pts.reshape(-1, 2)
         origin = np.mean(sol.nodes, axis=0)
-        rank = sol.kernel.rank(_radius(flat, origin) + _radius(sol.nodes, origin))
+        rank = rule_width(3.0, radius(flat, origin) + radius(sol.nodes, origin))
         assert rank <= max(len(sol.nodes), len(flat))
-        calls = self.spy(monkeypatch, "grid_apply")
+        calls = self.spy(monkeypatch, "_grid_apply")
         got = sol.kernel_apply(sol.node_samples[:rows], pts)
         assert len(calls) == 1 and got.shape == (nx * ny, rows)
         want = factor_reference(sol, sol.node_samples[:rows], flat)
@@ -687,7 +679,7 @@ class TestGridExtension:
 
     def test_wider_than_grid_and_nodes_uses_kernel(self, sol, monkeypatch):
         pts = tensor_grid(4, 3, np.mean(sol.nodes, axis=0) + (30.0, -10.0), (0.05, 0.05))
-        calls = self.spy(monkeypatch, "grid_apply")
+        calls = self.spy(monkeypatch, "_grid_apply")
         got = sol.kernel_apply(sol.node_samples, pts)
         assert calls == []
         plain = dataclasses.replace(sol, kernel=partial(disk_kernel, 3.0))
@@ -699,7 +691,7 @@ class TestGridExtension:
         pts = tensor_grid(23, 19, np.mean(sol.nodes, axis=0) + (0.2, -0.1), (0.1, 0.12))
         exact = sol.kernel_apply(sol.node_samples, pts)
         pts[7, 5, axis] = np.nextafter(pts[7, 5, axis], np.inf)
-        calls = self.spy(monkeypatch, "grid_apply")
+        calls = self.spy(monkeypatch, "_grid_apply")
         got = sol.kernel_apply(sol.node_samples, pts)
         assert calls == [] and got.shape == (19 * 23, 8)
         np.testing.assert_array_equal(got, sol.kernel_apply(sol.node_samples, pts.reshape(-1, 2)))
@@ -721,11 +713,12 @@ class TestGridExtension:
         samples = kernels._samples
         monkeypatch.setattr(kernels, "_samples",
                             lambda dy, omega: node_blocks.append(dy) or samples(dy, omega))
-        features = self.spy(monkeypatch, "features")
-        grid = self.spy(monkeypatch, "grid_apply")
+        features = self.spy(monkeypatch, "_features")
+        grid = self.spy(monkeypatch, "_grid_apply")
         monkeypatch.setattr(fredholm, "EXTEND_CHUNK", 5000)
         got = sol.kernel_apply(sol.node_samples, pts)
-        assert not any(np.shares_memory(args[0], sol.nodes) for args in features)
+        offsets = sol.nodes - center
+        assert not any(len(d) == len(offsets) and np.array_equal(d, offsets) for _, d in features)
         query_blocks = len(grid) if shaped else len(features)
         assert len(node_blocks) > 1 and query_blocks > 1
         np.testing.assert_allclose(got, whole, rtol=0, atol=1e-14 * np.max(np.abs(whole)))
@@ -737,10 +730,10 @@ def comb_region():
                            (1, 3), (1, 4), (3, 4), (3, 5), (0, 5)])
 
 
-def node_coef_reference(sol, rows, origin, span):
+def node_coef_reference(sol, rows, origin, rule):
     """A(nodes)^T W rows^T with A evaluated node by node: the node side as a
     plain factor product, unchunked."""
-    return sol.kernel.features(sol.nodes, origin, span).T @ (sol.weights * rows).T
+    return kernels._features(rule, sol.nodes - origin).T @ (sol.weights * rows).T
 
 
 def bound_terms(x):
@@ -756,7 +749,7 @@ def assert_reproduces_kernel(kernel, nodes, weights):
     """The multipole factor B about the node mean against sqrt(W) D sqrt(W)
     from the Bessel kernel, to 1e-13 of its largest diagonal; returns B, kept."""
     sw = np.sqrt(weights)
-    b, kept = kernel.multipole_factor(nodes, np.mean(nodes, axis=0), sw)
+    b, kept = kernel.factor(nodes, sw)
     want = sw[:, None] * disk_kernel(kernel.k, nodes[:, None], nodes[None]) * sw
     assert b.shape == (len(nodes), kept[0] + 2 * sum(kept[1:]))
     np.testing.assert_allclose(b @ b.T, want, rtol=0, atol=1e-13 * np.max(np.diag(want)))
@@ -764,7 +757,7 @@ def assert_reproduces_kernel(kernel, nodes, weights):
 
 
 class TestMultipoleFactor:
-    """DiskBandKernel.multipole_factor, the factor the region solve reads,
+    """DiskBandKernel.factor, the factor the region solve reads,
     against the Bessel kernel and against the polar k-rule's width."""
 
     @pytest.mark.parametrize("name, k, n_quad", [
@@ -785,21 +778,19 @@ class TestMultipoleFactor:
         b, kept = assert_reproduces_kernel(kernel, rule.nodes, rule.weights)
         assert min(kept) >= 1
         origin = np.mean(rule.nodes, axis=0)
-        assert b.shape[1] <= kernel.rank(2.0 * _radius(rule.nodes, origin))
+        assert b.shape[1] <= rule_width(k, 2.0 * radius(rule.nodes, origin))
 
     @pytest.mark.parametrize("name, k, n_quad", [
         ("disk", 2.0 * np.sqrt(42.0), 12), ("plateau", 0.0194, 16), ("star", 6.0, 16)])
-    def test_plan_fixes_the_width(self, name, k, n_quad):
+    def test_kept_fixes_the_width(self, name, k, n_quad):
         region = {"disk": lambda: Region.disk((0.0, 0.0), 1.0),
                   "plateau": lambda: read_region(boundary_path()),
                   "star": star_region}[name]()
         rule = region_quadrature(region, n_quad)
-        kernel, origin = DiskBandKernel(k), np.mean(rule.nodes, axis=0)
-        sw = np.sqrt(rule.weights)
-        plan = kernel.multipole_plan(rule.nodes, origin)
-        b, kept = kernel.multipole_factor(rule.nodes, origin, sw, plan)
-        assert kept == plan[2] and b.shape[1] == 2 * sum(kept) - kept[0]
-        again, _ = kernel.multipole_factor(rule.nodes, origin, sw)
+        kernel, sw = DiskBandKernel(k), np.sqrt(rule.weights)
+        b, kept = kernel.factor(rule.nodes, sw)
+        assert b.shape[1] == 2 * sum(kept) - kept[0]
+        again, _ = kernel.factor(rule.nodes, sw)
         np.testing.assert_array_equal(b, again)
 
     def test_node_at_the_centre(self):
@@ -817,30 +808,31 @@ class TestMultipoleFactor:
 
 class TestSegmentContraction:
     """The node side: the multipole factor the solve reads against the Bessel
-    kernel, and the extension's synthesis (DiskBandKernel.node_apply: one
+    kernel, and the extension's synthesis (kernels._node_apply: one
     phase per abscissa and a Chebyshev expansion in ky) against the
     node-by-node factor."""
 
     @staticmethod
     def check(sol):
         """Check the factor and both node products; returns (abscissas, terms)
-        of the node_apply synthesis at the nodes' own span."""
+        of the _node_apply synthesis at the nodes' own span."""
         kernel, nodes = sol.kernel, sol.nodes
         b, kept = assert_reproduces_kernel(kernel, nodes, sol.weights)
         assert (sol.extra["rank"], sol.extra["kept"]) == (b.shape[1], kept)
         origin = np.mean(nodes, axis=0)
-        radius = _radius(nodes, origin)
+        d, r_max = nodes - origin, radius(nodes, origin)
         # the nodes' own span and one 1.5x wider; r = 1 and r = count
-        for span in (2.0 * radius, 3.0 * radius):
+        for span in (2.0 * r_max, 3.0 * r_max):
+            rule = kernels._polar_rule(kernel.k, span)
             for rows in (sol.node_samples[:1], sol.node_samples):
-                got = kernel.node_apply((sol.weights * rows).T, nodes, origin, span,
-                                        fredholm.EXTEND_CHUNK)
-                want = node_coef_reference(sol, rows, origin, span)
+                got = kernels._node_apply(kernel.k, rule, (sol.weights * rows).T, d,
+                                          fredholm.EXTEND_CHUNK)
+                want = node_coef_reference(sol, rows, origin, rule)
                 np.testing.assert_allclose(got, want, rtol=0,
                                            atol=1e-14 * np.max(np.abs(want)))
-        # the distinct abscissas and the N of the bound that node_apply reads
-        d = nodes - origin
-        terms = len(kernels._ky_rule(kernel.k, 2.0 * radius, d[:, 1])[0])
+        # the distinct abscissas and the N of the bound that _node_apply reads
+        ky = kernels._polar_rule(kernel.k, 2.0 * r_max)[1]
+        terms = len(kernels._ky_rule(kernel.k, ky, d[:, 1])[0])
         assert terms == bound_terms(0.5 * kernel.k * np.max(np.abs(d[:, 1])))
         return len(np.unique(d[:, 0])), terms
 
@@ -848,7 +840,7 @@ class TestSegmentContraction:
     @given(verts=star_polygons(), n_quad=st.integers(1, 10), kd=st.floats(1.0, 12.0))
     def test_star_polygons(self, verts, n_quad, kd):
         rule = region_quadrature(Region.polygon(verts), n_quad)
-        k = kd / (2.0 * _radius(rule.nodes, np.mean(rule.nodes, axis=0)))
+        k = kd / (2.0 * radius(rule.nodes, np.mean(rule.nodes, axis=0)))
         sol = nystrom_eigs(DiskBandKernel(k), rule, min(6, len(rule.weights)))
         self.check(sol)
 
@@ -923,7 +915,8 @@ class TestSegmentContraction:
     def test_terms_against_the_bessel_tail(self, x):
         # the bound (x/2)^n / n! keeps N at most 3 above the last order whose
         # |J_n(x)| exceeds 1e-17, and the tail it drops stays below 4e-17
-        terms = len(kernels._ky_rule(2.0, 1.0, np.array([-x, 0.5 * x]))[0])
+        ky = kernels._polar_rule(2.0, 1.0)[1]
+        terms = len(kernels._ky_rule(2.0, ky, np.array([-x, 0.5 * x]))[0])
         assert terms == bound_terms(x)
         j = np.abs(scipy.special.jv(np.arange(terms + 60), x))
         last = np.nonzero(j > 1e-17)[0]
@@ -932,15 +925,15 @@ class TestSegmentContraction:
         assert 2.0 * np.sum(j[terms:]) <= 4e-17
 
     def test_solve_and_grid_extension_leave_features_to_queries(self, monkeypatch):
-        # the node side never goes through features: only query points do
+        # the node side never goes through _features: only query points do
         seen = []
-        features = DiskBandKernel.features
+        features = kernels._features
 
-        def spy(self, points, origin, span):
-            seen.append(points)
-            return features(self, points, origin, span)
+        def spy(rule, d):
+            seen.append(d)
+            return features(rule, d)
 
-        monkeypatch.setattr(DiskBandKernel, "features", spy)
+        monkeypatch.setattr(kernels, "_features", spy)
         region = Region.polygon(star_region().vertices * 2.0)
         basis = solve_region_disk(region, 3.0, n_quad=16, count=6)
         assert basis.solution.extra["gram"] == "factor" and seen == []
@@ -949,10 +942,11 @@ class TestSegmentContraction:
         assert seen == []
         x = np.random.default_rng(3).uniform(-2.0, 2.0, (50, 2))
         nystrom_extend(basis.solution, 0, x)
-        assert len(seen) == 1 and np.array_equal(seen[0], x)
         nodes = basis.solution.nodes
-        assert not any(np.shares_memory(p, nodes) or
-                       (p.shape == nodes.shape and np.array_equal(p, nodes)) for p in seen)
+        origin = np.mean(nodes, axis=0)
+        assert len(seen) == 1 and np.array_equal(seen[0], x - origin)
+        assert not any(d.shape == nodes.shape and np.array_equal(d, nodes - origin)
+                       for d in seen)
 
 
 class TestNodeMatrix:

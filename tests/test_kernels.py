@@ -11,9 +11,21 @@ from slepkit import (
     DiskBandKernel, bessel_j, bessel_j1_over_x, disk_kernel, fixedm_kernel, gauss_legendre,
     map_rule, sinc_kernel, sqrt_kernel,
 )
-from slepkit.kernels import _angle_counts, _radial_rule
+from slepkit.kernels import _features, _polar_rule, _radial_rule
 
 J1_FIRST_ROOT = 3.8317059702075125  # first positive zero of J_1
+
+
+def angle_counts(k, span):
+    """Angle count M_j of each radius of the polar k-rule: each radius's
+    angles start at ky = 0, the only wavevectors on that axis."""
+    starts = np.flatnonzero(_polar_rule(k, span)[1] == 0.0)
+    return np.diff(np.append(starts, len(_polar_rule(k, span)[1])))
+
+
+def rule_width(k, span):
+    """Column count 2q of the polar k-rule for separations <= span."""
+    return 2 * len(_polar_rule(k, span)[0])
 
 
 class TestSincKernel:
@@ -51,16 +63,14 @@ class TestDiskBandKernel:
         t = rng.uniform(0.0, 2.0 * np.pi, 150)
         pts = origin + np.column_stack([r * np.cos(t), r * np.sin(t)])
         pts[:2] = origin + 0.5 * span * np.array([[1.0, 0.0], [-1.0, 0.0]])
-        kern = DiskBandKernel(k)
-        a = kern.features(pts, pts.mean(axis=0), span)
-        assert a.shape == (150, kern.rank(span))
+        a = _features(_polar_rule(k, span), pts - pts.mean(axis=0))
+        assert a.shape == (150, rule_width(k, span))
         want = disk_kernel(k, pts[:, None], pts[None])
         err = np.max(np.abs(a @ a.T - want)) / (k * k / (4.0 * np.pi))
         assert err < 1e-13
 
     def test_rule_grows_with_span(self):
-        kern = DiskBandKernel(2.0)
-        sizes = [_angle_counts(2.0, s) for s in (0.5, 5.0, 50.0)]
+        sizes = [angle_counts(2.0, s) for s in (0.5, 5.0, 50.0)]
         radial = [len(_radial_rule(2.0, s).nodes) for s in (0.5, 5.0, 50.0)]
         assert radial[0] < radial[1] < radial[2]
         for n_radial, n_angles in zip(radial, sizes):
@@ -68,11 +78,11 @@ class TestDiskBandKernel:
             assert len(n_angles) == n_radial
             assert list(n_angles) == sorted(n_angles)
         assert max(sizes[0]) < max(sizes[1]) < max(sizes[2])
-        assert kern.rank(0.5) < kern.rank(5.0) < kern.rank(50.0)
-        assert kern.rank(5.0) == 2 * sum(sizes[1])
+        assert rule_width(2.0, 0.5) < rule_width(2.0, 5.0) < rule_width(2.0, 50.0)
+        assert rule_width(2.0, 5.0) == 2 * sum(sizes[1])
         assert len(_radial_rule(2.0, 0.0).nodes) == 8
-        assert _angle_counts(2.0, 0.0) == (1,) * 8
-        assert kern.rank(0.0) == 16
+        assert list(angle_counts(2.0, 0.0)) == [1] * 8
+        assert rule_width(2.0, 0.0) == 16
 
     @pytest.mark.parametrize("z, rank", [(10.0, 288), (26.0, 720), (60.0, 1962),
                                          (100.0, 4154)])
@@ -81,11 +91,12 @@ class TestDiskBandKernel:
         # gets the smallest M_j with 2 M_j >= rho_j span and
         # |J_2M_j(rho_j span)| < 1e-15 (k = 2 keeps K span exactly z)
         k = 2.0
-        kern = DiskBandKernel(k)
         radial = _radial_rule(k, z / k)
-        n_angles = _angle_counts(k, z / k)
+        n_angles = angle_counts(k, z / k)
         assert len(radial.nodes) == len(n_angles) == int(np.ceil(0.4 * z)) + 8
-        assert kern.rank(z / k) == 2 * sum(n_angles) == rank
+        np.testing.assert_array_equal(_polar_rule(k, z / k)[0][np.cumsum(n_angles) - n_angles],
+                                      radial.nodes)
+        assert rule_width(k, z / k) == 2 * sum(n_angles) == rank
         x = radial.nodes * (z / k)
         np.testing.assert_array_equal(
             x, map_rule(gauss_legendre(len(n_angles)), 0.0, k).nodes * (z / k))
@@ -98,6 +109,12 @@ class TestDiskBandKernel:
     def test_validation(self):
         with pytest.raises(ValueError):
             DiskBandKernel(0.0)
+
+    def test_two_public_entry_points(self):
+        # the Nystrom layer reads `factor` and `extend`; the origin, span,
+        # rules and widths behind them stay private
+        assert {name for name in vars(DiskBandKernel) if not name.startswith("_")} == {
+            "factor", "extend"}
 
     @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_bandlimit(self, k):

@@ -16,7 +16,8 @@ from slepkit import (
     read_grid_text, region_mask, scale_to_area, shannon_2d, solve_region_disk,
     weighted_sumsq, write_grid, write_grid_text,
 )
-from slepkit.fredholm import _radius
+from slepkit import kernels
+from slepkit.kernels import _polar_rule, _radii
 
 
 class TestGridSpec:
@@ -35,6 +36,13 @@ class TestGridSpec:
             GridSpec(x0=0, y0=0, dx=-0.1, dy=0.1, nx=4, ny=4)
         with pytest.raises(ValueError):
             GridSpec(x0=0, y0=0, dx=0.1, dy=0.1, nx=0, ny=4)
+        # counts are not truncated or taken from booleans
+        for nx, ny in ((2.7, 3), (3, True), (np.True_, 2), (2, np.float64(3.5)),
+                       (np.nan, 2), (2, np.inf)):
+            with pytest.raises(ConfigurationError, match="must be integers"):
+                GridSpec(x0=0, y0=0, dx=0.1, dy=0.1, nx=nx, ny=ny)
+        g = GridSpec(x0=0, y0=0, dx=0.1, dy=0.1, nx=3.0, ny=np.int64(2))
+        assert (g.nx, g.ny) == (3, 2) and type(g.nx) is int and type(g.ny) is int
         # NaN passes dx <= 0, and an infinite origin leaves every point infinite
         with pytest.raises(ConfigurationError, match="must be finite"):
             GridSpec(x0=0, y0=np.inf, dx=np.nan, dy=1, nx=2, ny=2)
@@ -123,8 +131,8 @@ class TestRegionSolve:
         # 1024 nodes, a 248-column multipole factor, against 720 columns of
         # the polar k-rule: its Gram is the smaller one
         nodes = disk42_nystrom.solution.nodes
-        span = 2.0 * _radius(nodes, np.mean(nodes, axis=0))
-        assert disk42_nystrom.solution.kernel.rank(span) == 720
+        span = 2.0 * _radii(nodes, np.mean(nodes, axis=0))[2]
+        assert 2 * len(_polar_rule(disk42_nystrom.k, span)[0]) == 720
         assert extra["rank"] == 248 < len(disk42_nystrom.quadrature.weights)
         assert extra["gram"] == "factor"
 
@@ -181,6 +189,18 @@ class TestEvaluation:
         evaluate_h(small_basis, 1, grid)
         assert calls == [grid]
 
+    def test_h_of_many_indices(self, small_basis):
+        # a sequence of indices gives a list of fields, as evaluate_g does
+        grid = GridSpec(x0=-1.7, y0=-1.3, dx=0.11, dy=0.13, nx=29, ny=23)
+        inside = region_mask(small_basis.region, grid)
+        gs = evaluate_g(small_basis, [0, 5, 11], grid)
+        for hs in (evaluate_h(small_basis, [0, 5, 11], grid),
+                   evaluate_h(small_basis, [0, 5, 11], grid, g=gs, inside=inside)):
+            assert isinstance(hs, list) and len(hs) == 3
+            for g, h in zip(gs, hs):
+                assert h.grid == grid
+                np.testing.assert_array_equal(h.values, np.where(inside, g.values, 0.0))
+
     def test_g_of_many_indices(self, small_basis):
         grid = GridSpec(x0=-1.7, y0=-1.3, dx=0.11, dy=0.13, nx=29, ny=23)
         many = evaluate_g(small_basis, [0, 5, 11], grid)
@@ -196,8 +216,8 @@ class TestEvaluation:
         basis = disk42_nystrom
         grid = GridSpec(x0=-3.0, y0=-3.0, dx=0.05, dy=0.05, nx=121, ny=121)
         nodes = basis.quadrature.nodes
-        span = _radius(grid.points(), nodes.mean(axis=0)) + _radius(nodes, nodes.mean(axis=0))
-        assert len(nodes) < basis.solution.kernel.rank(span) == 2398 < grid.nx * grid.ny
+        span = _radii(grid.points(), nodes.mean(axis=0))[2] + _radii(nodes, nodes.mean(axis=0))[2]
+        assert len(nodes) < 2 * len(_polar_rule(basis.k, span)[0]) == 2398 < grid.nx * grid.ny
         calls = []
 
         def spy(self, x, xp):
@@ -371,6 +391,16 @@ class TestWeightedSumsq:
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         with pytest.raises(ValueError):
             weighted_sumsq(basis10, grid, 19, g=g)
+
+    def test_one_formula_for_both_call_forms(self, plateau_region):
+        # the fields come from evaluate_g either way, so the sums share their bits
+        basis = solve_region_disk(plateau_region, 0.0194, n_quad=24, count=20)
+        xmin, xmax, ymin, ymax = plateau_region.bounding_box()
+        grid = GridSpec(x0=xmin, y0=ymin, dx=(xmax - xmin) / 40, dy=(ymax - ymin) / 40,
+                        nx=41, ny=41)
+        g = evaluate_g(basis, list(range(20)), grid)
+        np.testing.assert_array_equal(weighted_sumsq(basis, grid, 20).values,
+                                      weighted_sumsq(basis, grid, 20, g=g).values)
 
 
 class TestGridIO:
@@ -630,14 +660,14 @@ class TestExtensionRoutes:
     @pytest.mark.parametrize("where, factored", [("NEAR", True), ("FAR", False)])
     def test_branch_and_values(self, basis, monkeypatch, where, factored):
         pts = getattr(self, where)
-        kernel = basis.solution.kernel
         calls = []
+        features = kernels._features
 
         def spy(*args):
             calls.append(args)
-            return type(kernel).features(kernel, *args)
+            return features(*args)
 
-        monkeypatch.setattr(kernel, "features", spy)
+        monkeypatch.setattr(kernels, "_features", spy)
         count = len(basis.eigenvalues)
         want = self.exact_rows(basis, count, pts)
         got = basis.solution.kernel_apply(basis.solution.node_samples[:count], pts)
