@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateNormalizationError, ExtensionError, NumericalError
+from .errors import DegenerateNormalizationError, ExtensionError, NumericalError, _as_count
 from .specialfn import _jacobi_sequence, _special
 
 # angular orders assemble_disk_basis visits at most when max_order is not given
@@ -259,8 +259,7 @@ def assemble_disk_basis(K, R, count, max_order=None):
     """
     if not (np.isfinite(K) and np.isfinite(R) and K > 0 and R > 0):
         raise ValueError("bandlimit and radius must be positive and finite")
-    if count < 1:
-        raise ValueError("count must be positive")
+    count = _as_count(count)
     m_cap = MAX_ORDER if max_order is None else int(max_order)
     if m_cap < 0:
         raise ValueError("max_order must be non-negative")

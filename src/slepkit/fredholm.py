@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import ExtensionError, NumericalError
+from .errors import ExtensionError, NumericalError, _as_count
 
 # entries per block when extending to many points or building a lower triangle;
 # a kernel block holds its output plus about 1.3 times that in scratch
 EXTEND_CHUNK = 2097152
-# smallest kept eigenvalue, relative to the largest, solved through the factor
+# below this share of the largest kept eigenvalue, factor samples are orthonormalized by QR
 FACTOR_FLOOR = 1e-8
 # an eigensolve asks for the top `count` of m pairs only while count is below
 # SUBSET_FRACTION * m; past it the full solve is faster.  Measured with one
@@ -148,13 +148,15 @@ def _gram_eigs(gram, count):
     computed norm of P L w so that rounding in lambda leaves v unit.  S is
     positive semidefinite, so truncating it lowers each eigenvalue by at most
     ||S|| <= trace S <= (m - r) m eps max G_ii.  The cost is m r^2 for the
-    factor, r^3 for the eigensolve and m r count for the map.  When r < count,
-    or dpstrf rejects its arguments, the whole Gram goes to _eigh instead; the
-    rank returned is then r, or m if dpstrf failed.
+    factor, r^3 for the eigensolve and m r count for the map, r pairs for
+    count=None.  When r < count, or dpstrf rejects its arguments, the whole
+    Gram goes to _eigh instead; the rank returned is then r, or m if dpstrf failed.
     """
     c, piv, rank, info = scipy.linalg.lapack.dpstrf(gram, lower=1)
+    rank = rank if info >= 0 else len(gram)
+    count = rank if count is None else count
     if info < 0 or rank < count:
-        return _eigh(gram, count) + (rank if info >= 0 else len(gram),)
+        return _eigh(gram, count) + (rank,)
     low = np.tril(c[:, :rank])
     vals, w = _eigh(low.T @ low, count)
     vecs = np.empty((len(gram), count))
@@ -192,27 +194,25 @@ def _node_eigs(kernel, nodes, sw, count):
 
 
 def _factored_eigs(kernel, nodes, sw, count):
-    """Top `count` pairs (ascending) of B B^T, B = sqrt(W) A.
+    """Top `count` pairs (ascending) of B B^T, B = sqrt(W) A, and their record.
 
-    B is `kernel.factor(nodes, sw)`, with sqrt(W) folded in, w columns.  Its
-    Gram B^T B (w x w) is diagonalized whenever it holds `count` pairs, cut
-    first to its numerical rank by pivoted Cholesky (_gram_eigs: each
-    eigenvalue moves by at most the trace of the discarded Schur
-    complement), and its eigenvectors map to u = B v / sqrt(lambda).  That
-    map loses orthogonality as 1e-17 / lambda, so when the smallest pair
-    kept falls below FACTOR_FLOOR times the largest, or count > w, the top
-    pairs come from the n x n kernel matrix instead.
+    B is `kernel.factor(nodes, sw)`, with sqrt(W) folded in, w columns; a
+    count above w raises.  Its Gram B^T B is diagonalized, cut first to its
+    numerical rank r by pivoted Cholesky (_gram_eigs), and count=None keeps r
+    pairs.  Each v maps to u = B v / sqrt(lambda), which loses orthogonality
+    as 1e-17 / lambda: when the smallest pair kept falls below FACTOR_FLOOR
+    times the largest, QR orthonormalizes the B v instead, largest first.
     """
     b, kept = kernel.factor(nodes, sw)
     if not np.all(np.isfinite(b)):
         raise NumericalError("kernel factor has non-finite entries")
-    extra = {"route": "factored", "rank": b.shape[1], "kept": kept, "gram": "nodes"}
-    if count <= b.shape[1]:
-        vals, v, extra["gram_rank"] = _gram_eigs(b.T @ b, count)
-        if vals[0] >= FACTOR_FLOOR * vals[-1]:
-            extra["gram"] = "factor"
-            return vals, (b @ v) / np.sqrt(vals), extra
-    return _node_eigs(kernel, nodes, sw, count) + (extra,)
+    if count is not None and count > b.shape[1]:
+        raise ValueError(f"count {count} exceeds the kernel factor's width {b.shape[1]}")
+    vals, v, rank = _gram_eigs(b.T @ b, count)
+    extra = {"route": "factored", "rank": b.shape[1], "kept": kept, "gram_rank": rank}
+    if vals[0] >= FACTOR_FLOOR * vals[-1]:
+        return vals, (b @ v) / np.sqrt(vals), extra
+    return vals, np.linalg.qr((b @ v)[:, ::-1])[0][:, ::-1], extra
 
 
 def nystrom_eigs(kernel, rule, count):
@@ -220,14 +220,12 @@ def nystrom_eigs(kernel, rule, count):
 
     Diagonalizes sqrt(W) K sqrt(W) and maps eigenvectors back through
     f = f~ / sqrt(w), which leaves them orthonormal in the weighted Gram.
-    Only the top `count` pairs are computed.  A plain kernel gets a subset
-    dense eigh of the n x n matrix.  A kernel with a `factor` method is
-    factored as sqrt(W) K sqrt(W) = B B^T (_factored_eigs); `extra` records
-    the factor's width `rank`, the kernel's record `kept` of how it was
-    built, the side used ("factor" for B^T B, "nodes" for the n x n kernel
-    matrix) and, when the factor side was tried, the numerical rank
-    `gram_rank` that pivoted Cholesky found in B^T B.  The trace is
-    sum_i w_i kernel(x_i, x_i) either way.  Output is deterministic
+    Only the top `count` pairs are computed: a plain kernel's by a subset
+    eigh of the n x n matrix (all n for count=None), a factored kernel's
+    from its factor alone (_factored_eigs; count=None keeps the pairs it
+    resolves), with `extra` recording the factor's width `rank`, the
+    kernel's record `kept` and the numerical rank `gram_rank` of B^T B.
+    The trace is sum_i w_i kernel(x_i, x_i).  Output is deterministic
     (_canonical): eigenvalues descending, exact ties broken by the index of
     the largest-magnitude node sample, signs fixed at the centroid.
     """
@@ -235,13 +233,12 @@ def nystrom_eigs(kernel, rule, count):
     n = len(weights)
     if np.any(weights <= 0):
         raise ValueError("all quadrature weights must be positive")
-    if not 1 <= count <= n:
-        raise ValueError("count must lie in [1, number of nodes]")
+    count = count if count is None else _as_count(count, n)
     sw = np.sqrt(weights)
     if hasattr(kernel, "factor"):
         vals, vecs, extra = _factored_eigs(kernel, nodes, sw, count)
     else:
-        vals, vecs = _node_eigs(kernel, nodes, sw, count)
+        vals, vecs = _node_eigs(kernel, nodes, sw, n if count is None else count)
         extra = {"route": "dense"}
     top, samples = _canonical(vals, (vecs / sw[:, None]).T, nodes, weights)
     return NystromSolution(

@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _as_count
 from .fredholm import _canonical, _eigh, _gram_eigs, _lower_matrix
 from .geometry import Region, _reflect, contains_many
 from .planeslep import GridSpec, _centered_grid, _half_power, _power_field
@@ -219,9 +219,7 @@ def solve(problem, count):
     the Gram nor its eigenvectors), on the support side through the pruned
     FFT of apply().
     """
-    count = int(count)
-    if count < 1:
-        raise ConfigurationError("count must be at least 1")
+    count = _as_count(count, error=ConfigurationError)
     ny, nx = problem.grid.ny, problem.grid.nx
     cells, matvec, (rows, columns) = _support_operator(problem)
     n, b = len(cells), int(problem.spectral_mask.sum())
@@ -382,9 +380,7 @@ def weighted_periodogram_sum(basis, count):
     the sum is unfolded and zero-centered once.  With count = 1 the result is
     lambda_0 times periodogram(field 0) bit for bit.
     """
-    count = int(count)
-    if not 1 <= count <= len(basis.eigenvalues):
-        raise ValueError("count must lie in [1, number of eigenpairs]")
+    count = _as_count(count, len(basis.eigenvalues))
     grid = basis.problem.grid
     scale = (grid.dx * grid.dy) ** 2
     return _power_field(grid, sum(lam * (_half_power(values) * scale) for lam, values

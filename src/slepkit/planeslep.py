@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _as_count
 from .fredholm import eigennormalized_samples, nystrom_eigs, nystrom_extend
 from .geometry import area, contains_many
 from .kernels import DiskBandKernel
@@ -121,27 +121,27 @@ def shannon_2d(k, region_area):
 def solve_region_disk(region, k, n_quad=32, count=None):
     """Diagonalize the disk-bandlimit kernel over a region's quadrature.
 
-    Keeps the top `count` eigenpairs (all nodes' worth when count is None).
-    The kernel is factored by angular order about the node mean
-    (DiskBandKernel.factor): each order's radial functions are cut
-    to the numerical rank of the disk that holds the nodes, which leaves w
-    columns, about a third of a polar k-rule's, so the cost grows linearly
-    in the node count n (n w^2 for the factor's Gram) rather than as n^3.
-    `solution.extra` records w as `rank` and the radial functions kept at
-    each order as `kept`.  The w x w Gram is cut to its numerical rank r
-    by pivoted Cholesky before the eigensolve (fredholm._gram_eigs), which
-    then costs w r^2 + r^3 rather than w^3 and lowers each eigenvalue by
-    at most the trace of the discarded Schur complement;
-    `solution.extra["gram_rank"]` records r.  The
-    stored trace is the full quadrature trace of the kernel, which estimates
-    the Shannon number independently of the retained count.  A top eigenvalue
-    above 1 means the quadrature under-resolves the kernel; that is reported
-    as a RuntimeWarning naming n_quad.
+    Keeps the top `count` eigenpairs: count=None keeps the r pairs the
+    kernel's factor resolves, and a count above its width w raises.  The
+    kernel is factored by angular order about the node mean
+    (DiskBandKernel.factor): each order's radial functions are cut to the
+    numerical rank of the disk that holds the nodes, which leaves w columns,
+    about a third of a polar k-rule's, so the cost grows linearly in the
+    node count n (n w^2 for the Gram) and no n x n array is built.  Pivoted
+    Cholesky cuts the w x w Gram to its numerical rank r before the
+    eigensolve (fredholm._gram_eigs), which then costs w r^2 + r^3 and
+    lowers each eigenvalue by at most the trace of the discarded Schur
+    complement.  `solution.extra` records w as `rank`, r as `gram_rank` and
+    the radial functions kept per order as `kept`.  The stored trace is the
+    full quadrature trace of the kernel, an estimate of the Shannon number
+    whatever the count.  A top eigenvalue above 1 means the quadrature
+    under-resolves the kernel; that is reported as a RuntimeWarning naming
+    n_quad.
     """
     kernel = DiskBandKernel(k)      # rejects a bandlimit that is not positive and finite
     k = kernel.k
     rule = region_quadrature(region, n_quad)
-    sol = nystrom_eigs(kernel, rule, len(rule.weights) if count is None else count)
+    sol = nystrom_eigs(kernel, rule, count)
     excess = sol.eigenvalues[0] - 1.0
     if excess > 1e-12:   # past rounding
         warnings.warn(f"top eigenvalue exceeds 1 by {excess:.3g}: n_quad={n_quad} is too coarse "
@@ -253,9 +253,7 @@ def weighted_sumsq(basis, grid, count, g=None):
     is computed here unless the caller already has it, so a count that
     reaches an eigenvalue at or below 1e-12 raises ExtensionError either way.
     """
-    count = int(count)
-    if not 1 <= count <= len(basis.eigenvalues):
-        raise ValueError("count must lie in [1, number of eigenpairs]")
+    count = _as_count(count, len(basis.eigenvalues))
     if g is None:
         g = evaluate_g(basis, list(range(count)), grid)
     if len(g) != count:

@@ -6,6 +6,7 @@ import numpy as np
 import scipy.linalg
 
 from . import diskanalytic, fredholm, quadrature
+from .errors import _as_count
 
 
 @dataclass
@@ -57,7 +58,7 @@ def solve_1d(tw, n_nodes=128, count=None):
     branches = [(sol, j) for sol in sols for j in range(len(sol.branches))]
     lam = np.array([sol.branches[j].lam for sol, j in branches])
     kept = min(len(lam), n_nodes)
-    count = kept if count is None else count
+    count = kept if count is None else _as_count(count)
     if not 1 <= count <= kept:
         raise ValueError(f"count={count} must lie in [1, {kept}]: TW={tw!r} has {len(lam)} "
                          f"branches with lambda > 1e-16, sampled at n_nodes={n_nodes}")
@@ -129,9 +130,7 @@ def dpss(n, w, count):
         raise ValueError("sequence length must be an integer >= 2")
     if not 0.0 < w < 0.5:
         raise ValueError("half-bandwidth must lie in (0, 1/2)")
-    if not 1 <= count <= n:
-        raise ValueError("count must lie in [1, n]")
-    n, count = int(n), int(count)
+    n, count = int(n), _as_count(count, n)
     x = np.arange(n)
     diag = ((n - 1.0 - 2.0 * x) / 2.0) ** 2 * np.cos(2.0 * np.pi * w)
     off = (x[:-1] + 1.0) * (n - 1.0 - x[:-1]) / 2.0

@@ -454,6 +454,10 @@ class TestAssembledBasis:
             assemble_disk_basis(-1.0, 1.0, 4)
         with pytest.raises(ValueError):
             assemble_disk_basis(2.0, 1.0, 0)
+        for count in (2.5, True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                assemble_disk_basis(6.0, 1.0, count)
+        assert len(assemble_disk_basis(6.0, 1.0, 3.0).eigenvalues) == 3
 
     @pytest.mark.parametrize("k, r", [(np.nan, 1.0), (np.inf, 1.0), (2.0, np.nan),
                                       (2.0, np.inf)])

@@ -284,6 +284,10 @@ class TestValidation:
             nystrom_eigs(constant_kernel, rule, 0)
         with pytest.raises(ValueError):
             nystrom_eigs(constant_kernel, rule, 9)
+        for count in (2.5, True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                nystrom_eigs(constant_kernel, rule, count)
+        assert len(nystrom_eigs(constant_kernel, rule, None).eigenvalues) == 8
 
     def test_rejects_nonpositive_weights(self):
         class FakeRule:
@@ -498,7 +502,7 @@ class TestGramEigs:
             assert 2 * rank < len(gram)
         assert_gram_pairs(gram, vals, vecs, count)
         sol = nystrom_eigs(DiskBandKernel(k), rule, count)
-        assert sol.extra["gram"] == "factor" and sol.extra["gram_rank"] == rank
+        assert sol.extra["gram_rank"] == rank
 
 
 def rectangle_region(aspect, area):
@@ -539,7 +543,6 @@ class TestFactoredKernel:
         fact = nystrom_eigs(DiskBandKernel(k), rule, count)
         dense = nystrom_eigs(partial(disk_kernel, k), rule, count)
         assert fact.extra["route"] == "factored" and dense.extra == {"route": "dense"}
-        assert fact.extra["gram"] == "factor"
         kept = fact.extra["kept"]
         assert min(kept) >= 1
         assert fact.extra["rank"] == kept[0] + 2 * sum(kept[1:]) < len(rule.weights)
@@ -550,27 +553,34 @@ class TestFactoredKernel:
         gram = fact.node_samples @ (w[:, None] * fact.node_samples.T)
         np.testing.assert_allclose(gram, np.eye(count), atol=1e-10)
 
-    def test_deep_counts_use_the_node_side(self):
-        # a low bandlimit gives a narrow factor; pairs past its width, or so
-        # deep in the spectrum that u = B v / sqrt(lambda) would lose
-        # orthogonality, come from the n x n kernel matrix
+    def test_deep_counts_stay_on_the_factor(self):
+        # a low bandlimit gives a narrow factor; pairs so deep in the spectrum
+        # that u = B v / sqrt(lambda) would lose orthogonality are kept
+        # orthonormal by QR, and counts past the factor's width raise
         k = 2.0
         rule = region_quadrature(Region.disk((0.0, 0.0), 1.0), 20)
         n = len(rule.weights)
-        rank = nystrom_eigs(DiskBandKernel(k), rule, 1).extra["rank"]
-        dense = nystrom_eigs(partial(disk_kernel, k), rule, n)
-        for count, side in ((10, "factor"), (rank - 10, "nodes"), (rank + 10, "nodes"),
-                            (n, "nodes")):
+        first = nystrom_eigs(DiskBandKernel(k), rule, 1).extra
+        width, rank = first["rank"], first["gram_rank"]
+        assert rank < width < n
+        dense = nystrom_eigs(partial(disk_kernel, k), rule, width)
+        for count in (10, rank - 3, width):
             fact = nystrom_eigs(DiskBandKernel(k), rule, count)
-            assert fact.extra["gram"] == side and fact.extra["rank"] == rank < n
+            assert fact.extra["rank"] == width and fact.extra["gram_rank"] == rank
             np.testing.assert_allclose(fact.eigenvalues, dense.eigenvalues[:count],
                                        rtol=0, atol=1e-12)
             gram = fact.node_samples @ (rule.weights[:, None] * fact.node_samples.T)
-            np.testing.assert_allclose(gram, np.eye(count), atol=1e-9)
+            np.testing.assert_allclose(gram, np.eye(count), rtol=0, atol=1e-12)
             assert fact.trace == pytest.approx(dense.trace, rel=1e-13)
+        assert fact.eigenvalues[-1] < fredholm.FACTOR_FLOOR * fact.eigenvalues[0]
+        for count in (width + 10, n):
+            with pytest.raises(ValueError, match=f"width {width}"):
+                nystrom_eigs(DiskBandKernel(k), rule, count)
+        # count=None keeps every pair the factor resolves
         basis = solve_region_disk(Region.disk((0.0, 0.0), 1.0), k, n_quad=20, count=None)
-        assert basis.solution.extra["gram"] == "nodes"
-        np.testing.assert_allclose(basis.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-12)
+        assert len(basis.eigenvalues) == rank
+        np.testing.assert_allclose(basis.eigenvalues, dense.eigenvalues[:rank],
+                                   rtol=0, atol=1e-12)
 
     def test_rule_built_once_per_span(self):
         # the solve builds no polar k-rule, and an extension builds one,
@@ -579,7 +589,7 @@ class TestFactoredKernel:
         kernels._polar_rule.cache_clear()
         rule = region_quadrature(star_region(), 16)
         sol = nystrom_eigs(DiskBandKernel(6.0), rule, 6)
-        assert sol.extra["gram"] == "factor" and misses() == 0
+        assert misses() == 0
         x = np.random.default_rng(2).uniform(-1.0, 1.0, (60000, 2))
         nystrom_extend(sol, 0, x)
         assert misses() == 1
@@ -608,7 +618,7 @@ class TestFactoredKernel:
             rule = region_quadrature(Region.disk((0.0, 0.0), 1.0), n_quad)
             fact = nystrom_eigs(DiskBandKernel(k), rule, 10)
             assert fact.extra["rank"] == 248 > len(rule.weights) == n_quad ** 2
-            assert fact.extra["gram"] == "factor" and fact.extra["gram_rank"] <= n_quad ** 2
+            assert fact.extra["gram_rank"] <= n_quad ** 2
             dense = nystrom_eigs(partial(disk_kernel, k), rule, 10)
             np.testing.assert_allclose(fact.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-12)
             gram = fact.node_samples @ (rule.weights[:, None] * fact.node_samples.T)
@@ -846,12 +856,11 @@ class TestSegmentContraction:
 
     def test_unit_disk(self, disk42_nystrom):
         sol = disk42_nystrom.solution
-        assert sol.extra["gram"] == "factor" and self.check(sol)[0] == 32
+        assert self.check(sol)[0] == 32
 
     def test_plateau_km(self, plateau_region):
         sol = solve_region_disk(plateau_region, 0.0194, n_quad=24, count=20).solution
         rule = region_quadrature(plateau_region, 24)
-        assert sol.extra["gram"] == "factor"
         assert self.check(sol)[0] == len(np.unique(rule.nodes[:, 0]))
 
     def test_several_extents_per_abscissa(self):
@@ -875,7 +884,6 @@ class TestSegmentContraction:
     def test_plain_pairs(self):
         rule = region_quadrature(star_region(), 24)
         sol = nystrom_eigs(DiskBandKernel(6.0), (rule.nodes, rule.weights), 10)
-        assert sol.extra["gram"] == "factor"
         self.check(sol)
 
     def test_rule_without_layout_solves_and_extends(self):
@@ -936,7 +944,7 @@ class TestSegmentContraction:
         monkeypatch.setattr(kernels, "_features", spy)
         region = Region.polygon(star_region().vertices * 2.0)
         basis = solve_region_disk(region, 3.0, n_quad=16, count=6)
-        assert basis.solution.extra["gram"] == "factor" and seen == []
+        assert seen == []
         grid = GridSpec(x0=-2.5, y0=-2.2, dx=0.1, dy=0.11, nx=50, ny=41)
         evaluate_g(basis, [0, 1], grid)
         assert seen == []

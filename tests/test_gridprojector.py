@@ -23,6 +23,7 @@ SQUARE = Region.polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
 NOTCHED = Region.polygon([(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (3, 2),
                           (3, 3), (0, 3)])
 ASYM = Region.polygon([(-1.2, -0.8), (1.0, -1.0), (1.3, 0.9), (-0.9, 1.1)])
+RECT = Region.polygon([(-1.0, -0.6), (1.0, -0.6), (1.0, 0.6), (-1.0, 0.6)])
 
 
 def reflect(mask):
@@ -542,6 +543,39 @@ class TestSolve:
             solve(disk_problem, 0)
         with pytest.raises(ConfigurationError, match=f"{n} cells"):
             solve(disk_problem, n - 1)
+        for count in (2.5, True):
+            with pytest.raises(ConfigurationError, match="must be an integer"):
+                solve(disk_problem, count)
+        assert len(solve(disk_problem, np.int64(2)).eigenvalues) == 2
+
+    @pytest.mark.parametrize("spacing, k_max, side", [(0.05, 9.0, "band"), (0.02, 9.0, "band"),
+                                                      (0.05, 40.0, "support")])
+    def test_separable_oracle(self, spacing, k_max, side):
+        # a rectangle under a square band: both masks are outer products, so
+        # the operator is the Kronecker product of one periodic P F* L F P per
+        # axis, and its eigenvalues are the products of theirs.  Every pair
+        # down to 1e-3 is checked: 51 pairs for the square 9 band (48 in the
+        # transition zone [1e-3, 1 - 1e-3]), 563 for the square 40 (265 there)
+        square = [(-k_max, -k_max), (k_max, -k_max), (k_max, k_max), (-k_max, k_max)]
+        p = build_problem(RECT, SpectralDomain.polygon_set([square]), spacing)
+        axes = []
+        for mask in (p.spatial_mask, p.spectral_mask):
+            rows, cols = mask.any(axis=1), mask.any(axis=0)
+            assert np.array_equal(mask, np.outer(rows, cols))
+            axes.append((rows, cols))
+        (sy, sx), (ly, lx) = axes
+
+        def periodic(support, band):
+            # (1/n) sum_{k in band} e^{2 pi i k (a - b) / n} on the support cells
+            a, k = np.flatnonzero(support), np.flatnonzero(band)
+            phase = 2.0 * np.pi * np.multiply.outer(a[:, None] - a[None], k) / len(support)
+            return np.linalg.eigvalsh(np.cos(phase).sum(axis=-1) / len(support))
+
+        want = np.sort(np.outer(periodic(sy, ly), periodic(sx, lx)).ravel())[::-1]
+        want = want[want >= 1e-3]
+        basis = solve(p, len(want))
+        assert basis.extra["gram"] == side
+        np.testing.assert_allclose(basis.eigenvalues, want, rtol=0, atol=1e-13)
 
     def test_count_beyond_rank(self, disk_problem):
         # past the b band cells only null-space noise is left
@@ -657,3 +691,8 @@ class TestWeightedPeriodogramSum:
             weighted_periodogram_sum(disk_basis, 0)
         with pytest.raises(ValueError):
             weighted_periodogram_sum(disk_basis, 99)
+        for count in (2.5, True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                weighted_periodogram_sum(disk_basis, count)
+        np.testing.assert_array_equal(weighted_periodogram_sum(disk_basis, 2.0).values,
+                                      weighted_periodogram_sum(disk_basis, 2).values)

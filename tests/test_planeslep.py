@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from slepkit import (
     ConfigurationError, DiskBandKernel, ExtensionError, GridField, GridSpec, Region, area,
-    disk_kernel, evaluate_g, evaluate_h, nystrom_extend, periodogram, read_grid,
+    disk_kernel, evaluate_g, evaluate_h, nystrom_eigs, nystrom_extend, periodogram, read_grid,
     read_grid_text, region_mask, scale_to_area, shannon_2d, solve_region_disk,
     weighted_sumsq, write_grid, write_grid_text,
 )
@@ -110,6 +110,11 @@ class TestRegionSolve:
     def test_validation(self, unit_disk):
         with pytest.raises(ValueError):
             solve_region_disk(unit_disk, -2.0)
+        for count in (2.5, True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                solve_region_disk(unit_disk, 4.0, n_quad=8, count=count)
+        basis = solve_region_disk(unit_disk, 4.0, n_quad=8, count=np.int64(3))
+        assert len(basis.eigenvalues) == 3
 
     def test_coarse_quadrature_warns(self, plateau_region):
         # N = 25 on the plateau outline at area 4 pi: 24 nodes per dimension
@@ -134,7 +139,24 @@ class TestRegionSolve:
         span = 2.0 * _radii(nodes, np.mean(nodes, axis=0))[2]
         assert 2 * len(_polar_rule(disk42_nystrom.k, span)[0]) == 720
         assert extra["rank"] == 248 < len(disk42_nystrom.quadrature.weights)
-        assert extra["gram"] == "factor"
+
+    def test_default_count_stays_lean(self, plateau_region):
+        # N = 20 on the plateau outline at area 4 pi, 3360 nodes: the default
+        # count keeps the pairs the factor resolves and builds no n x n array
+        # (the kernel matrix alone is 90 MB)
+        region = scale_to_area(plateau_region, 4.0 * np.pi)[0]
+        k = np.sqrt(20.0)
+        tracemalloc.start()
+        try:
+            basis = solve_region_disk(region, k, n_quad=48)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, count = len(basis.quadrature.weights), len(basis.eigenvalues)
+        assert n == 3360 and count == basis.solution.extra["gram_rank"] < n
+        assert peak < 40e6
+        dense = nystrom_eigs(partial(disk_kernel, k), basis.quadrature, count)
+        np.testing.assert_allclose(basis.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -382,6 +404,11 @@ class TestWeightedSumsq:
             weighted_sumsq(basis10, grid, 0)
         with pytest.raises(ValueError):
             weighted_sumsq(basis10, grid, 999)
+        for count in (2.5, True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                weighted_sumsq(basis10, grid, count)
+        np.testing.assert_array_equal(weighted_sumsq(basis10, grid, 2.0).values,
+                                      weighted_sumsq(basis10, grid, 2).values)
 
     def test_from_given_g(self, basis10):
         grid = GridSpec(x0=-1.9, y0=-1.4, dx=0.21, dy=0.17, nx=19, ny=17)

@@ -173,6 +173,10 @@ class TestIntervalBasis:
             solve_1d(200.0, n_nodes=48, count=49)
         with pytest.raises(ValueError):
             solve_1d(3.0, count=0)
+        for count in (2.5, True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                solve_1d(3.0, count=count)
+        assert len(solve_1d(3.0, count=np.float64(2.0)).eigenvalues) == 2
 
     def test_type(self):
         basis = solve_1d(2.0, count=3)
@@ -298,3 +302,8 @@ class TestDpss:
             dpss(16, 0.6, 2)
         with pytest.raises(ValueError):
             dpss(16, 0.1, 17)
+        # counts are not truncated or taken from booleans
+        for count in (2.5, True, np.True_, np.nan):
+            with pytest.raises(ValueError, match="must be an integer"):
+                dpss(64, 0.1, count)
+        assert len(dpss(64, 0.1, 3.0).eigenvalues) == len(dpss(64, 0.1, np.int64(3)).chi) == 3
