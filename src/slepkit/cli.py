@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, _parse_threads
 from .diskanalytic import _radial_profile, assemble_disk_basis
 from .errors import (
-    DegenerateNormalizationError, ExtensionError, NumericalError, SlepkitError,
+    DegenerateNormalizationError, ExtensionError, NumericalError, SlepkitError, _as_positive,
 )
 from .geometry import (
     SpectralDomain, area, hermitian_symmetrize, read_region, wedge_domain,
@@ -160,8 +160,7 @@ def _write_columns(path, header, columns):
 
 def _require_positive(value, flag):
     """Reject a non-positive, infinite or NaN value of a numeric flag."""
-    if not (np.isfinite(value) and value > 0):
-        raise UsageError(f"{flag} must be positive and finite")
+    _as_positive(value, f"{flag} must be positive and finite", UsageError)
 
 
 def _cmd_pswf1d(args):
@@ -278,8 +277,9 @@ def _parse_spectral(spec):
 
 def _cmd_grid(args):
     _require_positive(args.spacing, "--spacing")
-    if not (np.isfinite(args.embed) and args.embed >= 1):
-        raise UsageError("--embed must be finite and at least 1")
+    rule = "--embed must be finite and at least 1"
+    if _as_positive(args.embed, rule, UsageError) < 1:
+        raise UsageError(f"{rule}, not {args.embed!r}")
     region = read_region(args.boundary)
     domain = _parse_spectral(args.spectral)
     problem = build_problem(region, domain, args.spacing,

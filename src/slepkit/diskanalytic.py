@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateNormalizationError, ExtensionError, NumericalError, _as_count
+from .errors import DegenerateNormalizationError, ExtensionError, NumericalError
+from .errors import _as_count, _as_int, _as_positive
 from .specialfn import _jacobi_sequence, _special
 
 # angular orders assemble_disk_basis visits at most when max_order is not given
@@ -86,12 +87,10 @@ def coeff_tridiagonal(m, c, l_max):
     entry takes the limit value 0 for the m^2/((2l+m)(2l+m+2)) term.  Orders
     -1/2 and +1/2 give the interval's even and odd functions (Slepian 1964).
     """
-    if not (np.isfinite(c) and c > 0):
-        raise ValueError("bandwidth parameter c must be positive and finite")
+    c = _as_positive(c, "bandwidth parameter c must be positive and finite", ValueError)
     if m not in (-0.5, 0.5) and (m < 0 or int(m) != m):
         raise ValueError("order must be a nonnegative integer or +-1/2")
-    if l_max < 1:
-        raise ValueError("l_max must be at least 1")
+    l_max = _as_int(l_max, 1, np.inf, "l_max must be an integer >= 1", ValueError)
     l = np.arange(l_max + 1, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         bracket = 1.0 + m * m / ((2.0 * l + m) * (2.0 * l + m + 2.0))
@@ -149,8 +148,8 @@ def fixed_order_solution(m, c, l_max=None):
     kept branch is above 1e-12 of its peak a RuntimeWarning says so.
     m = -1/2 and +1/2 (the interval) are kept as given.
     """
-    lm = default_l_max(c) if l_max is None else int(l_max)
-    chi, d = coeff_tridiagonal(m, c, lm)
+    chi, d = coeff_tridiagonal(m, c, default_l_max(c) if l_max is None else l_max)
+    lm = d.shape[1] - 1
     gamma, lam = gamma_lambda(d, m, c)
     keep = int(np.argmax(np.append(lam <= 1e-16, True)))
     worst = np.max(np.abs(d[:keep, -1]) / np.max(np.abs(d[:keep]), axis=1), initial=0.0)
@@ -228,10 +227,8 @@ def phi_bessel(solution, branch, xi):
 
 def n2d_m(m, n2d):
     """Per-order partial Shannon number, closed Bessel form; a = 2 sqrt(N2D)."""
-    if n2d < 0:
-        raise ValueError("Shannon number must be nonnegative")
-    if m < 0 or int(m) != m:
-        raise ValueError("order must be a nonnegative integer")
+    m = _as_int(m, 0, np.inf, "order must be a nonnegative integer", ValueError)
+    n2d = _as_positive(n2d, "Shannon number must be finite and >= 0", ValueError, zero=True)
     if n2d == 0:
         return 0.0
     a = 2.0 * np.sqrt(n2d)
@@ -257,12 +254,11 @@ def assemble_disk_basis(K, R, count, max_order=None):
     MAX_ORDER with a RuntimeWarning if the stop rule was never met.  A top
     eigenvalue above 1 by more than 1e-12 also raises a RuntimeWarning.
     """
-    if not (np.isfinite(K) and np.isfinite(R) and K > 0 and R > 0):
-        raise ValueError("bandlimit and radius must be positive and finite")
+    K, R = (_as_positive(v, "bandlimit and radius must be positive and finite", ValueError)
+            for v in (K, R))
     count = _as_count(count)
-    m_cap = MAX_ORDER if max_order is None else int(max_order)
-    if m_cap < 0:
-        raise ValueError("max_order must be non-negative")
+    m_cap = MAX_ORDER if max_order is None else _as_int(
+        max_order, 0, np.inf, "max_order must be a nonnegative integer", ValueError)
     c = K * R
     n2d = c * c / 4.0
     entries = []
@@ -300,7 +296,7 @@ def assemble_disk_basis(K, R, count, max_order=None):
     if excess > 1e-12:   # past rounding, the threshold of solve_region_disk
         warnings.warn(f"top eigenvalue exceeds 1 by {excess:.3g} at N = {float(n2d):.6g}: the "
                       f"coefficient solve is losing accuracy", RuntimeWarning, stacklevel=2)
-    return DiskBasis(K=float(K), R=float(R), n2d=n2d, entries=entries,
+    return DiskBasis(K=K, R=R, n2d=n2d, entries=entries,
                      eigenvalues=np.array([e.lam for e in entries]),
                      solutions=solutions)
 

@@ -7,7 +7,7 @@ disks, polygon collections, or boolean masks on a stated k-grid.
 
 import numpy as np
 
-from .errors import InvalidRegionError
+from .errors import InvalidRegionError, _as_int, _as_positive
 
 
 def _as_vertex_array(vertices):
@@ -90,10 +90,10 @@ class Region:
 
     @classmethod
     def disk(cls, center, radius):
+        radius = _as_positive(radius, "disk needs a finite radius > 0", InvalidRegionError)
         cx, cy = float(center[0]), float(center[1])
-        radius = float(radius)
-        if not (np.isfinite(radius) and radius > 0 and np.isfinite(cx) and np.isfinite(cy)):
-            raise InvalidRegionError("disk needs finite center and radius > 0")
+        if not (np.isfinite(cx) and np.isfinite(cy)):
+            raise InvalidRegionError(f"disk needs a finite center, not {center!r}")
         return cls("disk", center=(cx, cy), radius=radius)
 
     def bounding_box(self):
@@ -263,11 +263,9 @@ def spline_boundary(vertices, n):
     scipy.interpolate is never imported.
     """
     v = _as_vertex_array(vertices)
-    if not np.isfinite(n) or int(n) != n:
-        raise ValueError("resample count must be an integer")
-    n = int(n)
-    if n < len(v):
-        raise ValueError("resample count must be at least the vertex count")
+    n = _as_int(n, len(v), np.inf,
+                f"resample count must be an integer, at least the vertex count {len(v)}",
+                ValueError)
     closed = np.vstack([v, v[:1]])
     chord = np.hypot(*np.diff(closed, axis=0).T)
     if np.any(chord == 0.0):
@@ -287,8 +285,7 @@ def scale_to_area(region, target_area=4.0 * np.pi):
 
     Returns (scaled_region, factor) with factor = sqrt(target / current).
     """
-    if target_area <= 0:
-        raise ValueError("target area must be positive")
+    target_area = _as_positive(target_area, "target area must be positive and finite", ValueError)
     factor = float(np.sqrt(target_area / area(region)))
     if region.kind == "disk":
         (cx, cy), r = region.center, region.radius
@@ -309,9 +306,7 @@ class SpectralDomain:
 
     @classmethod
     def disk(cls, bandlimit):
-        bandlimit = float(bandlimit)
-        if not (np.isfinite(bandlimit) and bandlimit > 0):
-            raise ValueError("bandlimit must be finite and positive")
+        bandlimit = _as_positive(bandlimit, "bandlimit must be finite and positive", ValueError)
         return cls("disk", bandlimit=bandlimit)
 
     @classmethod
@@ -407,8 +402,7 @@ def wedge_domain(orientation, half_angle, k_max):
     """
     if not (0 < half_angle < np.pi / 2):
         raise ValueError("half_angle must lie in (0, pi/2)")
-    if k_max <= 0:
-        raise ValueError("k_max must be positive")
+    k_max = _as_positive(k_max, "k_max must be positive and finite", ValueError)
     a0, a1 = orientation - half_angle, orientation + half_angle
     tri = np.array([
         [0.0, 0.0],

@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ConfigurationError, _as_count
+from .errors import ConfigurationError, _as_count, _as_positive
 from .fredholm import _canonical, _eigh, _gram_eigs, _lower_matrix
 from .geometry import Region, _reflect, contains_many
 from .planeslep import GridSpec, _centered_grid, _half_power, _power_field
@@ -90,12 +90,12 @@ def build_problem(region, domain, grid_spacing, embed_factor=3.0):
     holds (pi / grid_spacing on an even side) is clipped there, with a
     RuntimeWarning naming grid_spacing; mask domains live on the grid.
     """
-    grid_spacing = float(grid_spacing)
-    embed_factor = float(embed_factor)
-    if not (np.isfinite(grid_spacing) and grid_spacing > 0):
-        raise ConfigurationError("grid spacing must be positive and finite")
-    if not (np.isfinite(embed_factor) and embed_factor >= 1):
-        raise ConfigurationError("embed factor must be finite and at least 1")
+    grid_spacing = _as_positive(grid_spacing, "grid spacing must be positive and finite",
+                                ConfigurationError)
+    rule = "embed factor must be finite and at least 1"
+    embed_factor = _as_positive(embed_factor, rule, ConfigurationError)
+    if embed_factor < 1:
+        raise ConfigurationError(f"{rule}, not {embed_factor!r}")
     grid = _centered_grid(region, embed_factor, grid_spacing)
     nx, ny = grid.nx, grid.ny
 

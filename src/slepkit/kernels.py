@@ -11,13 +11,13 @@ import functools
 import numpy as np
 
 from . import fredholm, quadrature
+from .errors import _as_int, _as_positive
 from .specialfn import _special, bessel_j1_over_x, bessel_j_table, bessel_tail_order
 
 
 def sinc_kernel(tw, x, xp):
     """sin(TW (x - x')) / (pi (x - x')), diagonal value TW/pi."""
-    if tw <= 0:
-        raise ValueError("time-bandwidth product must be positive")
+    tw = _as_positive(tw, "time-bandwidth product must be positive and finite", ValueError)
     d = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
     out = np.where(d == 0.0, tw / np.pi,
                    np.sin(tw * np.where(d == 0.0, 1.0, d)) / (np.pi * np.where(d == 0.0, 1.0, d)))
@@ -32,7 +32,7 @@ def disk_kernel(k, x, xp):
     x - x' per coordinate, with r by hypot and K r taken in place in the
     first, so its peak is about 2.3 times the output.
     """
-    _check_bandlimit(k)
+    k = _as_positive(k, "bandlimit must be positive and finite", ValueError)
     x, xp = np.asarray(x, dtype=float), np.asarray(xp, dtype=float)
     r = np.empty(np.broadcast_shapes(x.shape, xp.shape)[:-1])   # 0-d for two points
     np.subtract(x[..., 0], xp[..., 0], out=r)
@@ -41,11 +41,6 @@ def disk_kernel(k, x, xp):
     out = bessel_j1_over_x(r)
     out *= k * k / (2.0 * np.pi)
     return out
-
-
-def _check_bandlimit(k):
-    if not (np.isfinite(k) and k > 0):
-        raise ValueError("bandlimit must be positive and finite")
 
 
 class DiskBandKernel:
@@ -63,8 +58,7 @@ class DiskBandKernel:
     """
 
     def __init__(self, k):
-        _check_bandlimit(k)
-        self.k = float(k)
+        self.k = _as_positive(k, "bandlimit must be positive and finite", ValueError)
 
     def __call__(self, x, xp):
         return disk_kernel(self.k, x, xp)
@@ -369,10 +363,8 @@ def fixedm_kernel(m, n2d, xi, xip):
     broadcasting: an (n, 1) x (1, n) outer call costs 2 n q Bessel values, not
     2 n^2 q.
     """
-    if n2d < 0:
-        raise ValueError("Shannon number must be nonnegative")
-    if m < 0 or int(m) != m:
-        raise ValueError("order must be a nonnegative integer")
+    n2d = _as_positive(n2d, "Shannon number must be finite and >= 0", ValueError, zero=True)
+    m = _as_int(m, 0, np.inf, "order must be a nonnegative integer", ValueError)
     c = 2.0 * np.sqrt(n2d)
     rule = _p_rule(n2d)
     a, b = np.asarray(xi, dtype=float), np.asarray(xip, dtype=float)
@@ -392,8 +384,7 @@ def sqrt_kernel(m, c, xi, xip):
     Orders: integers >= 0, or +-1/2 with the closed sine/cosine forms
     sqrt(2/pi) sin(c xi xi') and sqrt(2/pi) cos(c xi xi').
     """
-    if c <= 0:
-        raise ValueError("bandwidth parameter c must be positive")
+    c = _as_positive(c, "bandwidth parameter c must be positive and finite", ValueError)
     t = c * np.asarray(xi, dtype=float) * np.asarray(xip, dtype=float)
     if np.any(t < 0):
         raise ValueError("xi and xi' must be nonnegative")

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ConfigurationError, _as_count
+from .errors import ConfigurationError, _as_count, _as_int, _as_positive
 from .fredholm import eigennormalized_samples, nystrom_eigs, nystrom_extend
 from .geometry import area, contains_many
 from .kernels import DiskBandKernel
@@ -38,17 +38,12 @@ class GridSpec:
 
     def __post_init__(self):
         self.x0, self.y0 = float(self.x0), float(self.y0)
-        self.dx, self.dy = float(self.dx), float(self.dy)
-        for count in (self.nx, self.ny):
-            if isinstance(count, (bool, np.bool_)) or not float(count).is_integer():
-                raise ConfigurationError(f"grid dimensions must be integers, not {count!r}")
-        self.nx, self.ny = int(self.nx), int(self.ny)
-        if not np.all(np.isfinite([self.x0, self.y0, self.dx, self.dy])):
-            raise ConfigurationError("grid origin and spacings must be finite")
-        if self.dx <= 0 or self.dy <= 0:
-            raise ConfigurationError("grid spacings must be positive")
-        if self.nx < 1 or self.ny < 1:
-            raise ConfigurationError("grid dimensions must be at least 1")
+        if not (np.isfinite(self.x0) and np.isfinite(self.y0)):
+            raise ConfigurationError(f"grid origin must be finite, not {(self.x0, self.y0)!r}")
+        self.dx, self.dy = (_as_positive(d, "grid spacings must be finite and positive",
+                                         ConfigurationError) for d in (self.dx, self.dy))
+        self.nx, self.ny = (_as_int(n, 1, np.inf, "grid dimensions must be integers >= 1",
+                                    ConfigurationError) for n in (self.nx, self.ny))
 
     def x_axis(self):
         return self.x0 + self.dx * np.arange(self.nx)
@@ -112,9 +107,8 @@ class SlepianBasis:
 
 def shannon_2d(k, region_area):
     """Expected count of well-concentrated functions: K^2 A / (4 pi)."""
-    k, region_area = float(k), float(region_area)
-    if not (np.isfinite(k) and np.isfinite(region_area) and k > 0 and region_area > 0):
-        raise ValueError("bandlimit and area must be positive and finite")
+    k, region_area = (_as_positive(v, "bandlimit and area must be positive and finite", ValueError)
+                      for v in (k, region_area))
     return k * k * region_area / (4.0 * np.pi)
 
 
@@ -178,22 +172,30 @@ def _extend_on_grid(basis, index, grid, pts):
     return [GridField(grid, v) for v in vals]
 
 
-def evaluate_h(basis, index, grid, g=None, inside=None):
+def evaluate_h(basis, index, grid, g=None):
     """The space-limited twin: equal to g inside the region, exactly 0 outside.
 
     As in evaluate_g, a sequence of indices gives a list of fields.  `g` (the
-    evaluate_g result for `index`) and `inside` (the region mask on the
-    grid, shaped (ny, nx)) are computed here, from one set of grid points,
-    unless the caller already has them.
+    evaluate_g result for `index`) is computed here unless the caller has it;
+    a given g must hold one field per index, each on `grid` (else ValueError).
     """
-    pts = _grid_points(grid) if g is None or inside is None else None
+    pts = _grid_points(grid)
+    one = np.ndim(index) == 0
     if g is None:
         g = _extend_on_grid(basis, index, grid, pts)
-    if inside is None:
-        inside = contains_many(basis.region, pts.reshape(-1, 2)).reshape(grid.ny, grid.nx)
-    one = np.ndim(index) == 0
-    h = [GridField(grid, np.where(inside, f.values, 0.0)) for f in ([g] if one else g)]
+    fields = [g] if one else g
+    _check_given(fields, 1 if one else len(index), grid)
+    inside = contains_many(basis.region, pts.reshape(-1, 2)).reshape(grid.ny, grid.nx)
+    h = [GridField(grid, np.where(inside, f.values, 0.0)) for f in fields]
     return h[0] if one else h
+
+
+def _check_given(g, count, grid):
+    """Raise ValueError unless the fields g number `count` and all lie on `grid`."""
+    if len(g) != count:
+        raise ValueError(f"g holds {len(g)} fields, count is {count}")
+    if any(f.grid != grid for f in g):
+        raise ValueError(f"g holds a field off the grid {grid}")
 
 
 def region_mask(region, grid):
@@ -249,15 +251,14 @@ def weighted_sumsq(basis, grid, count, g=None):
     """Eigenvalue-weighted sum of squares sum_a lambda_a g_a(x)^2 on a grid.
 
     Deep inside the region this plateaus near shannon / area; far outside it
-    collapses toward zero.  `g` (the evaluate_g fields of indices 0..count-1)
-    is computed here unless the caller already has it, so a count that
-    reaches an eigenvalue at or below 1e-12 raises ExtensionError either way.
+    collapses toward zero.  `g` (the evaluate_g fields of indices 0..count-1,
+    all on `grid`) is computed here unless the caller already has it, so a
+    count reaching an eigenvalue at or below 1e-12 raises ExtensionError either way.
     """
     count = _as_count(count, len(basis.eigenvalues))
     if g is None:
         g = evaluate_g(basis, list(range(count)), grid)
-    if len(g) != count:
-        raise ValueError(f"g holds {len(g)} fields, count is {count}")
+    _check_given(g, count, grid)
     lam = np.clip(basis.eigenvalues[:count], 0.0, None)
     vals = np.stack([f.values for f in g])
     return GridField(grid, np.tensordot(lam, vals * vals, axes=1))

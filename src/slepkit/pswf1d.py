@@ -6,7 +6,7 @@ import numpy as np
 import scipy.linalg
 
 from . import diskanalytic, fredholm, quadrature
-from .errors import _as_count
+from .errors import _as_count, _as_int, _as_positive
 
 
 @dataclass
@@ -32,8 +32,8 @@ class DpssSet:
 
 def shannon_1d(t_half, w):
     """1D Shannon number 2 T W / pi for the interval [-T, T], band [-W, W]."""
-    if t_half <= 0 or w <= 0:
-        raise ValueError("T and W must be positive")
+    t_half, w = (_as_positive(v, "T and W must be positive and finite", ValueError)
+                 for v in (t_half, w))
     return 2.0 * t_half * w / np.pi
 
 
@@ -50,8 +50,7 @@ def solve_1d(tw, n_nodes=128, count=None):
     count raises.  Parity alternates with rank (top even) save among
     eigenvalues equal to rounding: near 1 at TW >= 60, up to 4e-14 above it.
     """
-    if not (np.isfinite(tw) and tw > 0):
-        raise ValueError("time-bandwidth product must be positive and finite")
+    tw = _as_positive(tw, "time-bandwidth product must be positive and finite", ValueError)
     rule = quadrature.gauss_legendre(n_nodes)
     x = rule.nodes
     sols = [diskanalytic.fixed_order_solution(m, tw) for m in (-0.5, 0.5)]
@@ -72,7 +71,7 @@ def solve_1d(tw, n_nodes=128, count=None):
             amp = np.array([_amplitude(sol, j) for j in picks])
             samples[rows] = amp[:, None] * diskanalytic.phi_space(sol, picks, np.abs(x)) * sign
     return Basis1D(
-        tw=float(tw), eigenvalues=lam[order], node_samples=samples, nodes=x,
+        tw=tw, eigenvalues=lam[order], node_samples=samples, nodes=x,
         weights=rule.weights, shannon=2.0 * tw / np.pi, trace=float(np.sum(lam)),
         entries=entries)
 
@@ -126,11 +125,10 @@ def dpss(n, w, count):
     and r the autocorrelation of s from one real FFT of length 2n.
     sinc_matrix is never built.
     """
-    if n < 2 or int(n) != n:
-        raise ValueError("sequence length must be an integer >= 2")
+    n = _as_int(n, 2, np.inf, "sequence length must be an integer >= 2", ValueError)
     if not 0.0 < w < 0.5:
         raise ValueError("half-bandwidth must lie in (0, 1/2)")
-    n, count = int(n), _as_count(count, n)
+    count = _as_count(count, n)
     x = np.arange(n)
     diag = ((n - 1.0 - 2.0 * x) / 2.0) ** 2 * np.cos(2.0 * np.pi * w)
     off = (x[:-1] + 1.0) * (n - 1.0 - x[:-1]) / 2.0

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import InvalidRegionError
+from .errors import InvalidRegionError, _as_int
 
 
 @dataclass
@@ -36,9 +36,8 @@ def gauss_legendre(n):
     The nodes and weights are computed once per n and handed out as fresh
     copies, so callers may modify what they receive.
     """
-    if not np.isfinite(n) or n < 1 or int(n) != n:
-        raise ValueError("node count must be a positive integer")
-    nodes, weights = _leggauss(int(n))
+    nodes, weights = _leggauss(
+        _as_int(n, 1, np.inf, "node count must be a positive integer", ValueError))
     return QuadratureRule1D(nodes.copy(), weights.copy())
 
 
@@ -87,8 +86,7 @@ def region_quadrature(region, n_per_dim=32):
     as one block of consecutive nodes; weights are the pairwise products.
     The nodes are bit-identical to map_rule applied extent by extent.
     """
-    if n_per_dim < 1:
-        raise ValueError("n_per_dim must be positive")
+    n_per_dim = _as_int(n_per_dim, 1, np.inf, "n_per_dim must be a positive integer", ValueError)
     xs, wxs = _x_panels(region, n_per_dim)
     inner = gauss_legendre(n_per_dim)
     segments, wx = [], []

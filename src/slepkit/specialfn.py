@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 
+from .errors import _as_int
+
 
 def _special():
     """scipy.special, imported on first use: the 1D and grid routes never
@@ -108,14 +110,12 @@ def bessel_j_table(m_max, x):
 
 def jacobi_p(l, m, x):
     """Jacobi polynomial P_l^(m,0)(x) by the standard three-term recurrence."""
-    if l < 0 or int(l) != l:
-        raise ValueError("degree l must be a nonnegative integer")
-    if m < 0 or int(m) != m:
-        raise ValueError("parameter m must be a nonnegative integer")
+    l = _as_int(l, 0, np.inf, "degree l must be a nonnegative integer", ValueError)
+    m = _as_int(m, 0, np.inf, "parameter m must be a nonnegative integer", ValueError)
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("argument must be finite")
-    return _jacobi_sequence(int(l), int(m), x)[-1][()]
+    return _jacobi_sequence(l, m, x)[-1][()]
 
 
 def _jacobi_sequence(lmax, m, x):

@@ -199,7 +199,7 @@ class TestEvaluation:
         grid = GridSpec(x0=-1.5, y0=-1.5, dx=0.1, dy=0.1, nx=31, ny=31)
         g = evaluate_g(small_basis, 2, grid)
         inside = region_mask(small_basis.region, grid)
-        h = evaluate_h(small_basis, 2, grid, g=g, inside=inside)
+        h = evaluate_h(small_basis, 2, grid, g=g)
         np.testing.assert_array_equal(h.values, np.where(inside, g.values, 0.0))
         np.testing.assert_array_equal(h.values, evaluate_h(small_basis, 2, grid).values)
 
@@ -217,11 +217,24 @@ class TestEvaluation:
         inside = region_mask(small_basis.region, grid)
         gs = evaluate_g(small_basis, [0, 5, 11], grid)
         for hs in (evaluate_h(small_basis, [0, 5, 11], grid),
-                   evaluate_h(small_basis, [0, 5, 11], grid, g=gs, inside=inside)):
+                   evaluate_h(small_basis, [0, 5, 11], grid, g=gs)):
             assert isinstance(hs, list) and len(hs) == 3
             for g, h in zip(gs, hs):
                 assert h.grid == grid
                 np.testing.assert_array_equal(h.values, np.where(inside, g.values, 0.0))
+
+    def test_h_rejects_a_given_g_that_does_not_match(self, small_basis):
+        # one field per index, each on the grid asked for: no truncation to
+        # the shorter of the two and no field from another grid
+        grid = GridSpec(x0=-1.5, y0=-1.5, dx=0.1, dy=0.1, nx=31, ny=31)
+        other = GridSpec(x0=-1.4, y0=-1.5, dx=0.1, dy=0.1, nx=31, ny=31)
+        gs = evaluate_g(small_basis, [0, 1], grid)
+        with pytest.raises(ValueError, match="g holds 1 fields, count is 2"):
+            evaluate_h(small_basis, [0, 1], grid, g=gs[:1])
+        with pytest.raises(ValueError, match="g holds a field off the grid"):
+            evaluate_h(small_basis, [0, 1], other, g=gs)
+        with pytest.raises(ValueError, match="g holds a field off the grid"):
+            evaluate_h(small_basis, 0, other, g=gs[0])
 
     def test_g_of_many_indices(self, small_basis):
         grid = GridSpec(x0=-1.7, y0=-1.3, dx=0.11, dy=0.13, nx=29, ny=23)
@@ -418,6 +431,13 @@ class TestWeightedSumsq:
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         with pytest.raises(ValueError):
             weighted_sumsq(basis10, grid, 19, g=g)
+
+    def test_given_g_must_lie_on_the_grid(self, basis10):
+        grid = GridSpec(x0=-1.9, y0=-1.4, dx=0.21, dy=0.17, nx=19, ny=17)
+        other = GridSpec(x0=-1.9, y0=-1.4, dx=0.2, dy=0.17, nx=19, ny=17)
+        g = evaluate_g(basis10, list(range(3)), other)
+        with pytest.raises(ValueError, match="g holds a field off the grid"):
+            weighted_sumsq(basis10, grid, 3, g=g)
 
     def test_one_formula_for_both_call_forms(self, plateau_region):
         # the fields come from evaluate_g either way, so the sums share their bits
